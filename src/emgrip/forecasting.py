@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg as sla
@@ -58,13 +58,51 @@ class DmdModel:
     ritz_values: np.ndarray       # complex, shape (l,)
     ritz_vectors: np.ndarray      # complex, shape (rows, l), unit columns
     residuals: np.ndarray         # per-mode ||A z - lambda z||
-    dt_eff: float = 1.0           # seconds between thinned snapshots
     amplitudes: np.ndarray | None = None
     n_snapshots: int = 0
 
     @property
     def n_modes(self) -> int:
         return self.ritz_values.size
+
+
+@lru_cache(maxsize=16)
+def _lowess_weights(n: int, window: int):
+    """Tricube weights and data-independent moments for ``lowess_smooth``.
+
+    They depend only on ``(n, window)``, so the streaming forecaster (one
+    size per hyperparameter set) builds them once.  The arrays are shared by
+    every caller and therefore read-only.
+    """
+    x = np.arange(n, dtype=float)
+    # pairwise distances on the index grid; bandwidth = window-th nearest
+    dist = np.abs(x[:, None] - x[None, :])
+    h = np.partition(dist, window - 1, axis=1)[:, window - 1]
+    u = np.clip(dist / h[:, None], 0.0, 1.0)
+    w = (1.0 - u**3) ** 3
+    sw, swx, denom = _weighted_moments(w, x)
+    for arr in (x, w, sw, swx, denom):
+        arr.flags.writeable = False
+    return x, w, sw, swx, denom
+
+
+def _weighted_moments(weights: np.ndarray, x: np.ndarray):
+    """Row sums, first moments and the zero-guarded 2x2 determinant."""
+    sw = weights.sum(axis=1)
+    swx = weights @ x
+    swxx = weights @ (x * x)
+    denom = sw * swxx - swx**2
+    denom = np.where(denom == 0, 1.0, denom)
+    return sw, swx, denom
+
+
+def _local_lines(x, y, weights, sw, swx, denom) -> np.ndarray:
+    """Evaluate each row's weighted least-squares line at its own index."""
+    swy = weights @ y
+    swxy = weights @ (x * y)
+    slope = (sw * swxy - swx * swy) / denom
+    intercept = (swy - slope * swx) / sw
+    return intercept + slope * x
 
 
 def lowess_smooth(values: np.ndarray, window: int, iterations: int = 0) -> np.ndarray:
@@ -79,40 +117,25 @@ def lowess_smooth(values: np.ndarray, window: int, iterations: int = 0) -> np.nd
     n = y.size
     if window < 3:
         raise ConfigError("window must be >= 3 points")
-    x = np.arange(n, dtype=float)
+    if iterations < 0:
+        raise ConfigError("robustness iterations must be >= 0")
     if n <= window:
         if n < 2:
             return y.copy()
+        x = np.arange(n, dtype=float)
         coeffs = np.polyfit(x, y, 1)
         return np.polyval(coeffs, x)
 
-    # pairwise distances on the index grid; bandwidth = window-th nearest
-    dist = np.abs(x[:, None] - x[None, :])
-    h = np.partition(dist, window - 1, axis=1)[:, window - 1]
-    u = np.clip(dist / h[:, None], 0.0, 1.0)
-    w = (1.0 - u**3) ** 3
-
-    robust = np.ones(n)
-    for _ in range(max(1, iterations + 1)):
-        weights = w * robust[None, :]
-        sw = weights.sum(axis=1)
-        swx = weights @ x
-        swy = weights @ y
-        swxx = weights @ (x * x)
-        swxy = weights @ (x * y)
-        denom = sw * swxx - swx**2
-        denom = np.where(denom == 0, 1.0, denom)
-        slope = (sw * swxy - swx * swy) / denom
-        intercept = (swy - slope * swx) / sw
-        fitted = intercept + slope * x
-        if iterations == 0:
-            return fitted
+    x, w, sw, swx, denom = _lowess_weights(n, window)
+    fitted = _local_lines(x, y, w, sw, swx, denom)
+    for _ in range(iterations):
         resid = y - fitted
         s = np.median(np.abs(resid))
         if s == 0:
             return fitted
         robust = np.clip(resid / (6.0 * s), -1.0, 1.0)
-        robust = (1.0 - robust**2) ** 2
+        weights = w * ((1.0 - robust**2) ** 2)[None, :]
+        fitted = _local_lines(x, y, weights, *_weighted_moments(weights, x))
     return fitted
 
 
@@ -128,8 +151,8 @@ def log_interaction_lift(delay_block: np.ndarray) -> np.ndarray:
     if np.any(h <= -10.0):
         raise DataError("entries must exceed -10 for the log shift")
     logs = np.log(h + 10.0)
-    pairs = list(combinations(range(h.shape[0]), 2))
-    return np.vstack([logs[p] * logs[q] for p, q in pairs])
+    p, q = np.triu_indices(h.shape[0], k=1)  # row-major: lexicographic pairs
+    return logs[p] * logs[q]
 
 
 def thin(matrix: np.ndarray, step: int) -> np.ndarray:
@@ -171,7 +194,7 @@ def _conjugate_units(eigvals: np.ndarray) -> list[list[int]]:
     return units
 
 
-def fit_dmd(snapshots: np.ndarray, n_modes: int, dt_eff: float = 1.0) -> DmdModel:
+def fit_dmd(snapshots: np.ndarray, n_modes: int) -> DmdModel:
     """Residual-refined DMD of a snapshot sequence.
 
     The data are QR-compressed when tall, the shift operator is formed in
@@ -203,18 +226,25 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int, dt_eff: float = 1.0) -> DmdMode
     rayleigh = u.conj().T @ b
     eigvals = np.linalg.eigvals(rayleigh)
 
+    # b and u are real, so a conjugate partner's residual problem is the
+    # exact conjugate of its leader's: refine each unit's leader only, all
+    # in one stacked SVD, and mirror the partner
+    units = _conjugate_units(eigvals)
+    leaders = [unit[0] for unit in units]
+    stack = b[None] - eigvals[leaders, None, None] * u[None]
+    _, sig, wh = np.linalg.svd(stack, full_matrices=False)
+    lead_vectors = u @ wh[:, -1].conj().T
     vectors = np.empty((c.shape[0], eigvals.size), dtype=complex)
     residuals = np.empty(eigvals.size)
-    for idx, lam in enumerate(eigvals):
-        _, sig, wh = np.linalg.svd(b - lam * u, full_matrices=False)
-        w = wh[-1].conj()
-        residuals[idx] = sig[-1]
-        vectors[:, idx] = u @ w
+    vectors[:, leaders] = lead_vectors
+    residuals[leaders] = sig[:, -1]
+    for k, unit in enumerate(units):
+        if len(unit) == 2:
+            vectors[:, unit[1]] = lead_vectors[:, k].conj()
+            residuals[unit[1]] = sig[k, -1]
 
     energy = np.linalg.norm(vectors.conj().T @ c, axis=1)
-
-    units = _conjugate_units(eigvals)
-    units.sort(key=lambda unit: (residuals[list(unit)].min(), -energy[list(unit)].max()))
+    units.sort(key=lambda unit: (residuals[unit].min(), -energy[unit].max()))
     chosen: list[int] = []
     for unit in units:
         if len(chosen) + len(unit) <= n_modes:
@@ -227,7 +257,7 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int, dt_eff: float = 1.0) -> DmdMode
     z = vectors[:, chosen]
     if q is not None:
         z = q @ z
-    return DmdModel(eigvals[chosen], z, residuals[chosen], dt_eff)
+    return DmdModel(eigvals[chosen], z, residuals[chosen])
 
 
 def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
@@ -287,7 +317,6 @@ def predict_batch(
     hyper: ForecastHyperparams,
     scaler: MinMaxScaler,
     batch_samples: int = 62,
-    dt_eff: float | None = None,
 ) -> np.ndarray | None:
     """Forecasts (newtons) covering the next batch, or None while warming up.
 
@@ -311,11 +340,7 @@ def predict_batch(
     lifted = np.vstack([log_interaction_lift(delay_block), delay_block])
     thinned = thin(lifted, hyper.thin_step)
 
-    model = fit_dmd(
-        thinned,
-        hyper.n_modes,
-        dt_eff if dt_eff is not None else float(hyper.thin_step),
-    )
+    model = fit_dmd(thinned, hyper.n_modes)
     fit_amplitudes(model, thinned)
     n_ahead = math.ceil(batch_samples / hyper.thin_step)
     readout = lifted.shape[0] - 1  # newest-sample delay row

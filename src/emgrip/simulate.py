@@ -148,13 +148,7 @@ def stream_simulate(
         # far, so a truncated rerun reproduces them bit for bit (causality)
         seen = processed.size
         dt_seen = (emg.times[seen - 1] - emg.times[0]) / (seen - 1)
-        preds = predict_batch(
-            est_scaled,
-            hyper,
-            model.grip_scaler,
-            batch_samples=batch_ds,
-            dt_eff=hyper.thin_step * step * dt_seen,
-        )
+        preds = predict_batch(est_scaled, hyper, model.grip_scaler, batch_samples=batch_ds)
         if preds is not None:
             tau = np.arange(1, preds.size + 1)
             t_last = emg.times[(n_est - 1) * step]

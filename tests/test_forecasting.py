@@ -6,6 +6,8 @@ from emgrip.errors import ConfigError, DataError
 from emgrip.estimation import hankel_lift
 from emgrip.forecasting import (
     ForecastHyperparams,
+    _conjugate_units,
+    _lowess_weights,
     fit_amplitudes,
     fit_dmd,
     forecast,
@@ -30,6 +32,70 @@ def two_sinusoid_snapshots(n=80, delays=7):
     k = np.arange(n)
     x = np.real(LAM_TRUE[0] ** k) + np.real(LAM_TRUE[2] ** k)
     return hankel_lift(x, delays)
+
+
+def dense_lowess(values, window, iterations=0):
+    """The original LOWESS: weights rebuilt from the distance matrix per call."""
+    y = np.asarray(values, dtype=float)
+    n = y.size
+    x = np.arange(n, dtype=float)
+    if n <= window:
+        if n < 2:
+            return y.copy()
+        return np.polyval(np.polyfit(x, y, 1), x)
+    dist = np.abs(x[:, None] - x[None, :])
+    h = np.partition(dist, window - 1, axis=1)[:, window - 1]
+    u = np.clip(dist / h[:, None], 0.0, 1.0)
+    w = (1.0 - u**3) ** 3
+    robust = np.ones(n)
+    for _ in range(max(1, iterations + 1)):
+        weights = w * robust[None, :]
+        sw = weights.sum(axis=1)
+        swx = weights @ x
+        swy = weights @ y
+        swxx = weights @ (x * x)
+        swxy = weights @ (x * y)
+        denom = sw * swxx - swx**2
+        denom = np.where(denom == 0, 1.0, denom)
+        slope = (sw * swxy - swx * swy) / denom
+        intercept = (swy - slope * swx) / sw
+        fitted = intercept + slope * x
+        if iterations == 0:
+            return fitted
+        resid = y - fitted
+        s = np.median(np.abs(resid))
+        if s == 0:
+            return fitted
+        robust = np.clip(resid / (6.0 * s), -1.0, 1.0)
+        robust = (1.0 - robust**2) ** 2
+    return fitted
+
+
+def per_eigenvalue_refinement(snapshots):
+    """The original residual-DMD refinement: one SVD per eigenvalue.
+
+    Returns every eigenvalue with its refined Ritz vector (in snapshot
+    coordinates) and residual, before any mode selection.
+    """
+    s = np.asarray(snapshots, dtype=float)
+    rows, m = s.shape
+    q, c = np.linalg.qr(s) if rows > m else (None, s)
+    x, y = c[:, :-1], c[:, 1:]
+    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    tol = sv[0] * 1e-12 if sv.size and sv[0] > 0 else 0.0
+    rank = max(1, int(np.sum(sv > tol)))
+    u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
+    b = (y @ vh.conj().T) / sv
+    eigvals = np.linalg.eigvals(u.conj().T @ b)
+    vectors = np.empty((c.shape[0], eigvals.size), dtype=complex)
+    residuals = np.empty(eigvals.size)
+    for idx, lam in enumerate(eigvals):
+        _, sig, wh = np.linalg.svd(b - lam * u, full_matrices=False)
+        residuals[idx] = sig[-1]
+        vectors[:, idx] = u @ wh[-1].conj()
+    if q is not None:
+        vectors = q @ vectors
+    return eigvals, vectors, residuals
 
 
 class TestLowess:
@@ -75,6 +141,29 @@ class TestLowess:
     def test_window_minimum(self):
         with pytest.raises(ConfigError):
             lowess_smooth(np.zeros(10), 2)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ConfigError):
+            lowess_smooth(np.zeros(20), 5, iterations=-3)
+
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_bit_identical_to_dense_oracle(self, iterations):
+        rng = np.random.default_rng(8)
+        # alternate sizes so cached weights of one shape never serve another;
+        # (4, 9) and (9, 9) take the n <= window polyfit fallback
+        sizes = [(149, 68), (40, 9), (149, 68), (4, 9), (9, 9), (10, 9), (40, 9), (149, 68)]
+        for n, window in sizes:
+            y = np.sin(np.arange(n) * 0.13) + 0.2 * rng.standard_normal(n)
+            y[n // 3] += 3.0  # an outlier for the robust reweighting to act on
+            out = lowess_smooth(y, window, iterations)
+            assert np.array_equal(out, dense_lowess(y, window, iterations)), (n, window)
+
+    def test_cached_weights_read_only(self):
+        lowess_smooth(np.arange(30.0), 7)
+        for arr in _lowess_weights(30, 7):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestLogInteractionLift:
@@ -168,6 +257,39 @@ class TestFitDmd:
         model = fit_dmd(two_sinusoid_snapshots(), 4)
         norms = np.linalg.norm(model.ritz_vectors, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["two_sinusoids", "random", "all_real"])
+    def test_matches_per_eigenvalue_refinement(self, case):
+        rng = np.random.default_rng(9)
+        if case == "two_sinusoids":
+            snaps = two_sinusoid_snapshots()
+        elif case == "random":
+            snaps = rng.standard_normal((12, 9))
+        else:
+            k = np.arange(40)
+            snaps = hankel_lift(0.95**k + 0.6**k - 0.3 * 0.8**k, 6)
+        eigvals, vectors, residuals = per_eigenvalue_refinement(snaps)
+        assert np.isrealobj(eigvals) == (case == "all_real")
+        if case != "all_real":
+            assert np.iscomplexobj(eigvals) and np.any(eigvals.imag != 0)
+
+        model = fit_dmd(snaps, eigvals.size)  # keep every mode
+        assert model.n_modes == eigvals.size
+        scale = np.linalg.norm(snaps, 2)
+        for j, lam in enumerate(model.ritz_values):
+            (i,) = np.flatnonzero(eigvals == lam)
+            assert np.isclose(model.residuals[j], residuals[i], rtol=1e-10, atol=1e-13 * scale)
+            phase = np.vdot(vectors[:, i], model.ritz_vectors[:, j])
+            assert abs(abs(phase) - 1.0) < 1e-10
+            assert np.allclose(model.ritz_vectors[:, j], phase * vectors[:, i], atol=1e-10)
+
+        # kept conjugate pairs are exact mirrors of each other
+        for unit in _conjugate_units(model.ritz_values):
+            if len(unit) == 2:
+                a, b = unit
+                assert model.ritz_values[b] == np.conj(model.ritz_values[a])
+                assert np.array_equal(model.ritz_vectors[:, b], model.ritz_vectors[:, a].conj())
+                assert model.residuals[b] == model.residuals[a]
 
     def test_insufficient_snapshots_rejected(self):
         with pytest.raises(DataError):
