@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .processing import (
     BatchProcessor,
-    ProcessedEmgBatch,
     RawEmgBatch,
     SmoothingParams,
     SpectralMask,
@@ -64,6 +63,7 @@ from .sensitivity import (
     NarrowingRecord,
     SensitivityResult,
     default_decision_bounds,
+    envelope_grip_xcorr,
     latin_hypercube,
     map_objective,
     objective,
@@ -73,7 +73,14 @@ from .sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-from .simulate import LatencyReport, StreamResult, evaluate_run, stream_simulate
+from .simulate import (
+    LatencyReport,
+    StreamResult,
+    estimation_wmape,
+    evaluate_run,
+    prediction_wmape,
+    stream_simulate,
+)
 from .synth import SynthProfile, synth_corpus, synth_recording
 
 __version__ = "0.1.0"

@@ -17,19 +17,17 @@ from . import io as eio
 from .calibration import prepare_grip
 from .errors import ConfigError, DataError, EmgripError, NumericError
 from .estimation import HankelParams, IndicatorGrid, fit_estimator
-from .forecasting import ForecastHyperparams, grid_search
-from .metrics import anova_rbd, block_effects, summary_stats, wmape
+from .forecasting import grid_search
+from .metrics import anova_rbd, block_effects, summary_stats
 from .processing import (
-    DEFAULT_MAX_LAG_S,
     SmoothingParams,
     TimestampedSeries,
     default_optimal_mask,
-    peak_cross_correlation,
     process_recording,
-    resample_linear,
 )
 from .sensitivity import (
     default_decision_bounds,
+    envelope_grip_xcorr,
     latin_hypercube,
     map_objective,
     projection_summary,
@@ -38,7 +36,7 @@ from .sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-from .simulate import evaluate_run, stream_simulate
+from .simulate import estimation_wmape, prediction_wmape, stream_simulate
 from .synth import synth_corpus
 
 USAGE_EXIT, INPUT_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -60,6 +58,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    signal = argparse.ArgumentParser(add_help=False)
+    signal.add_argument("--mask", default=None, help="mask file (default: built-in)")
+    signal.add_argument("--window", type=int, default=None, help="smoothing window (samples)")
+    signal.add_argument("--decay", type=float, default=None, help="smoothing decay in [0, 1)")
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--model", required=True)
+    stream.add_argument("--emg", required=True)
+    stream.add_argument("--grip", default=None, help="measured grip for wMAPE")
+
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--subjects", type=int, default=1)
     p.add_argument("--replications", type=int, default=1)
@@ -68,17 +75,11 @@ def _build_parser() -> _Parser:
     p.add_argument("action", choices=["default", "show"])
     p.add_argument("--file", type=str, default=None, help="mask file for 'show'")
 
-    p = sub.add_parser("process", help="raw EMG file -> processed envelope file")
+    p = sub.add_parser("process", parents=[signal], help="raw EMG file -> processed envelope file")
     p.add_argument("--emg", required=True)
-    p.add_argument("--mask", default=None, help="mask file (default: built-in)")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
 
-    p = sub.add_parser("xcorr", help="peak cross-correlation summary for a corpus")
+    p = sub.add_parser("xcorr", parents=[signal], help="peak cross-correlation summary for a corpus")
     p.add_argument("--data", required=True, help="directory of *_emg.csv/*_grip.csv")
-    p.add_argument("--mask", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
 
     p = sub.add_parser("sa", help="sensitivity analysis on the corpus objective")
     p.add_argument("method", choices=["sobol", "rbdfast", "lh"])
@@ -89,38 +90,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--boot", type=int, default=0)
     p.add_argument("--harmonics", type=int, default=10)
 
-    p = sub.add_parser("fit", help="train the estimator on a calibration recording")
+    p = sub.add_parser("fit", parents=[signal], help="train the estimator on a calibration recording")
     p.add_argument("--emg", required=True)
     p.add_argument("--grip", required=True)
-    p.add_argument("--mask", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
     p.add_argument("--delays", type=int, default=None)
     p.add_argument("--raw-grip", action="store_true", help="zero + calibrate the grip stream")
     p.add_argument("--model", default=None, help="output model path")
 
-    p = sub.add_parser("estimate", help="estimate grip force for a recording")
-    p.add_argument("--model", required=True)
-    p.add_argument("--emg", required=True)
-    p.add_argument("--grip", default=None, help="measured grip for wMAPE")
-    p.add_argument("--mask", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
+    sub.add_parser("estimate", parents=[stream, signal], help="estimate grip force for a recording")
+    sub.add_parser("predict", parents=[stream, signal], help="forecast grip force for a recording")
 
-    p = sub.add_parser("predict", help="forecast grip force for a recording")
-    p.add_argument("--model", required=True)
-    p.add_argument("--emg", required=True)
-    p.add_argument("--grip", default=None)
-    p.add_argument("--mask", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
-
-    p = sub.add_parser("tune", help="hyperparameter grid search")
+    p = sub.add_parser("tune", parents=[signal], help="hyperparameter grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mask", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
     p.add_argument("--window-mods", default="1.2,1.3,1.4")
     p.add_argument("--smooth-mods", default="1.1")
     p.add_argument("--thin-steps", default="7")
@@ -130,13 +112,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="effects + ANOVA from per-run metrics")
     p.add_argument("--runs", required=True, help="CSV of subject,position,replication,wmape")
 
-    p = sub.add_parser("simulate", help="stream a recording through the pipeline")
-    p.add_argument("--model", required=True)
-    p.add_argument("--emg", required=True)
-    p.add_argument("--grip", default=None)
-    p.add_argument("--mask", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
+    p = sub.add_parser("simulate", parents=[stream, signal], help="stream a recording through the pipeline")
     p.add_argument("--realtime", action="store_true")
     return parser
 
@@ -226,9 +202,7 @@ def _cmd_xcorr(args, config):
     peaks, lags_ms = [], []
     for rec in _load_corpus(args.data):
         processed = process_recording(rec.emg, mask, smoothing)
-        grip = resample_linear(rec.grip, rec.emg.times[: processed.size]).values
-        max_lag = int(round(DEFAULT_MAX_LAG_S * rec.emg.rate))
-        peak, lag = peak_cross_correlation(processed, grip, max_lag)
+        peak, lag = envelope_grip_xcorr(processed, rec.emg, rec.grip)
         peaks.append(peak)
         # positive = envelope trails the measured force
         lags_ms.append(-1e3 * lag / rec.emg.rate)
@@ -307,40 +281,40 @@ def _cmd_fit(args, config):
     return 0
 
 
-def _run_stream(args, config, hyper=None):
+def _run_stream(args, config):
     model = eio.read_model(args.model)
     emg, _ = eio.read_series(args.emg)
     grip = _grip_series(args, args.grip) if args.grip else None
     # grip stream is only needed for metrics; reuse EMG as a placeholder
     rec = eio.Recording(emg, grip if grip is not None else emg)
-    mask = _mask(args, config)
-    smoothing = _smoothing(args, config)
     result = stream_simulate(
-        rec, model, mask, smoothing,
-        hyper or ForecastHyperparams(),
+        rec, model, _mask(args, config), _smoothing(args, config),
         real_time=getattr(args, "realtime", False),
     )
-    return model, rec, mask, smoothing, result, grip
+    return emg, grip, result
+
+
+def _write_estimates(path, result):
+    eio.write_series(
+        path,
+        TimestampedSeries(result.estimate_times, result.estimates),
+        {"stream": "grip_estimate_N"},
+    )
 
 
 def _cmd_estimate(args, config):
     import time
 
     start = time.perf_counter()
-    _, rec, _, _, result, grip = _run_stream(args, config)
+    _, grip, result = _run_stream(args, config)
     elapsed = time.perf_counter() - start
     out_dir = _out_dir(args)
     out = out_dir / "estimates.csv"
-    eio.write_series(
-        out,
-        TimestampedSeries(result.estimate_times, result.estimates),
-        {"stream": "grip_estimate_N"},
-    )
+    _write_estimates(out, result)
     print(f"wrote {out}")
     rows = [("n_estimates", float(result.estimates.size)), ("runtime_s", elapsed)]
     if grip is not None:
-        actual = resample_linear(grip, result.estimate_times).values
-        err = wmape(actual, result.estimates)
+        err = estimation_wmape(grip, result)
         rows.insert(0, ("wmape_pct", err))
         print(f"estimation wMAPE: {err:.3f}%")
     eio.write_table(out_dir / "estimate_report.tsv", ["metric", "value"], rows)
@@ -348,18 +322,14 @@ def _cmd_estimate(args, config):
 
 
 def _cmd_predict(args, config):
-    _, rec, _, _, result, grip = _run_stream(args, config)
+    _, grip, result = _run_stream(args, config)
     out = _out_dir(args) / "forecasts.csv"
     eio.write_forecasts(out, result.forecast_rows())
     print(f"wrote {out}")
     report = [("n_forecasts", float(sum(b.values.size for b in result.forecasts)))]
     if grip is not None:
-        rows = [(t, v) for _, t, v in result.forecast_rows() if t <= grip.times[-1]]
-        if rows:
-            t = np.array([r[0] for r in rows])
-            v = np.array([r[1] for r in rows])
-            actual = np.interp(t, grip.times, grip.values)
-            err = wmape(actual, v)
+        err = prediction_wmape(grip, result)
+        if not np.isnan(err):
             report.insert(0, ("wmape_pct", err))
             print(f"prediction wMAPE: {err:.3f}%")
     eio.write_table(_out_dir(args) / "predict_report.tsv", ["metric", "value"], report)
@@ -374,7 +344,7 @@ def _cmd_tune(args, config):
 
     def evaluate(hyper):
         return [
-            evaluate_run(rec, model, mask, smoothing, hyper).prediction_wmape
+            prediction_wmape(rec.grip, stream_simulate(rec, model, mask, smoothing, hyper))
             for rec in corpus
         ]
 
@@ -385,13 +355,12 @@ def _cmd_tune(args, config):
         return tuple(int(v) for v in s.split(","))
 
     rows = grid_search(
-        corpus,
+        evaluate,
         window_modifiers=_floats(args.window_mods),
         smooth_modifiers=_floats(args.smooth_mods),
         thin_steps=_ints(args.thin_steps),
         delay_counts=_ints(args.delay_counts),
         mode_counts=_ints(args.mode_counts),
-        evaluate=evaluate,
     )
     table = [
         (h.window_modifier, h.smooth_modifier, h.thin_step, h.delays, h.n_modes,
@@ -445,13 +414,9 @@ def _cmd_evaluate(args, config):
 
 
 def _cmd_simulate(args, config):
-    model, rec, mask, smoothing, result, grip = _run_stream(args, config)
+    emg, grip, result = _run_stream(args, config)
     out = _out_dir(args)
-    eio.write_series(
-        out / "estimates.csv",
-        TimestampedSeries(result.estimate_times, result.estimates),
-        {"stream": "grip_estimate_N"},
-    )
+    _write_estimates(out / "estimates.csv", result)
     eio.write_forecasts(out / "forecasts.csv", result.forecast_rows())
     pct = result.latency.percentiles()
     eio.write_table(
@@ -462,10 +427,10 @@ def _cmd_simulate(args, config):
     print(f"wrote estimates, forecasts, latency to {out}")
     print(f"median per-batch total: {pct['total']['p50']:.2f} ms")
     if grip is not None:
-        ev = evaluate_run(rec, model, mask, smoothing, result=result)
+        peak, _ = envelope_grip_xcorr(result.processed, emg, grip)
         print(
-            f"peak xcorr {ev.peak_xcorr:.3f}, estimation wMAPE {ev.estimation_wmape:.2f}%, "
-            f"prediction wMAPE {ev.prediction_wmape:.2f}%"
+            f"peak xcorr {peak:.3f}, estimation wMAPE {estimation_wmape(grip, result):.2f}%, "
+            f"prediction wMAPE {prediction_wmape(grip, result):.2f}%"
         )
     return 0
 
@@ -495,7 +460,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return _HANDLERS[args.command](args, config)
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except (DataError, ConfigError) as exc:

@@ -348,13 +348,12 @@ def predict_batch(
 
 
 def grid_search(
-    corpus,
+    evaluate,
     window_modifiers=(1.2, 1.3, 1.4),
     smooth_modifiers=(1.1, 1.2),
     thin_steps=(7, 8),
     delay_counts=(8,),
     mode_counts=(4,),
-    evaluate=None,
 ):
     """Rank hyperparameter combinations by mean + median wMAPE on a corpus.
 
@@ -364,8 +363,6 @@ def grid_search(
     and deterministic.  Returns rows of
     (hyper, mean_wmape, median_wmape, score) sorted best first.
     """
-    if evaluate is None:
-        raise ConfigError("an evaluate callback is required")
     combos = [
         ForecastHyperparams(wm, sm, ts, d, nm)
         for wm in window_modifiers

@@ -47,24 +47,6 @@ class RawEmgBatch:
 
 
 @dataclass(frozen=True)
-class ProcessedEmgBatch:
-    """Non-negative envelope batch produced by the processing chain."""
-
-    samples: np.ndarray
-    t0: float = 0.0
-    fs: float = NOMINAL_EMG_FS
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.size and samples.min() < 0:
-            raise DataError("processed batch must be non-negative")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class SpectralMask:
     """Per-frequency-bin gain vector applied between forward and inverse FFT.
 
@@ -211,10 +193,10 @@ def process_batch(
     mask: SpectralMask,
     params: SmoothingParams,
     prev_tail: np.ndarray,
-) -> tuple[ProcessedEmgBatch, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run mask -> rectify -> smooth on one batch.
 
-    Returns the processed batch together with the new tail (the last
+    Returns the non-negative envelope together with the new tail (the last
     ``window_size - 1`` rectified-masked samples) to carry into the next
     batch.
     """
@@ -223,7 +205,7 @@ def process_batch(
     need = params.window_size - 1
     tail_src = np.concatenate([np.asarray(prev_tail, dtype=float), rectified.samples])
     new_tail = tail_src[tail_src.size - need :] if need else tail_src[:0]
-    return ProcessedEmgBatch(smoothed.samples, raw.t0, raw.fs), new_tail
+    return smoothed.samples, new_tail
 
 
 class BatchProcessor:
@@ -237,7 +219,7 @@ class BatchProcessor:
         self.params = params
         self._tail = np.zeros(params.window_size - 1)
 
-    def process(self, batch: RawEmgBatch) -> ProcessedEmgBatch:
+    def process(self, batch: RawEmgBatch) -> np.ndarray:
         mask = self.mask.for_batch(len(batch), batch.fs)
         out, self._tail = process_batch(batch, mask, self.params, self._tail)
         return out
@@ -264,7 +246,7 @@ def process_recording(
         chunk = x[start : start + batch_size]
         if chunk.size < 2:
             break
-        out.append(proc.process(RawEmgBatch(chunk, t[start], fs)).samples)
+        out.append(proc.process(RawEmgBatch(chunk, t[start], fs)))
     if not out:
         raise DataError("recording too short to process")
     return np.concatenate(out)

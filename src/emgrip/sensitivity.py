@@ -14,7 +14,6 @@ judgement itself stays manual).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,39 +372,39 @@ def rbdfast_indices(
     )
 
 
+def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
+    """Peak lagged correlation between an EMG envelope and grip force.
+
+    ``grip`` is resampled onto the first ``envelope.size`` EMG timestamps
+    and lags are searched within +-``DEFAULT_MAX_LAG_S``.  Returns (peak,
+    lag in EMG samples) as ``peak_cross_correlation`` does.
+    """
+    grip_on_emg = resample_linear(grip, emg.times[: envelope.size]).values
+    max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
+    return peak_cross_correlation(envelope, grip_on_emg, max_lag)
+
+
 def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE) -> float:
     """1 minus the mean peak cross-correlation over a set of recordings.
 
     Each recording's EMG is processed in batches with the candidate mask
-    and smoothing; grip force is resampled onto the EMG timestamps before
-    correlating.  Near 0 for configurations that track grip well.
+    and smoothing, then correlated with its grip force on the EMG clock.
+    Near 0 for configurations that track grip well.
     """
     peaks = []
     for rec in dataset:
         emg, grip = (rec.emg, rec.grip) if hasattr(rec, "emg") else rec
         processed = process_recording(emg, dv.to_mask(emg.rate / batch_size), dv.smoothing(), batch_size)
-        grip_on_emg = resample_linear(grip, emg.times[: processed.size]).values
-        max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
-        peak, _ = peak_cross_correlation(processed, grip_on_emg, max_lag)
-        peaks.append(peak)
+        peaks.append(envelope_grip_xcorr(processed, emg, grip)[0])
     if not peaks:
         raise DataError("empty dataset")
     return 1.0 - float(np.mean(peaks))
 
 
-def map_objective(dataset, sample_matrix: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """Evaluate the objective for every row of a sample matrix.
-
-    Rows are independent; with ``workers`` set, evaluation runs in a thread
-    pool while results keep sample order.
-    """
-    rows = [DecisionVector.from_array(x) for x in np.asarray(sample_matrix, dtype=float)]
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda dv: objective(dataset, dv), rows))
-    else:
-        vals = [objective(dataset, dv) for dv in rows]
-    return np.asarray(vals)
+def map_objective(dataset, sample_matrix: np.ndarray) -> np.ndarray:
+    """Evaluate the objective for every row of a sample matrix, in row order."""
+    rows = np.asarray(sample_matrix, dtype=float)
+    return np.asarray([objective(dataset, DecisionVector.from_array(x)) for x in rows])
 
 
 @dataclass(frozen=True)

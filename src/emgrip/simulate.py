@@ -19,14 +19,14 @@ from .forecasting import ForecastHyperparams, predict_batch
 from .io import Recording
 from .metrics import wmape
 from .processing import (
-    DEFAULT_MAX_LAG_S,
     BatchProcessor,
     RawEmgBatch,
     SmoothingParams,
     SpectralMask,
-    peak_cross_correlation,
+    TimestampedSeries,
     resample_linear,
 )
+from .sensitivity import envelope_grip_xcorr
 
 
 @dataclass
@@ -127,7 +127,7 @@ def stream_simulate(
 
         tic = time.perf_counter()
         out = processor.process(RawEmgBatch(chunk, t0, fs))
-        processed = np.concatenate([processed, out.samples])
+        processed = np.concatenate([processed, out])
         lat_process.append((time.perf_counter() - tic) * 1e3)
 
         tic = time.perf_counter()
@@ -191,35 +191,32 @@ def evaluate_run(
 ) -> RunEvaluation:
     """Streaming metrics for one recording against its measured grip force.
 
-    Estimates and forecasts are compared with the grip series resampled at
-    their own timestamps; the peak cross-correlation is computed between
-    the processed envelope and grip on the EMG clock.
+    Composes ``envelope_grip_xcorr``, ``estimation_wmape`` and
+    ``prediction_wmape``; the stream is run first unless ``result`` is given.
     """
     if result is None:
         result = stream_simulate(recording, model, mask, smoothing, hyper)
-    emg_times = recording.emg.times[: result.processed.size]
-    grip_on_emg = resample_linear(recording.grip, emg_times).values
-    max_lag = int(round(DEFAULT_MAX_LAG_S * recording.emg.rate))
-    peak, lag = peak_cross_correlation(result.processed, grip_on_emg, max_lag)
+    grip = recording.grip
+    peak, lag = envelope_grip_xcorr(result.processed, recording.emg, grip)
+    return RunEvaluation(peak, lag, estimation_wmape(grip, result), prediction_wmape(grip, result))
 
-    grip_at_est = resample_linear(recording.grip, result.estimate_times).values
-    est_wmape = wmape(grip_at_est, result.estimates)
 
-    pred_rows = list(result.forecast_rows())
-    if pred_rows:
-        t_max = recording.grip.times[-1]
-        kept = [(t, v) for _, t, v in pred_rows if t <= t_max]
-        if kept:
-            t_pred = np.array([t for t, _ in kept])
-            order = np.argsort(t_pred, kind="stable")
-            t_pred = t_pred[order]
-            v_pred = np.array([v for _, v in kept])[order]
-            # forecast timestamps can repeat across batches; wMAPE is
-            # order-insensitive so sorted non-strict times are fine
-            grip_at_pred = np.interp(t_pred, recording.grip.times, recording.grip.values)
-            pred_wmape = wmape(grip_at_pred, v_pred)
-        else:
-            pred_wmape = float("nan")
-    else:
-        pred_wmape = float("nan")
-    return RunEvaluation(peak, lag, est_wmape, pred_wmape)
+def estimation_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
+    """wMAPE of the streamed estimates against grip resampled at their timestamps."""
+    return wmape(resample_linear(grip, result.estimate_times).values, result.estimates)
+
+
+def prediction_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
+    """wMAPE of every forecast point up to the last grip sample; NaN if none.
+
+    Points stay in emission order: timestamps repeat across batches, and
+    wMAPE does not depend on the order.
+    """
+    if not result.forecasts:
+        return float("nan")
+    times = np.concatenate([b.times for b in result.forecasts])
+    values = np.concatenate([b.values for b in result.forecasts])
+    kept = times <= grip.times[-1]
+    if not kept.any():
+        return float("nan")
+    return wmape(np.interp(times[kept], grip.times, grip.values), values[kept])

@@ -123,7 +123,6 @@ def synth_recording(
 
 
 def synth_corpus(
-    out=None,
     seed=0,
     subjects: int = 1,
     positions: int = 2,

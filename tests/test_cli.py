@@ -2,8 +2,24 @@ import numpy as np
 import pytest
 
 from emgrip.cli import main
-from emgrip.io import read_mask, read_series, write_recording, write_runs
-from emgrip.processing import default_optimal_mask
+from emgrip.io import (
+    read_mask,
+    read_model,
+    read_recording,
+    read_series,
+    write_recording,
+    write_runs,
+    write_series,
+)
+from emgrip.metrics import summary_stats
+from emgrip.processing import (
+    SmoothingParams,
+    TimestampedSeries,
+    default_optimal_mask,
+    process_recording,
+)
+from emgrip.sensitivity import envelope_grip_xcorr
+from emgrip.simulate import evaluate_run
 from emgrip.synth import SynthProfile, synth_recording
 
 
@@ -62,6 +78,24 @@ class TestExitCodes:
         # constant grip stream: correlation undefined
         code = main(["--out", str(tmp_path), "xcorr", "--data", str(tmp_path)])
         assert code == 3
+
+    def test_linalg_failure_is_numeric_exit(self, workspace, tmp_path, capsys):
+        # one NaN sample reaches the forecaster, whose SVD does not converge
+        root, _ = workspace
+        rec = synth_recording(seed=43)
+        emg = rec.emg.values.copy()
+        emg[5000] = np.nan
+        write_series(tmp_path / "nan_emg.csv", TimestampedSeries(rec.emg.times, emg))
+        write_series(tmp_path / "nan_grip.csv", rec.grip)
+        for cmd in ("estimate", "simulate"):
+            code = main([
+                "--out", str(tmp_path), cmd,
+                "--model", str(root / "model.txt"),
+                "--emg", str(tmp_path / "nan_emg.csv"),
+                "--grip", str(tmp_path / "nan_grip.csv"),
+            ])
+            assert code == 3
+            assert "numeric failure" in capsys.readouterr().err
 
 
 class TestMaskCommand:
@@ -151,6 +185,46 @@ class TestPipelineCommands:
         lines = (tmp_path / "xcorr_summary.tsv").read_text().splitlines()
         assert lines[0].startswith("metric\tmin")
         assert len(lines) == 3
+
+    def test_reports_match_library_metrics(self, workspace, tmp_path):
+        root, data = workspace
+        stem = data / "s01_p1_r1"
+        for cmd in ("estimate", "predict"):
+            assert main([
+                "--out", str(tmp_path), cmd,
+                "--model", str(root / "model.txt"),
+                "--emg", f"{stem}_emg.csv", "--grip", f"{stem}_grip.csv",
+                "--window", "150",
+            ]) == 0
+        ev = evaluate_run(
+            read_recording(f"{stem}_emg.csv", f"{stem}_grip.csv"),
+            read_model(root / "model.txt"),
+            default_optimal_mask(),
+            SmoothingParams(150, 0.0),
+        )
+
+        def reported(name):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            return dict(row.split("\t") for row in rows)["wmape_pct"]
+
+        assert float(reported("estimate_report.tsv")) == ev.estimation_wmape
+        assert float(reported("predict_report.tsv")) == ev.prediction_wmape
+
+    def test_xcorr_summary_matches_library(self, workspace, tmp_path):
+        root, data = workspace
+        assert main(["--out", str(tmp_path), "xcorr", "--data", str(data), "--window", "150"]) == 0
+        peaks, lags_ms = [], []
+        for emg_path in sorted(data.glob("*_emg.csv")):
+            rec = read_recording(emg_path, str(emg_path).replace("_emg.csv", "_grip.csv"))
+            envelope = process_recording(rec.emg, default_optimal_mask(), SmoothingParams(150, 0.0))
+            peak, lag = envelope_grip_xcorr(envelope, rec.emg, rec.grip)
+            peaks.append(peak)
+            lags_ms.append(-1e3 * lag / rec.emg.rate)
+        rows = (tmp_path / "xcorr_summary.tsv").read_text().splitlines()[1:]
+        for row, (name, vals) in zip(rows, (("peak_xcorr", peaks), ("emg_lag_ms", lags_ms))):
+            fields = row.split("\t")
+            assert fields[0] == name
+            assert [float(v) for v in fields[1:]] == list(summary_stats(vals).as_tuple())
 
     def test_sa_lh_projections(self, workspace, tmp_path):
         root, data = workspace

@@ -430,7 +430,6 @@ class TestPredictBatch:
 class TestGridSearch:
     def test_single_point_grid(self):
         rows = grid_search(
-            corpus=[None],
             window_modifiers=(1.3,),
             smooth_modifiers=(1.1,),
             thin_steps=(7,),
@@ -444,7 +443,6 @@ class TestGridSearch:
 
     def test_deterministic_total_order_with_ties(self):
         rows = grid_search(
-            corpus=[None],
             window_modifiers=(1.2, 1.3),
             smooth_modifiers=(1.1,),
             thin_steps=(7, 8),
@@ -460,7 +458,6 @@ class TestGridSearch:
             return [10.0 + h.thin_step + h.window_modifier]
 
         rows = grid_search(
-            corpus=[None],
             window_modifiers=(1.2, 1.3, 1.4),
             smooth_modifiers=(1.1,),
             thin_steps=(7, 8),

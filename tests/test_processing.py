@@ -168,7 +168,7 @@ class TestProcessBatch:
         out, tail = process_batch(
             RawEmgBatch(np.zeros(N)), mask, SmoothingParams(10, 0.0), np.zeros(9)
         )
-        assert np.all(out.samples == 0.0)
+        assert np.all(out == 0.0)
         assert np.all(tail == 0.0)
 
     def test_identity_mask_two_point_ma_composition(self):
@@ -178,7 +178,7 @@ class TestProcessBatch:
         out, _ = process_batch(RawEmgBatch(x), ident, SmoothingParams(2, 0.0), [0.0])
         r = np.abs(x)
         expected = (r + np.concatenate([[0.0], r[:-1]])) / 2
-        assert np.abs(out.samples - expected).max() < 1e-9
+        assert np.abs(out - expected).max() < 1e-9
 
     def test_streaming_matches_single_pass_smoothing(self, mask):
         # batch masking is per-window by design; the tail carry must make

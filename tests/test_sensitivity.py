@@ -219,12 +219,11 @@ class TestObjective:
         )
         assert scaled == pytest.approx(base, abs=1e-12)
 
-    def test_map_objective_ordered_and_parallel_consistent(self, small_corpus):
+    def test_map_objective_keeps_row_order(self, small_corpus):
         bounds = default_decision_bounds()
         samples = latin_hypercube(bounds, 3, seed=0)
-        seq = map_objective(small_corpus, samples)
-        par = map_objective(small_corpus, samples, workers=2)
-        assert np.array_equal(seq, par)
+        rows = [objective(small_corpus, DecisionVector.from_array(x)) for x in samples]
+        assert np.array_equal(map_objective(small_corpus, samples), rows)
 
 
 class TestProjectionSummary:
