@@ -43,17 +43,15 @@ from .metrics import (
     wmape,
 )
 from .processing import (
-    BatchProcessor,
-    RawEmgBatch,
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
     apply_spectral_mask,
     default_optimal_mask,
+    envelope_batches,
     peak_cross_correlation,
     process_batch,
     process_recording,
-    rectify,
     resample_linear,
     smooth_ema,
 )

@@ -166,7 +166,6 @@ def build_lifted_matrices(
     grip_scaler: MinMaxScaler,
     params: HankelParams,
     grid: IndicatorGrid,
-    kept: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled, lifted data matrices for fitting the static operator.
 
@@ -180,11 +179,7 @@ def build_lifted_matrices(
         raise DataError("EMG and grip series must have equal length")
     he = hankel_lift(emg_scaler.apply(emg_ds), params.delays)
     hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
-    if kept is None:
-        ind, kept = indicator_observables(he, grid)
-    else:
-        kept = np.asarray(kept)
-        ind = indicator_rows_for(he, grid, kept)
+    ind, kept = indicator_observables(he, grid)
     e = np.vstack([he, ind])
     g = np.vstack([hg, np.zeros_like(ind)])
     return e, g, kept

@@ -13,6 +13,7 @@ streams.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,26 +25,6 @@ DEFAULT_BATCH_SIZE = 496
 GRIP_FS = 200.0
 # half-width of the lag search window for peak cross-correlation
 DEFAULT_MAX_LAG_S = 0.160
-
-
-@dataclass(frozen=True)
-class RawEmgBatch:
-    """One timestamped window of raw EMG samples (millivolts)."""
-
-    samples: np.ndarray
-    t0: float = 0.0
-    fs: float = NOMINAL_EMG_FS
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size < 2:
-            raise DataError("batch needs at least 2 samples in a 1-d array")
-        if not self.fs > 0:
-            raise ConfigError("sampling rate must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -144,31 +125,22 @@ class TimestampedSeries:
         return (len(self) - 1) / self.span
 
 
-def apply_spectral_mask(batch: RawEmgBatch, mask: SpectralMask) -> RawEmgBatch:
+def apply_spectral_mask(x: np.ndarray, mask: SpectralMask) -> np.ndarray:
     """Multiply the batch spectrum bin-wise by the mask gains.
 
     Returns the real signal obtained by inverse FFT; output length equals
     input length.
     """
-    x = batch.samples
+    x = np.asarray(x, dtype=float)
     n_bins = x.size // 2 + 1
     if len(mask) != n_bins:
         raise ConfigError(
             f"mask has {len(mask)} bins but a {x.size}-sample batch needs {n_bins}"
         )
-    spectrum = np.fft.rfft(x) * mask.gains
-    y = np.fft.irfft(spectrum, n=x.size)
-    return RawEmgBatch(y, batch.t0, batch.fs)
+    return np.fft.irfft(np.fft.rfft(x) * mask.gains, n=x.size)
 
 
-def rectify(batch: RawEmgBatch) -> RawEmgBatch:
-    """Full-wave rectification (elementwise absolute value)."""
-    return RawEmgBatch(np.abs(batch.samples), batch.t0, batch.fs)
-
-
-def smooth_ema(
-    batch: RawEmgBatch, prev_tail: np.ndarray, params: SmoothingParams
-) -> RawEmgBatch:
+def smooth_ema(x: np.ndarray, prev_tail: np.ndarray, params: SmoothingParams) -> np.ndarray:
     """Windowed exponential moving average with carry-over from ``prev_tail``.
 
     Output sample i averages the trailing ``window_size`` samples with
@@ -183,13 +155,12 @@ def smooth_ema(
         raise DataError(
             f"previous tail has {tail.size} samples, window {params.window_size} needs {need}"
         )
-    ext = np.concatenate([tail[tail.size - need :], batch.samples]) if need else batch.samples
-    smoothed = np.convolve(ext, w, mode="valid") / w.sum()
-    return RawEmgBatch(smoothed, batch.t0, batch.fs)
+    ext = np.concatenate([tail[tail.size - need :], np.asarray(x, dtype=float)])
+    return np.convolve(ext, w, mode="valid") / w.sum()
 
 
 def process_batch(
-    raw: RawEmgBatch,
+    x: np.ndarray,
     mask: SpectralMask,
     params: SmoothingParams,
     prev_tail: np.ndarray,
@@ -200,29 +171,32 @@ def process_batch(
     ``window_size - 1`` rectified-masked samples) to carry into the next
     batch.
     """
-    rectified = rectify(apply_spectral_mask(raw, mask))
+    rectified = np.abs(apply_spectral_mask(x, mask))
     smoothed = smooth_ema(rectified, prev_tail, params)
-    need = params.window_size - 1
-    tail_src = np.concatenate([np.asarray(prev_tail, dtype=float), rectified.samples])
-    new_tail = tail_src[tail_src.size - need :] if need else tail_src[:0]
-    return smoothed.samples, new_tail
+    tail_src = np.concatenate([np.asarray(prev_tail, dtype=float), rectified])
+    return smoothed, tail_src[tail_src.size - (params.window_size - 1) :]
 
 
-class BatchProcessor:
-    """Streaming wrapper that owns the smoothing tail for one EMG channel.
+def envelope_batches(
+    emg: TimestampedSeries,
+    mask: SpectralMask,
+    params: SmoothingParams,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> Iterator[np.ndarray]:
+    """Yield the envelope of each ``batch_size`` batch of ``emg`` in order.
 
-    One instance per recording channel; batches must be fed in order.
+    The smoothing tail is carried from batch to batch.  The trailing short
+    batch is transformed at its natural length; a 1-sample remainder is
+    dropped.
     """
-
-    def __init__(self, mask: SpectralMask, params: SmoothingParams):
-        self.mask = mask
-        self.params = params
-        self._tail = np.zeros(params.window_size - 1)
-
-    def process(self, batch: RawEmgBatch) -> np.ndarray:
-        mask = self.mask.for_batch(len(batch), batch.fs)
-        out, self._tail = process_batch(batch, mask, self.params, self._tail)
-        return out
+    x = emg.values
+    fs = emg.rate
+    tail = np.zeros(params.window_size - 1)
+    # every start leaves at least 2 samples, so a 1-sample remainder is dropped
+    for start in range(0, x.size - 1, batch_size):
+        chunk = x[start : start + batch_size]
+        out, tail = process_batch(chunk, mask.for_batch(chunk.size, fs), params, tail)
+        yield out
 
 
 def process_recording(
@@ -231,25 +205,11 @@ def process_recording(
     params: SmoothingParams,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> np.ndarray:
-    """Process a whole EMG recording in fixed-size batches with tail carry.
+    """Concatenated ``envelope_batches`` of a whole recording.
 
-    The trailing short batch is transformed at its natural length; a
-    1-sample remainder is dropped.  Returns the concatenated envelope,
-    aligned with ``emg.times`` (minus any dropped remainder).
+    Aligned with ``emg.times`` minus any dropped 1-sample remainder.
     """
-    proc = BatchProcessor(mask, params)
-    x = emg.values
-    t = emg.times
-    fs = emg.rate
-    out = []
-    for start in range(0, x.size, batch_size):
-        chunk = x[start : start + batch_size]
-        if chunk.size < 2:
-            break
-        out.append(proc.process(RawEmgBatch(chunk, t[start], fs)))
-    if not out:
-        raise DataError("recording too short to process")
-    return np.concatenate(out)
+    return np.concatenate(list(envelope_batches(emg, mask, params, batch_size)))
 
 
 def default_optimal_mask(

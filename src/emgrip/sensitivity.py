@@ -148,10 +148,6 @@ class SensitivityResult:
     first_ci: np.ndarray | None = None  # (G, 2) percentile bounds
     total_ci: np.ndarray | None = None
 
-    def out_of_unit_interval(self) -> np.ndarray:
-        """Mask of first-order entries outside [0, 1] (noise flag)."""
-        return (self.first_order < 0.0) | (self.first_order > 1.0)
-
     def to_text(self) -> str:
         cols = ["variable", "S1"]
         if self.first_ci is not None:
@@ -393,9 +389,9 @@ def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE)
     """
     peaks = []
     for rec in dataset:
-        emg, grip = (rec.emg, rec.grip) if hasattr(rec, "emg") else rec
+        emg = rec.emg
         processed = process_recording(emg, dv.to_mask(emg.rate / batch_size), dv.smoothing(), batch_size)
-        peaks.append(envelope_grip_xcorr(processed, emg, grip)[0])
+        peaks.append(envelope_grip_xcorr(processed, emg, rec.grip)[0])
     if not peaks:
         raise DataError("empty dataset")
     return 1.0 - float(np.mean(peaks))

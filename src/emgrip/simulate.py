@@ -13,17 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .estimation import EstimatorModel, estimate_window_scaled
 from .forecasting import ForecastHyperparams, predict_batch
 from .io import Recording
 from .metrics import wmape
 from .processing import (
-    BatchProcessor,
-    RawEmgBatch,
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
+    envelope_batches,
     resample_linear,
 )
 from .sensitivity import envelope_grip_xcorr
@@ -101,7 +100,6 @@ def stream_simulate(
     delays = model.hankel.delays
     batch_ds = batch_size // step
 
-    processor = BatchProcessor(mask, smoothing)
     processed = np.empty(0)
     est_scaled = np.empty(0)
     n_est = 0  # decimated positions already estimated
@@ -111,22 +109,12 @@ def stream_simulate(
     lat_estimate: list[float] = []
     lat_predict: list[float] = []
 
-    n_batches = emg.values.size // batch_size
-    tail = emg.values.size % batch_size
-    if tail >= 2:
-        n_batches += 1
-    if n_batches == 0:
-        raise DataError("recording shorter than one batch")
-
     cadence = batch_size / fs
     wall_start = time.perf_counter()
-    for b in range(n_batches):
-        start = b * batch_size
-        chunk = emg.values[start : start + batch_size]
-        t0 = emg.times[start]
-
-        tic = time.perf_counter()
-        out = processor.process(RawEmgBatch(chunk, t0, fs))
+    # the process timer runs from the end of the previous batch, so it
+    # covers the generator's work of producing the next envelope
+    tic = wall_start
+    for b, out in enumerate(envelope_batches(emg, mask, smoothing, batch_size)):
         processed = np.concatenate([processed, out])
         lat_process.append((time.perf_counter() - tic) * 1e3)
 
@@ -161,6 +149,7 @@ def stream_simulate(
             now = time.perf_counter()
             if deadline > now:
                 time.sleep(deadline - now)
+        tic = time.perf_counter()
 
     estimates = model.grip_scaler.invert(est_scaled)
     times = np.concatenate(est_times) if est_times else np.empty(0)

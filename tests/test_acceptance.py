@@ -22,7 +22,6 @@ from emgrip.estimation import (
 from emgrip.forecasting import fit_amplitudes, fit_dmd
 from emgrip.metrics import anova_rbd
 from emgrip.processing import (
-    RawEmgBatch,
     SmoothingParams,
     SpectralMask,
     apply_spectral_mask,
@@ -61,9 +60,9 @@ def test_criterion_01_fft_mask_identity():
     zeros_exact = True
     for _ in range(100):
         x = rng.standard_normal(N)
-        y = apply_spectral_mask(RawEmgBatch(x), unit).samples
+        y = apply_spectral_mask(x, unit)
         worst = max(worst, float(np.abs(y - x).max()))
-        z = apply_spectral_mask(RawEmgBatch(x), zero).samples
+        z = apply_spectral_mask(x, zero)
         zeros_exact &= bool(np.all(z == 0.0))
     elapsed = time.perf_counter() - start
     _report(
@@ -80,7 +79,7 @@ def test_criterion_02_smoothing_oracle():
     tail = rng.standard_normal(60)
     ok = True
     for w in (2, 7, 33, 61):
-        out = smooth_ema(RawEmgBatch(x), tail, SmoothingParams(w, 0.0)).samples
+        out = smooth_ema(x, tail, SmoothingParams(w, 0.0))
         ext = np.concatenate([tail[-(w - 1):], x])
         brute = np.array([ext[i : i + w].mean() for i in range(x.size)])
         ok &= bool(np.abs(out - brute).max() < 1e-12)
@@ -88,9 +87,7 @@ def test_criterion_02_smoothing_oracle():
         w = int(rng.integers(2, 496))
         decay = float(rng.uniform(0.0, 0.05))
         c = float(rng.uniform(-4, 4))
-        out = smooth_ema(
-            RawEmgBatch(np.full(50, c)), np.full(w - 1, c), SmoothingParams(w, decay)
-        ).samples
+        out = smooth_ema(np.full(50, c), np.full(w - 1, c), SmoothingParams(w, decay))
         ok &= bool(np.abs(out - c).max() < 1e-12)
     elapsed = time.perf_counter() - start
     _report(2, "smoothing oracle", ok and elapsed < 1.0, f"{elapsed:.2f}s")

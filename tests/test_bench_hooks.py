@@ -10,6 +10,7 @@ import numpy as np
 import emgrip.processing
 import emgrip.sensitivity
 import emgrip.simulate
+from emgrip.processing import DEFAULT_BATCH_SIZE
 from emgrip.sensitivity import DecisionVector, objective
 from emgrip.simulate import stream_simulate
 from emgrip.synth import SynthProfile, synth_recording
@@ -35,8 +36,16 @@ def test_objective_calls_each_sensitivity_hook_once_per_recording(monkeypatch):
         name: _count_calls(monkeypatch, emgrip.sensitivity, name)
         for name in ("process_recording", "resample_linear", "peak_cross_correlation")
     }
+    per_batch = {
+        name: _count_calls(monkeypatch, emgrip.processing, name)
+        for name in ("process_batch", "apply_spectral_mask", "smooth_ema")
+    }
     objective(corpus, DecisionVector(np.ones(248), 150, 0.0))
     assert {name: len(c) for name, c in calls.items()} == {name: 2 for name in calls}
+    # the processing.* layer metrics of an SA study read these lookups
+    sizes = [rec.emg.values.size for rec in corpus]
+    n_batches = sum(n // DEFAULT_BATCH_SIZE + (n % DEFAULT_BATCH_SIZE >= 2) for n in sizes)
+    assert {name: len(c) for name, c in per_batch.items()} == {name: n_batches for name in per_batch}
     # the lag-at-boundary counter reads max_lag as the third positional argument
     assert all(type(args[2]) is int for args in calls["peak_cross_correlation"])
 

@@ -3,7 +3,6 @@ import pytest
 
 from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.processing import (
-    RawEmgBatch,
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
@@ -12,7 +11,6 @@ from emgrip.processing import (
     peak_cross_correlation,
     process_batch,
     process_recording,
-    rectify,
     resample_linear,
     smooth_ema,
 )
@@ -31,22 +29,22 @@ class TestSpectralMask:
         mask = SpectralMask(np.ones(N // 2 + 1))
         for _ in range(20):
             x = rng.standard_normal(N)
-            y = apply_spectral_mask(RawEmgBatch(x), mask).samples
+            y = apply_spectral_mask(x, mask)
             assert np.abs(y - x).max() < 1e-9
 
     def test_zero_mask_nulls_signal(self):
         mask = SpectralMask(np.zeros(N // 2 + 1))
         x = _rng().standard_normal(N)
-        y = apply_spectral_mask(RawEmgBatch(x), mask).samples
+        y = apply_spectral_mask(x, mask)
         assert np.all(y == 0.0)
 
     def test_linearity(self):
         rng = _rng()
         mask = default_optimal_mask()
         x, y = rng.standard_normal(N), rng.standard_normal(N)
-        fx = apply_spectral_mask(RawEmgBatch(x), mask).samples
-        fy = apply_spectral_mask(RawEmgBatch(y), mask).samples
-        fxy = apply_spectral_mask(RawEmgBatch(x + y), mask).samples
+        fx = apply_spectral_mask(x, mask)
+        fy = apply_spectral_mask(y, mask)
+        fxy = apply_spectral_mask(x + y, mask)
         assert np.abs(fxy - (fx + fy)).max() < 1e-9
 
     def test_50hz_attenuation_against_dft_oracle(self):
@@ -56,7 +54,7 @@ class TestSpectralMask:
         freqs = np.arange(N // 2 + 1) * FS / N
         gains = np.ones(N // 2 + 1)
         gains[np.abs(freqs - 50.0) <= 6.0] = 0.375
-        y = apply_spectral_mask(RawEmgBatch(x), SpectralMask(gains)).samples
+        y = apply_spectral_mask(x, SpectralMask(gains))
 
         def dft_mag(sig, k):
             return abs(np.exp(-2j * np.pi * k * np.arange(N) / N) @ sig)
@@ -68,7 +66,7 @@ class TestSpectralMask:
     def test_length_mismatch_rejected(self):
         mask = SpectralMask(np.ones(10))
         with pytest.raises(ConfigError):
-            apply_spectral_mask(RawEmgBatch(np.zeros(N)), mask)
+            apply_spectral_mask(np.zeros(N), mask)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,31 +105,16 @@ class TestDefaultMask:
             default_optimal_mask(batch_size=495)
 
 
-class TestRectify:
-    def test_definition(self):
-        out = rectify(RawEmgBatch([-1.0, 2.0, -3.0]))
-        assert np.array_equal(out.samples, [1.0, 2.0, 3.0])
-
-    def test_zero(self):
-        out = rectify(RawEmgBatch(np.zeros(8)))
-        assert np.all(out.samples == 0.0)
-
-    def test_elementwise_oracle(self):
-        x = _rng().standard_normal(200)
-        out = rectify(RawEmgBatch(x)).samples
-        assert np.array_equal(out, np.array([abs(v) for v in x]))
-
-
 class TestSmoothEma:
     def test_simple_ma_example(self):
-        out = smooth_ema(RawEmgBatch([0.0, 2.0, 4.0]), [0.0], SmoothingParams(2, 0.0))
-        assert np.allclose(out.samples, [0.0, 1.0, 3.0], atol=1e-15)
+        out = smooth_ema([0.0, 2.0, 4.0], [0.0], SmoothingParams(2, 0.0))
+        assert np.allclose(out, [0.0, 1.0, 3.0], atol=1e-15)
 
     def test_exponential_impulse_example(self):
         out = smooth_ema(
-            RawEmgBatch([1.0, 0.0, 0.0]), [0.0, 0.0], SmoothingParams(3, 0.5)
+            [1.0, 0.0, 0.0], [0.0, 0.0], SmoothingParams(3, 0.5)
         )
-        assert np.allclose(out.samples, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
+        assert np.allclose(out, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
 
     def test_constant_preserved_for_random_params(self):
         rng = _rng()
@@ -139,16 +122,16 @@ class TestSmoothEma:
             w = int(rng.integers(2, 496))
             decay = float(rng.uniform(0.0, 0.05))
             c = float(rng.uniform(-5, 5))
-            batch = RawEmgBatch(np.full(60, c))
+            batch = np.full(60, c)
             out = smooth_ema(batch, np.full(w - 1, c), SmoothingParams(w, decay))
-            assert np.abs(out.samples - c).max() < 1e-12
+            assert np.abs(out - c).max() < 1e-12
 
     def test_decay_zero_matches_trailing_mean_oracle(self):
         rng = _rng()
         x = rng.standard_normal(120)
         tail = rng.standard_normal(30)
         w = 17
-        out = smooth_ema(RawEmgBatch(x), tail, SmoothingParams(w, 0.0)).samples
+        out = smooth_ema(x, tail, SmoothingParams(w, 0.0))
         ext = np.concatenate([tail[-(w - 1):], x])
         for i in range(x.size):
             expected = ext[i : i + w].mean()
@@ -156,7 +139,7 @@ class TestSmoothEma:
 
     def test_short_tail_rejected(self):
         with pytest.raises(DataError):
-            smooth_ema(RawEmgBatch([1.0, 2.0]), [0.0], SmoothingParams(5, 0.0))
+            smooth_ema([1.0, 2.0], [0.0], SmoothingParams(5, 0.0))
 
     def test_window_below_two_rejected(self):
         with pytest.raises(ConfigError):
@@ -166,7 +149,7 @@ class TestSmoothEma:
 class TestProcessBatch:
     def test_zero_in_zero_out(self, mask):
         out, tail = process_batch(
-            RawEmgBatch(np.zeros(N)), mask, SmoothingParams(10, 0.0), np.zeros(9)
+            np.zeros(N), mask, SmoothingParams(10, 0.0), np.zeros(9)
         )
         assert np.all(out == 0.0)
         assert np.all(tail == 0.0)
@@ -175,7 +158,7 @@ class TestProcessBatch:
         rng = _rng()
         x = rng.standard_normal(N)
         ident = SpectralMask(np.ones(N // 2 + 1))
-        out, _ = process_batch(RawEmgBatch(x), ident, SmoothingParams(2, 0.0), [0.0])
+        out, _ = process_batch(x, ident, SmoothingParams(2, 0.0), [0.0])
         r = np.abs(x)
         expected = (r + np.concatenate([[0.0], r[:-1]])) / 2
         assert np.abs(out - expected).max() < 1e-9
@@ -190,11 +173,11 @@ class TestProcessBatch:
         streamed = process_recording(series, mask, params)
         rect = np.concatenate(
             [
-                np.abs(apply_spectral_mask(RawEmgBatch(sig[i * N : (i + 1) * N]), mask).samples)
+                np.abs(apply_spectral_mask(sig[i * N : (i + 1) * N], mask))
                 for i in range(4)
             ]
         )
-        reference = smooth_ema(RawEmgBatch(rect), np.zeros(299), params).samples
+        reference = smooth_ema(rect, np.zeros(299), params)
         assert np.array_equal(streamed, reference)
 
     def test_trailing_short_batch_processed(self, mask):
@@ -301,7 +284,3 @@ class TestTypes:
     def test_series_must_increase(self):
         with pytest.raises(DataError):
             TimestampedSeries([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-
-    def test_batch_needs_two_samples(self):
-        with pytest.raises(DataError):
-            RawEmgBatch([1.0])

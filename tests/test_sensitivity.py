@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from emgrip.errors import ConfigError, DataError
+from emgrip.io import Recording
 from emgrip.processing import TimestampedSeries
 from emgrip.sensitivity import (
     Bounds,
@@ -195,7 +196,7 @@ class TestObjective:
         t = np.arange(0, 6.0, 1 / 992.97)
         amp = 1.0 + 0.5 * np.sin(2 * np.pi * 0.3 * t)
         emg = amp * np.sin(2 * np.pi * 60.0 * t)
-        rec = (TimestampedSeries(t, emg), TimestampedSeries(t[::5], amp[::5]))
+        rec = Recording(TimestampedSeries(t, emg), TimestampedSeries(t[::5], amp[::5]))
         gains = np.zeros(248)
         gains[29] = 1.0  # keep the 60 Hz bin
         dv = DecisionVector(gains, 150, 0.0)
@@ -206,7 +207,7 @@ class TestObjective:
         t = np.arange(0, 6.0, 1 / 992.97)
         emg = rng.standard_normal(t.size)
         grip = 1.0 + 0.2 * np.sin(2 * np.pi * 0.25 * t[::5] + 1.0)
-        rec = (TimestampedSeries(t, emg), TimestampedSeries(t[::5], grip))
+        rec = Recording(TimestampedSeries(t, emg), TimestampedSeries(t[::5], grip))
         dv = DecisionVector(np.ones(248), 10, 0.0)
         assert objective([rec], dv) >= 0.7
 
@@ -215,7 +216,7 @@ class TestObjective:
         rec = small_corpus[0]
         base = objective([rec], dv)
         scaled = objective(
-            [(rec.emg, TimestampedSeries(rec.grip.times, 3.5 * rec.grip.values))], dv
+            [Recording(rec.emg, TimestampedSeries(rec.grip.times, 3.5 * rec.grip.values))], dv
         )
         assert scaled == pytest.approx(base, abs=1e-12)
 

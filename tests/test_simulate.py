@@ -3,7 +3,7 @@ import pytest
 
 from emgrip.errors import ConfigError
 from emgrip.io import Recording
-from emgrip.processing import TimestampedSeries
+from emgrip.processing import TimestampedSeries, process_recording
 from emgrip.simulate import evaluate_run, stream_simulate
 
 
@@ -46,14 +46,19 @@ class TestStreamSimulate:
             assert np.array_equal(block.values, ref.values)
             assert np.array_equal(block.times, ref.times)
 
-    def test_tiny_terminal_fragment_handled(self, test_recording, model, mask, smoothing):
+    @pytest.mark.parametrize("fragment, n_batches", [(5, 4), (1, 3)], ids=["plus5", "plus1"])
+    def test_tiny_terminal_fragment_handled(
+        self, test_recording, model, mask, smoothing, fragment, n_batches
+    ):
         # a trailing 2-7 sample fragment forms a final batch too short for
-        # the estimation window contract; it must be skipped, not crash
-        cut = _truncate(test_recording, model.batch_size * 3 + 5)
+        # the estimation window contract; it must be skipped, not crash.
+        # A 1-sample fragment is dropped, as in offline processing.
+        cut = _truncate(test_recording, model.batch_size * 3 + fragment)
         result = stream_simulate(cut, model, mask, smoothing)
-        assert result.latency.process_ms.size == 4
+        assert result.latency.process_ms.size == n_batches
         expect = (model.batch_size * 3) // model.hankel.downsample - model.hankel.delays
         assert result.estimates.size == expect
+        assert np.array_equal(result.processed, process_recording(cut.emg, mask, smoothing))
 
     def test_rate_mismatch_rejected(self, test_recording, model, mask, smoothing):
         slow = Recording(
