@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import ConfigError, DataError, NumericError
 
@@ -254,6 +255,16 @@ def resample_linear(series: TimestampedSeries, target_times: np.ndarray) -> Time
     return TimestampedSeries(target_times, values)
 
 
+def _window_sums(v: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of ``v`` over its prefixes and over its suffixes of every length
+    from ``n - max_lag`` to ``n``; entry ``j`` covers ``n - max_lag + j``
+    samples."""
+    n = v.size
+    prefix = np.cumsum(np.concatenate(([v[: n - max_lag].sum()], v[n - max_lag :])))
+    suffix = np.cumsum(np.concatenate(([v[max_lag:].sum()], v[:max_lag][::-1])))
+    return prefix, suffix
+
+
 def peak_cross_correlation(
     a: np.ndarray, b: np.ndarray, max_lag_samples: int
 ) -> tuple[float, int]:
@@ -262,7 +273,23 @@ def peak_cross_correlation(
     Lag ``l`` pairs ``a[i]`` with ``b[i + l]``, so a positive lag means
     ``b`` is delayed relative to ``a``.  Each lag's correlation is computed
     over the overlapping window only, mean-centred and variance-normalised
-    on that window.  Returns (peak, lag) for the (signed) maximum.
+    on that window.  Returns (peak, lag) for the (signed) maximum; a tie
+    goes to the most negative lag.
+
+    Method: both series are mean-centred over their whole length, and the
+    lagged cross sums ``sum(a[i] * b[i + l])`` for every lag come from one
+    ``rfft``/``irfft`` pair zero-padded to ``next_fast_len(n + max_lag)``
+    (enough to keep the circular product free of wrap-around).  Every
+    overlap window is a prefix of one series and a suffix of the other, so
+    its sums and sums of squares come from cumulative sums, and
+    ``r = (Sxy - Sx*Sy/m) / sqrt((Sxx - Sx**2/m) * (Syy - Sy**2/m))``.
+    A lag is skipped when its window has fewer than 2 samples, or when
+    either window variance is at or below round-off (``m * eps`` of the
+    window's sum of squares), that is, zero.  A non-finite sample anywhere
+    raises ``NumericError``, since the FFT spreads it to every lag.  The
+    FFT's round-off is relative to the whole series, so windows of a few
+    samples carry more of it (up to ~1e-11 in ``r`` at 2 samples), and ties
+    among them may fall to another lag than in a lag-by-lag scan.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -274,24 +301,35 @@ def peak_cross_correlation(
         raise ConfigError("max lag must satisfy 0 <= lag < length")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise NumericError("constant input: correlation undefined")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("non-finite input: correlation undefined")
 
-    best = -np.inf
-    best_lag = 0
-    for lag in range(-max_lag, max_lag + 1):
-        if lag >= 0:
-            x, y = a[: n - lag], b[lag:]
-        else:
-            x, y = a[-lag:], b[: n + lag]
-        if x.size < 2:
-            continue
-        xc = x - x.mean()
-        yc = y - y.mean()
-        denom = np.sqrt((xc @ xc) * (yc @ yc))
-        if denom == 0:
-            continue
-        r = float((xc @ yc) / denom)
-        if r > best:
-            best, best_lag = r, lag
-    if not np.isfinite(best):
+    a = a - a.mean()
+    b = b - b.mean()
+    nfft = sfft.next_fast_len(n + max_lag, real=True)
+    cross = sfft.irfft(np.conj(sfft.rfft(a, nfft)) * sfft.rfft(b, nfft), nfft)
+    sxy = np.concatenate((cross[nfft - max_lag :], cross[: max_lag + 1]))
+
+    lags = np.arange(-max_lag, max_lag + 1)
+    j = max_lag - np.abs(lags)
+    m = n - np.abs(lags)
+    ahead = lags >= 0  # a's window is a prefix and b's a suffix
+    a_pre, a_suf = _window_sums(a, max_lag)
+    b_pre, b_suf = _window_sums(b, max_lag)
+    a2_pre, a2_suf = _window_sums(a * a, max_lag)
+    b2_pre, b2_suf = _window_sums(b * b, max_lag)
+    sx = np.where(ahead, a_pre[j], a_suf[j])
+    sy = np.where(ahead, b_suf[j], b_pre[j])
+    sxx = np.where(ahead, a2_pre[j], a2_suf[j])
+    syy = np.where(ahead, b2_suf[j], b2_pre[j])
+
+    vx = sxx - sx * sx / m
+    vy = syy - sy * sy / m
+    roundoff = m * np.finfo(float).eps
+    defined = (m >= 2) & (vx > roundoff * sxx) & (vy > roundoff * syy)
+    r = np.full(lags.size, -np.inf)
+    r[defined] = (sxy - sx * sy / m)[defined] / np.sqrt(vx[defined] * vy[defined])
+    k = int(np.argmax(r))
+    if not np.isfinite(r[k]):
         raise NumericError("no lag produced a defined correlation")
-    return best, best_lag
+    return float(r[k]), int(lags[k])

@@ -311,18 +311,18 @@ def rbdfast_sample(bounds: Bounds, n: int, seed=None) -> np.ndarray:
     return bounds.scale(unit)
 
 
-def _rbdfast_point_estimate(x_col, y, harmonics):
-    order = np.argsort(x_col, kind="stable")
-    ordered = np.concatenate([order[0::2], order[1::2][::-1]])
+def _rbdfast_point_estimate(x, y, harmonics):
+    """Bias-corrected first-order index of every column of the (n, d)
+    sample matrix ``x`` for the outputs ``y``."""
+    order = np.argsort(x, axis=0, kind="stable")
+    ordered = np.concatenate([order[0::2], order[1::2][::-1]], axis=0)
     yp = y[ordered]
-    n = yp.size
-    var = yp.var()
-    if var == 0:
-        return 0.0
-    spectrum = np.abs(np.fft.rfft(yp)) ** 2 / (n * n)
-    s1 = 2.0 * spectrum[1 : harmonics + 1].sum() / var
+    n = yp.shape[0]
+    var = yp.var(axis=0)
+    spectrum = np.abs(np.fft.rfft(yp, axis=0)) ** 2 / (n * n)
+    s1 = 2.0 * spectrum[1 : harmonics + 1].sum(axis=0) / np.where(var == 0, 1.0, var)
     lam = 2.0 * harmonics / n  # small-sample bias correction
-    return s1 - lam / (1.0 - lam) * (1.0 - s1)
+    return np.where(var == 0, 0.0, s1 - lam / (1.0 - lam) * (1.0 - s1))
 
 
 def rbdfast_indices(
@@ -348,19 +348,14 @@ def rbdfast_indices(
     if harmonics < 1 or harmonics >= n // 2:
         raise ConfigError("harmonics must satisfy 1 <= M < n/2")
 
-    s1 = np.array(
-        [_rbdfast_point_estimate(samples[:, i], outputs, harmonics) for i in range(d)]
-    )
+    s1 = _rbdfast_point_estimate(samples, outputs, harmonics)
     first_ci = None
     if n_boot > 0:
         rng = np.random.default_rng(seed)
         boot = np.empty((n_boot, d))
         for k in range(n_boot):
             idx = rng.integers(0, n, size=n)
-            ys = outputs[idx]
-            boot[k] = [
-                _rbdfast_point_estimate(samples[idx, i], ys, harmonics) for i in range(d)
-            ]
+            boot[k] = _rbdfast_point_estimate(samples[idx], outputs[idx], harmonics)
         first_ci = _contain(np.percentile(boot, [2.5, 97.5], axis=0).T, s1)
 
     return SensitivityResult(

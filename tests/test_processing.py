@@ -3,6 +3,7 @@ import pytest
 
 from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.processing import (
+    DEFAULT_MAX_LAG_S,
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
@@ -14,6 +15,13 @@ from emgrip.processing import (
     resample_linear,
     smooth_ema,
 )
+from emgrip.sensitivity import (
+    DecisionVector,
+    default_decision_bounds,
+    envelope_grip_xcorr,
+    rbdfast_sample,
+)
+from emgrip.synth import synth_recording
 
 FS = 992.97
 N = 496
@@ -225,20 +233,33 @@ class TestResampleLinear:
             resample_linear(TimestampedSeries([0.0], [1.0]), [0.0])
 
 
-def _pearson(x, y):
-    xc, yc = x - x.mean(), y - y.mean()
-    return (xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc))
-
-
 def _scan_oracle(a, b, max_lag):
+    """The lag-by-lag loop: every overlap window mean-centred on its own,
+    windows of fewer than 2 samples or zero variance skipped, strict ``>``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.size
     best, best_lag = -np.inf, 0
     for lag in range(-max_lag, max_lag + 1):
-        x = a[: len(a) - lag] if lag >= 0 else a[-lag:]
-        y = b[lag:] if lag >= 0 else b[: len(b) + lag]
-        r = _pearson(x, y)
+        x = a[: n - lag] if lag >= 0 else a[-lag:]
+        y = b[lag:] if lag >= 0 else b[: n + lag]
+        if x.size < 2:
+            continue
+        xc, yc = x - x.mean(), y - y.mean()
+        denom = np.sqrt((xc @ xc) * (yc @ yc))
+        if denom == 0:
+            continue
+        r = (xc @ yc) / denom
         if r > best:
             best, best_lag = r, lag
     return best, best_lag
+
+
+def _assert_matches_scan(a, b, max_lag):
+    peak, lag = peak_cross_correlation(a, b, max_lag)
+    want_peak, want_lag = _scan_oracle(a, b, max_lag)
+    assert peak == pytest.approx(want_peak, abs=1e-12)
+    assert lag == want_lag
+    return peak, lag
 
 
 class TestPeakCrossCorrelation:
@@ -259,10 +280,7 @@ class TestPeakCrossCorrelation:
         rng = _rng()
         a = rng.standard_normal(300)
         b = -np.concatenate([np.zeros(3), a[:-3]]) + 0.1 * rng.standard_normal(300)
-        peak, lag = peak_cross_correlation(a, b, 15)
-        want_peak, want_lag = _scan_oracle(a, b, 15)
-        assert peak == pytest.approx(want_peak, abs=1e-12)
-        assert lag == want_lag
+        peak, _ = _assert_matches_scan(a, b, 15)
         assert peak < 0.5  # no positive alignment exists
 
     def test_random_matches_exhaustive_scan(self):
@@ -270,14 +288,99 @@ class TestPeakCrossCorrelation:
         for _ in range(5):
             a = rng.standard_normal(200)
             b = rng.standard_normal(200)
-            peak, lag = peak_cross_correlation(a, b, 25)
-            want_peak, want_lag = _scan_oracle(a, b, 25)
-            assert peak == pytest.approx(want_peak, abs=1e-12)
-            assert lag == want_lag
+            _assert_matches_scan(a, b, 25)
 
     def test_constant_input_rejected(self):
         with pytest.raises(NumericError):
             peak_cross_correlation(np.ones(50), _rng().standard_normal(50), 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level", [3.7, 0.0])
+    def test_constant_prefix_matches_scan(self, level):
+        # cumulative-sum variances of the constant windows land within
+        # round-off of 0; they must be skipped like the loop's exact zeros
+        rng = _rng()
+        a = np.concatenate([np.full(45, level), rng.standard_normal(15)])
+        _assert_matches_scan(a, rng.standard_normal(60), 50)
+
+    @pytest.mark.filterwarnings("error")
+    def test_both_windows_constant_skipped(self):
+        # from lag 15 on, a's zero prefix meets b's zero suffix; unguarded,
+        # their round-off variances score r in the hundreds
+        rng = _rng()
+        a = np.concatenate([np.zeros(45), rng.standard_normal(15)])
+        b = np.concatenate([rng.standard_normal(15), np.zeros(45)])
+        want = _assert_matches_scan(a, b, 50)
+        # the correlation is shift-invariant; the loop itself is not here,
+        # since a 3.7-filled window's mean rounds and it scores r = 1
+        assert peak_cross_correlation(a + 3.7, b + 3.7, 50) == (
+            pytest.approx(want[0], abs=1e-12),
+            want[1],
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_max_lag_matches_scan(self):
+        rng = _rng()
+        a = rng.standard_normal(120)
+        _, lag = _assert_matches_scan(a, a + rng.standard_normal(120), 0)
+        assert lag == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_full_max_lag_matches_scan(self):
+        # max_lag = n - 1 reaches 1- and 2-sample windows.  Every 2-sample
+        # window has |r| = 1, so two of them at +1 tie and round-off picks
+        # the lag in either code.  Here b's zero prefix skips the negative
+        # end and a's first step opposes b's last, so the delayed copy at
+        # lag 7 is the one peak.
+        rng = _rng()
+        n = 80
+        a = rng.standard_normal(n)
+        a[1] = a[0] - np.sign(a[-8] - a[-9])  # b[-2:] is a[-9:-7]
+        b = np.concatenate([np.zeros(7), a[:-7]])
+        _, lag = _assert_matches_scan(a, b, n - 1)
+        assert lag == 7
+
+    @pytest.mark.filterwarnings("error")
+    def test_negative_only_peak_matches_scan(self):
+        a = np.cumsum(_rng().standard_normal(300))
+        peak, _ = _assert_matches_scan(a, -a, 3)
+        assert peak < 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, max_lag", [(1001, 30), (998, 11)], ids=["odd_n", "even_n"]
+    )
+    def test_prime_padding_target_matches_scan(self, n, max_lag):
+        # n + max_lag is prime (1031, 1009): the FFT length is the next
+        # fast size above it, and the extreme lags must not wrap around
+        rng = _rng()
+        a = np.cumsum(rng.standard_normal(n))
+        b = np.roll(a, max_lag - 1) + rng.standard_normal(n)
+        _assert_matches_scan(a, b, max_lag)
+
+    @pytest.mark.parametrize("where", [0, 50])
+    def test_non_finite_input_rejected(self, where):
+        a = _rng().standard_normal(100)
+        a[where] = np.nan
+        with pytest.raises(NumericError):
+            peak_cross_correlation(a, _rng().standard_normal(100), 5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sa_recording_matches_scan(self):
+        # one candidate of the seed-42 RBD-FAST bench study on its first
+        # recording: 29,293 envelope samples, lags within +-159
+        rec = synth_recording(seed=44)
+        row = rbdfast_sample(default_decision_bounds(), 64, seed=46)[0]
+        dv = DecisionVector.from_array(row)
+        rate = rec.emg.rate
+        env = process_recording(rec.emg, dv.to_mask(rate / N), dv.smoothing())
+        peak, lag = envelope_grip_xcorr(env, rec.emg, rec.grip)
+        grip = resample_linear(rec.grip, rec.emg.times[: env.size]).values
+        max_lag = int(round(DEFAULT_MAX_LAG_S * rate))
+        assert (env.size, max_lag) == (29293, 159)
+        want_peak, want_lag = _scan_oracle(env, grip, max_lag)
+        assert peak == pytest.approx(want_peak, abs=1e-12)
+        assert lag == want_lag
 
 
 class TestTypes:

@@ -137,7 +137,65 @@ class TestSobolIndices:
             sobol_indices(s, np.zeros(s.shape[0] - 1))
 
 
+def _rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):
+    """(first order, CI) from the per-variable loop over sample columns."""
+
+    def point(x_col, y):
+        order = np.argsort(x_col, kind="stable")
+        yp = y[np.concatenate([order[0::2], order[1::2][::-1]])]
+        n = yp.size
+        var = yp.var()
+        if var == 0:
+            return 0.0
+        s1 = 2.0 * (np.abs(np.fft.rfft(yp)) ** 2 / (n * n))[1 : harmonics + 1].sum() / var
+        lam = 2.0 * harmonics / n
+        return s1 - lam / (1.0 - lam) * (1.0 - s1)
+
+    n, d = samples.shape
+    s1 = np.array([point(samples[:, i], outputs) for i in range(d)])
+    if n_boot == 0:
+        return s1, None
+    rng = np.random.default_rng(seed)
+    boot = np.empty((n_boot, d))
+    for k in range(n_boot):
+        idx = rng.integers(0, n, size=n)
+        boot[k] = [point(samples[idx, i], outputs[idx]) for i in range(d)]
+    ci = np.percentile(boot, [2.5, 97.5], axis=0).T
+    return s1, np.column_stack([np.minimum(ci[:, 0], s1), np.maximum(ci[:, 1], s1)])
+
+
+def _bench_design():
+    # the seed-42 bench study's 64 x 250 design; outputs lean on a few
+    # gains and the window so the indices are not all noise
+    x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
+    return x, np.sin(x[:, 3]) + x[:, 40] ** 2 + x[:, -2] / 500.0
+
+
 class TestRbdFast:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_boot", [0, 100])
+    @pytest.mark.parametrize("design", ["ishigami", "bench"])
+    def test_matches_per_variable_loop(self, design, n_boot):
+        if design == "ishigami":
+            x = rbdfast_sample(pi_bounds(), 1024, seed=3)
+            y = ishigami(x)
+        else:
+            x, y = _bench_design()
+        res = rbdfast_indices(x, y, n_boot=n_boot, seed=46)
+        want_s1, want_ci = _rbdfast_oracle(x, y, n_boot=n_boot, seed=46)
+        np.testing.assert_allclose(res.first_order, want_s1, rtol=0, atol=1e-12)
+        if n_boot:
+            np.testing.assert_allclose(res.first_ci, want_ci, rtol=0, atol=1e-12)
+        else:
+            assert res.first_ci is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_output_gives_zero_indices(self):
+        x, _ = _bench_design()
+        res = rbdfast_indices(x, np.full(64, 0.25), n_boot=10, seed=0)
+        assert np.array_equal(res.first_order, np.zeros(250))
+        assert np.array_equal(res.first_ci, np.zeros((250, 2)))
+
     def test_inert_variable_near_zero(self):
         b = unit_bounds(3)
         x = rbdfast_sample(b, 4096, seed=1)
