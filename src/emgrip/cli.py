@@ -315,8 +315,9 @@ def _cmd_estimate(args, config):
     rows = [("n_estimates", float(result.estimates.size)), ("runtime_s", elapsed)]
     if grip is not None:
         err = estimation_wmape(grip, result)
-        rows.insert(0, ("wmape_pct", err))
-        print(f"estimation wMAPE: {err:.3f}%")
+        if not np.isnan(err):
+            rows.insert(0, ("wmape_pct", err))
+            print(f"estimation wMAPE: {err:.3f}%")
     eio.write_table(out_dir / "estimate_report.tsv", ["metric", "value"], rows)
     return 0
 

@@ -88,6 +88,12 @@ def stream_simulate(
     Offline mode runs at full speed; ``real_time`` sleeps each batch to the
     nominal cadence.  Forecast blocks start once the estimate history can
     fill the prediction window.
+
+    The envelope and estimate histories are allocated once, sized from the
+    recording, and filled in place.  Each batch's work reads fixed-size
+    windows only: the estimator reads the envelope from the oldest sample
+    its next estimate needs, and the forecaster reads the newest estimates.
+    So a batch costs the same late in a long session as early in a short one.
     """
     emg = recording.emg
     fs = emg.rate
@@ -100,10 +106,12 @@ def stream_simulate(
     delays = model.hankel.delays
     batch_ds = batch_size // step
 
-    processed = np.empty(0)
-    est_scaled = np.empty(0)
+    # histories filled in place: ``seen`` envelope samples, ``n_est`` estimates
+    n_total = emg.values.size
+    processed = np.empty(n_total)
+    est_scaled = np.empty(max(-(-n_total // step) - delays, 0))
+    seen = 0
     n_est = 0  # decimated positions already estimated
-    est_times: list[np.ndarray] = []
     forecasts: list[ForecastBlock] = []
     lat_process: list[float] = []
     lat_estimate: list[float] = []
@@ -115,28 +123,25 @@ def stream_simulate(
     # covers the generator's work of producing the next envelope
     tic = wall_start
     for b, out in enumerate(envelope_batches(emg, mask, smoothing, batch_size)):
-        processed = np.concatenate([processed, out])
+        processed[seen : seen + out.size] = out
+        seen += out.size
         lat_process.append((time.perf_counter() - tic) * 1e3)
 
         tic = time.perf_counter()
-        m_ds = -(-processed.size // step)  # ceil: decimated samples available
+        m_ds = -(-seen // step)  # ceil: decimated samples available
         n_avail = m_ds - delays
-        window = processed[step * n_est :]
+        window = processed[step * n_est : seen]
         # a terminal fragment shorter than the contract window is skipped
         if n_avail > n_est and window.size >= model.min_window():
-            scaled = estimate_window_scaled(model, window)
-            est_scaled = np.concatenate([est_scaled, scaled])
-            idx = (n_est + np.arange(scaled.size)) * step
-            est_times.append(emg.times[idx])
+            est_scaled[n_est:n_avail] = estimate_window_scaled(model, window)
             n_est = n_avail
         lat_estimate.append((time.perf_counter() - tic) * 1e3)
 
         tic = time.perf_counter()
         # forecast timestamps extrapolate from the rate of the data seen so
         # far, so a truncated rerun reproduces them bit for bit (causality)
-        seen = processed.size
         dt_seen = (emg.times[seen - 1] - emg.times[0]) / (seen - 1)
-        preds = predict_batch(est_scaled, hyper, model.grip_scaler, batch_samples=batch_ds)
+        preds = predict_batch(est_scaled[:n_est], hyper, model.grip_scaler, batch_samples=batch_ds)
         if preds is not None:
             tau = np.arange(1, preds.size + 1)
             t_last = emg.times[(n_est - 1) * step]
@@ -151,14 +156,12 @@ def stream_simulate(
                 time.sleep(deadline - now)
         tic = time.perf_counter()
 
-    estimates = model.grip_scaler.invert(est_scaled)
-    times = np.concatenate(est_times) if est_times else np.empty(0)
     return StreamResult(
-        times,
-        estimates,
+        emg.times[np.arange(n_est) * step],
+        model.grip_scaler.invert(est_scaled[:n_est]),
         forecasts,
         LatencyReport(np.array(lat_process), np.array(lat_estimate), np.array(lat_predict)),
-        processed,
+        processed[:seen],
     )
 
 
@@ -191,7 +194,10 @@ def evaluate_run(
 
 
 def estimation_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
-    """wMAPE of the streamed estimates against grip resampled at their timestamps."""
+    """wMAPE of the streamed estimates against grip resampled at their
+    timestamps; NaN if the stream was too short to emit any."""
+    if result.estimates.size == 0:
+        return float("nan")
     return wmape(resample_linear(grip, result.estimate_times).values, result.estimates)
 
 

@@ -164,6 +164,26 @@ class TestPipelineCommands:
         assert "wmape_pct" in est_report and "runtime_s" in est_report
         assert "wmape_pct" in (tmp_path / "predict_report.tsv").read_text()
 
+    def test_estimate_on_stream_too_short_to_estimate(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        rec = synth_recording(seed=43)
+        n = 400  # shorter than the model's estimation window
+        write_series(tmp_path / "short_emg.csv", TimestampedSeries(rec.emg.times[:n], rec.emg.values[:n]))
+        write_series(tmp_path / "short_grip.csv", rec.grip)
+        for cmd in ("estimate", "predict"):
+            code = main([
+                "--out", str(tmp_path), cmd,
+                "--model", str(root / "model.txt"),
+                "--emg", str(tmp_path / "short_emg.csv"),
+                "--grip", str(tmp_path / "short_grip.csv"),
+                "--window", "150",
+            ])
+            assert code == 0
+        assert "wMAPE" not in capsys.readouterr().out
+        est_report = (tmp_path / "estimate_report.tsv").read_text()
+        assert "wmape_pct" not in est_report and "n_estimates\t0" in est_report
+        assert "wmape_pct" not in (tmp_path / "predict_report.tsv").read_text()
+
     def test_simulate_writes_latency(self, workspace, tmp_path):
         root, data = workspace
         code = main([

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from emgrip.errors import ConfigError
 from emgrip.io import Recording
 from emgrip.processing import TimestampedSeries, process_recording
-from emgrip.simulate import evaluate_run, stream_simulate
+from emgrip.simulate import estimation_wmape, evaluate_run, prediction_wmape, stream_simulate
+from emgrip.synth import SynthProfile, synth_recording
 
 
 def _truncate(recording, n_samples):
@@ -60,6 +63,32 @@ class TestStreamSimulate:
         assert result.estimates.size == expect
         assert np.array_equal(result.processed, process_recording(cut.emg, mask, smoothing))
 
+    def test_full_stream_matches_offline_exactly(self, test_recording, stream_result, model, mask, smoothing):
+        emg = test_recording.emg
+        assert np.array_equal(stream_result.processed, process_recording(emg, mask, smoothing))
+        n = stream_result.estimates.size
+        step = model.hankel.downsample
+        assert np.array_equal(stream_result.estimate_times, emg.times[np.arange(n) * step])
+
+    def test_working_memory_does_not_grow_with_session(self, model, mask, smoothing, stream_result):
+        # stream_result has run the stream once, so lazy caches are warm.
+        # Excess = traced peak minus the history the result holds; it may
+        # grow with the session only by a small fraction of that history.
+        excess, held = {}, {}
+        for k in (1, 4):
+            rec = synth_recording(SynthProfile(levels=SynthProfile().levels * k), seed=43)
+            tracemalloc.start()
+            try:
+                result = stream_simulate(rec, model, mask, smoothing)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held[k] = sum(
+                a.nbytes for a in (result.processed, result.estimates, result.estimate_times)
+            )
+            excess[k] = peak - held[k]
+        assert excess[4] - excess[1] < 0.25 * held[4], (excess, held)
+
     def test_rate_mismatch_rejected(self, test_recording, model, mask, smoothing):
         slow = Recording(
             TimestampedSeries(test_recording.emg.times * 2.0, test_recording.emg.values),
@@ -93,6 +122,13 @@ class TestEvaluateRun:
         assert 0.5 <= ev.peak_xcorr <= 1.0
         assert ev.estimation_wmape >= 0.0
         assert np.isfinite(ev.prediction_wmape)
+
+    def test_stream_without_estimates_scores_nan(self, test_recording, model, mask, smoothing):
+        cut = _truncate(test_recording, 400)  # shorter than model.min_window()
+        result = stream_simulate(cut, model, mask, smoothing)
+        assert result.estimates.size == 0 and not result.forecasts
+        assert np.isnan(estimation_wmape(cut.grip, result))
+        assert np.isnan(prediction_wmape(cut.grip, result))
 
     def test_reuses_supplied_result(self, test_recording, model, mask, smoothing, stream_result):
         a = evaluate_run(test_recording, model, mask, smoothing, result=stream_result)
