@@ -47,6 +47,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: a stale flag must not parse as a longer one
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # map argparse usage errors onto exit code 1
         raise _UsageError(message)
 
@@ -97,10 +101,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--raw-grip", action="store_true", help="zero + calibrate the grip stream")
     p.add_argument("--model", default=None, help="output model path")
 
-    sub.add_parser("estimate", parents=[stream, signal], help="estimate grip force for a recording")
-    sub.add_parser("predict", parents=[stream, signal], help="forecast grip force for a recording")
+    sub.add_parser("estimate", parents=[stream], help="estimate grip force for a recording")
+    sub.add_parser("predict", parents=[stream], help="forecast grip force for a recording")
 
-    p = sub.add_parser("tune", parents=[signal], help="hyperparameter grid search")
+    p = sub.add_parser("tune", help="hyperparameter grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--window-mods", default="1.2,1.3,1.4")
@@ -112,7 +116,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="effects + ANOVA from per-run metrics")
     p.add_argument("--runs", required=True, help="CSV of subject,position,replication,wmape")
 
-    p = sub.add_parser("simulate", parents=[stream, signal], help="stream a recording through the pipeline")
+    p = sub.add_parser("simulate", parents=[stream], help="stream a recording through the pipeline")
     p.add_argument("--realtime", action="store_true")
     return parser
 
@@ -134,7 +138,7 @@ def _smoothing(args, config) -> SmoothingParams:
 
 
 def _mask(args, config):
-    path = eio.resolve_option(getattr(args, "mask", None), config, "signal", "mask_file", None, str)
+    path = eio.resolve_option(args.mask, config, "signal", "mask_file", None, str)
     return eio.read_mask(path) if path else default_optimal_mask()
 
 
@@ -281,14 +285,14 @@ def _cmd_fit(args, config):
     return 0
 
 
-def _run_stream(args, config):
+def _run_stream(args):
     model = eio.read_model(args.model)
     emg, _ = eio.read_series(args.emg)
     grip = _grip_series(args, args.grip) if args.grip else None
     # grip stream is only needed for metrics; reuse EMG as a placeholder
     rec = eio.Recording(emg, grip if grip is not None else emg)
     result = stream_simulate(
-        rec, model, _mask(args, config), _smoothing(args, config),
+        rec, model, model.mask, model.smoothing,
         real_time=getattr(args, "realtime", False),
     )
     return emg, grip, result
@@ -306,7 +310,7 @@ def _cmd_estimate(args, config):
     import time
 
     start = time.perf_counter()
-    _, grip, result = _run_stream(args, config)
+    _, grip, result = _run_stream(args)
     elapsed = time.perf_counter() - start
     out_dir = _out_dir(args)
     out = out_dir / "estimates.csv"
@@ -323,7 +327,7 @@ def _cmd_estimate(args, config):
 
 
 def _cmd_predict(args, config):
-    _, grip, result = _run_stream(args, config)
+    _, grip, result = _run_stream(args)
     out = _out_dir(args) / "forecasts.csv"
     eio.write_forecasts(out, result.forecast_rows())
     print(f"wrote {out}")
@@ -340,12 +344,12 @@ def _cmd_predict(args, config):
 def _cmd_tune(args, config):
     corpus = _load_corpus(args.data)
     model = eio.read_model(args.model)
-    mask = _mask(args, config)
-    smoothing = _smoothing(args, config)
 
     def evaluate(hyper):
         return [
-            prediction_wmape(rec.grip, stream_simulate(rec, model, mask, smoothing, hyper))
+            prediction_wmape(
+                rec.grip, stream_simulate(rec, model, model.mask, model.smoothing, hyper)
+            )
             for rec in corpus
         ]
 
@@ -415,7 +419,7 @@ def _cmd_evaluate(args, config):
 
 
 def _cmd_simulate(args, config):
-    emg, grip, result = _run_stream(args, config)
+    emg, grip, result = _run_stream(args)
     out = _out_dir(args)
     _write_estimates(out / "estimates.csv", result)
     eio.write_forecasts(out / "forecasts.csv", result.forecast_rows())
@@ -427,7 +431,8 @@ def _cmd_simulate(args, config):
     )
     print(f"wrote estimates, forecasts, latency to {out}")
     print(f"median per-batch total: {pct['total']['p50']:.2f} ms")
-    if grip is not None:
+    # a stream too short to estimate has nothing to score
+    if grip is not None and result.estimates.size:
         peak, _ = envelope_grip_xcorr(result.processed, emg, grip)
         print(
             f"peak xcorr {peak:.3f}, estimation wMAPE {estimation_wmape(grip, result):.2f}%, "
@@ -464,7 +469,7 @@ def main(argv=None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except (DataError, ConfigError) as exc:
+    except (DataError, ConfigError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_EXIT
     except EmgripError as exc:

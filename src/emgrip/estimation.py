@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationPolynomial, DEFAULT_CALIBRATION, MinMaxScaler
+from .calibration import MinMaxScaler
 from .errors import ConfigError, DataError
 from .processing import (
     DEFAULT_BATCH_SIZE,
@@ -202,7 +202,11 @@ def fit_static_koopman(e: np.ndarray, g: np.ndarray, rcond: float = 1e-10) -> np
 
 @dataclass(frozen=True)
 class EstimatorModel:
-    """Fitted static operator plus everything needed to replay it."""
+    """Fitted static operator plus everything needed to replay it.
+
+    ``mask`` and ``smoothing`` are the signal chain the operator was fitted
+    on; it is only valid for envelopes processed the same way.
+    """
 
     k: np.ndarray
     emg_scaler: MinMaxScaler
@@ -210,9 +214,10 @@ class EstimatorModel:
     hankel: HankelParams
     grid: IndicatorGrid
     kept: np.ndarray
+    mask: SpectralMask
+    smoothing: SmoothingParams
     batch_size: int = DEFAULT_BATCH_SIZE
     fs: float = NOMINAL_EMG_FS
-    calibration: CalibrationPolynomial = DEFAULT_CALIBRATION
     grip_floor: float = -1.0  # scaled units
 
     @property
@@ -255,7 +260,8 @@ def fit_estimator(
     )
     k = fit_static_koopman(e, g)
     return EstimatorModel(
-        k, emg_scaler, grip_scaler, hankel, grid, kept, batch_size, fs=emg.rate
+        k, emg_scaler, grip_scaler, hankel, grid, kept, mask, smoothing,
+        batch_size, fs=emg.rate,
     )
 
 

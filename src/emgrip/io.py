@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationPolynomial, MinMaxScaler
-from .errors import DataError
+from .calibration import MinMaxScaler
+from .errors import ConfigError, DataError
 from .estimation import EstimatorModel, HankelParams, IndicatorGrid
-from .processing import SpectralMask, TimestampedSeries
+from .processing import SmoothingParams, SpectralMask, TimestampedSeries
 
 ENV_OUT_DIR = "EMGRIP_OUT_DIR"
 
@@ -155,7 +155,12 @@ def read_mask(path) -> SpectralMask:
 
 
 def write_model(path, model: EstimatorModel) -> Path:
-    """Self-describing text header followed by K in row-major decimal."""
+    """Self-describing text header followed by K in row-major decimal.
+
+    The header carries the signal chain the operator was fitted on (mask
+    gains and bin resolution, smoothing window and decay), so a stream is
+    replayed through the same chain.
+    """
     path = Path(path)
     lines = [
         f"delays {model.hankel.delays}",
@@ -171,7 +176,10 @@ def write_model(path, model: EstimatorModel) -> Path:
         "kept " + " ".join(str(int(i)) for i in model.kept),
         f"emg_scaler {_fmt(model.emg_scaler.lo)} {_fmt(model.emg_scaler.hi)}",
         f"grip_scaler {_fmt(model.grip_scaler.lo)} {_fmt(model.grip_scaler.hi)}",
-        "calibration " + " ".join(_fmt(c) for c in model.calibration.coefficients),
+        f"mask_resolution {_fmt(model.mask.bin_resolution)}",
+        "mask_gains " + " ".join(_fmt(g) for g in model.mask.gains),
+        f"window_size {model.smoothing.window_size}",
+        f"decay {_fmt(model.smoothing.decay)}",
         f"K {model.k.shape[0]} {model.k.shape[1]}",
     ]
     for row in model.k:
@@ -203,7 +211,11 @@ def read_model(path) -> EstimatorModel:
         )
         emg_lo, emg_hi = (float(v) for v in fields["emg_scaler"].split())
         grip_lo, grip_hi = (float(v) for v in fields["grip_scaler"].split())
-        coeffs = tuple(float(v) for v in fields["calibration"].split())
+        mask = SpectralMask(
+            np.array([float(v) for v in fields["mask_gains"].split()]),
+            float(fields["mask_resolution"]),
+        )
+        smoothing = SmoothingParams(int(fields["window_size"]), float(fields["decay"]))
         model = EstimatorModel(
             k=k,
             emg_scaler=MinMaxScaler(emg_lo, emg_hi),
@@ -217,9 +229,10 @@ def read_model(path) -> EstimatorModel:
                 float(fields["min_density"]),
             ),
             kept=kept,
+            mask=mask,
+            smoothing=smoothing,
             batch_size=int(fields["batch_size"]),
             fs=float(fields["fs"]),
-            calibration=CalibrationPolynomial(coeffs),
             grip_floor=float(fields["grip_floor"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -292,7 +305,11 @@ def write_table(path, header: list[str], rows) -> Path:
 
 def read_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    read = parser.read(Path(path))
+    try:
+        read = parser.read(Path(path))
+    except configparser.Error as exc:
+        first_line = str(exc).splitlines()[0]
+        raise DataError(f"malformed config file {path}: {first_line}") from exc
     if not read:
         raise DataError(f"config file not found: {path}")
     return parser
@@ -303,5 +320,9 @@ def resolve_option(cli_value, config, section: str, key: str, default, cast=floa
     if cli_value is not None:
         return cli_value
     if config is not None and config.has_option(section, key):
-        return cast(config.get(section, key))
+        value = config.get(section, key)
+        try:
+            return cast(value)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
     return default

@@ -75,6 +75,16 @@ class StreamResult:
                 yield block.batch_index, t, v
 
 
+def _check_chain(model: EstimatorModel, mask: SpectralMask, smoothing: SmoothingParams):
+    """Reject a signal chain other than the one ``model`` was fitted on."""
+    if not (
+        smoothing == model.smoothing
+        and mask.bin_resolution == model.mask.bin_resolution
+        and np.array_equal(mask.gains, model.mask.gains)
+    ):
+        raise ConfigError("mask or smoothing differs from the chain the model was fitted on")
+
+
 def stream_simulate(
     recording: Recording,
     model: EstimatorModel,
@@ -87,7 +97,8 @@ def stream_simulate(
 
     Offline mode runs at full speed; ``real_time`` sleeps each batch to the
     nominal cadence.  Forecast blocks start once the estimate history can
-    fill the prediction window.
+    fill the prediction window.  ``mask`` and ``smoothing`` must equal the
+    chain stored in ``model``; anything else raises ``ConfigError``.
 
     The envelope and estimate histories are allocated once, sized from the
     recording, and filled in place.  Each batch's work reads fixed-size
@@ -95,6 +106,7 @@ def stream_simulate(
     its next estimate needs, and the forecaster reads the newest estimates.
     So a batch costs the same late in a long session as early in a short one.
     """
+    _check_chain(model, mask, smoothing)
     emg = recording.emg
     fs = emg.rate
     if abs(fs - model.fs) > 0.01 * model.fs:
@@ -185,9 +197,12 @@ def evaluate_run(
 
     Composes ``envelope_grip_xcorr``, ``estimation_wmape`` and
     ``prediction_wmape``; the stream is run first unless ``result`` is given.
+    ``mask`` and ``smoothing`` must equal the model's chain.
     """
     if result is None:
         result = stream_simulate(recording, model, mask, smoothing, hyper)
+    else:
+        _check_chain(model, mask, smoothing)
     grip = recording.grip
     peak, lag = envelope_grip_xcorr(result.processed, recording.emg, grip)
     return RunEvaluation(peak, lag, estimation_wmape(grip, result), prediction_wmape(grip, result))

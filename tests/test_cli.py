@@ -97,6 +97,80 @@ class TestExitCodes:
             assert code == 3
             assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["estimate", "predict", "simulate", "tune"])
+    @pytest.mark.parametrize(
+        "flag", [("--window", "100"), ("--window", "150"), ("--decay", "0.02"), ("--mask", "flat.tsv")],
+        ids=["window100", "window150", "decay", "mask"],
+    )
+    def test_stream_commands_take_chain_from_model(self, workspace, tmp_path, capsys, cmd, flag):
+        root, data = workspace
+        if cmd == "tune":
+            inputs = ["--data", str(data)]
+        else:
+            stem = data / "s01_p1_r1"
+            inputs = ["--emg", f"{stem}_emg.csv", "--grip", f"{stem}_grip.csv"]
+        argv = ["--out", str(tmp_path), cmd, "--model", str(root / "model.txt"), *inputs, *flag]
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_no_prefix_abbreviations(self, workspace, tmp_path):
+        _, data = workspace
+        code = main([
+            "fit",
+            "--emg", str(data / "s01_p0_r0_emg.csv"),
+            "--grip", str(data / "s01_p0_r0_grip.csv"),
+            "--mod", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_model_without_chain_is_input_error(self, workspace, tmp_path, capsys):
+        # the model format before the chain was stored: calibration, no chain
+        root, data = workspace
+        chain = {"mask_resolution", "mask_gains", "window_size", "decay"}
+        lines = [
+            line for line in (root / "model.txt").read_text().splitlines()
+            if line.partition(" ")[0] not in chain
+        ]
+        lines.insert(lines.index(next(l for l in lines if l.startswith("K "))), "calibration 0.0 1.0")
+        (tmp_path / "old_model.txt").write_text("\n".join(lines) + "\n")
+        code = main([
+            "--out", str(tmp_path), "estimate",
+            "--model", str(tmp_path / "old_model.txt"),
+            "--emg", str(data / "s01_p1_r1_emg.csv"),
+        ])
+        assert code == 2
+        assert "mask_gains" in capsys.readouterr().err
+
+    def test_malformed_config_is_input_error(self, workspace, tmp_path, capsys):
+        _, data = workspace
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("window_size = 150\n")  # no section header
+        code = main(["--config", str(cfg), "--out", str(tmp_path), "process", "--emg", str(data / "s01_p1_r1_emg.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
+    def test_non_numeric_config_value_is_input_error(self, workspace, tmp_path, capsys):
+        _, data = workspace
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[signal]\nwindow_size = abc\n")
+        code = main(["--config", str(cfg), "--out", str(tmp_path), "process", "--emg", str(data / "s01_p1_r1_emg.csv")])
+        assert code == 2
+        assert "window_size" in capsys.readouterr().err
+
+    def test_unwritable_output_is_input_error(self, workspace, tmp_path, capsys):
+        _, data = workspace
+        code = main([
+            "fit",
+            "--emg", str(data / "s01_p0_r0_emg.csv"),
+            "--grip", str(data / "s01_p0_r0_grip.csv"),
+            "--model", str(tmp_path / "missing_dir" / "model.txt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
 
 class TestMaskCommand:
     def test_default_mask_round_trip(self, tmp_path):
@@ -154,7 +228,6 @@ class TestPipelineCommands:
                 "--model", str(root / "model.txt"),
                 "--emg", str(data / "s01_p1_r1_emg.csv"),
                 "--grip", str(data / "s01_p1_r1_grip.csv"),
-                "--window", "150",
             ])
             assert code == 0
         out = capsys.readouterr().out
@@ -170,13 +243,12 @@ class TestPipelineCommands:
         n = 400  # shorter than the model's estimation window
         write_series(tmp_path / "short_emg.csv", TimestampedSeries(rec.emg.times[:n], rec.emg.values[:n]))
         write_series(tmp_path / "short_grip.csv", rec.grip)
-        for cmd in ("estimate", "predict"):
+        for cmd in ("estimate", "predict", "simulate"):
             code = main([
                 "--out", str(tmp_path), cmd,
                 "--model", str(root / "model.txt"),
                 "--emg", str(tmp_path / "short_emg.csv"),
                 "--grip", str(tmp_path / "short_grip.csv"),
-                "--window", "150",
             ])
             assert code == 0
         assert "wMAPE" not in capsys.readouterr().out
@@ -191,7 +263,6 @@ class TestPipelineCommands:
             "--model", str(root / "model.txt"),
             "--emg", str(data / "s01_p2_r1_emg.csv"),
             "--grip", str(data / "s01_p2_r1_grip.csv"),
-            "--window", "150",
         ])
         assert code == 0
         text = (tmp_path / "latency.tsv").read_text()
@@ -214,7 +285,6 @@ class TestPipelineCommands:
                 "--out", str(tmp_path), cmd,
                 "--model", str(root / "model.txt"),
                 "--emg", f"{stem}_emg.csv", "--grip", f"{stem}_grip.csv",
-                "--window", "150",
             ]) == 0
         ev = evaluate_run(
             read_recording(f"{stem}_emg.csv", f"{stem}_grip.csv"),
@@ -317,7 +387,6 @@ class TestPipelineCommands:
         code = main([
             "--out", str(tmp_path), "tune",
             "--data", str(data), "--model", str(root / "model.txt"),
-            "--window", "150",
             "--window-mods", "1.3", "--smooth-mods", "1.1", "--thin-steps", "7",
         ])
         assert code == 0

@@ -20,7 +20,7 @@ from emgrip.estimation import (
     power_grid_bounds,
 )
 from emgrip.metrics import wmape
-from emgrip.processing import TimestampedSeries, process_recording
+from emgrip.processing import SmoothingParams, SpectralMask, TimestampedSeries, process_recording
 
 
 class TestHankelLift:
@@ -247,7 +247,10 @@ def _linear_coupling_model():
     gs = MinMaxScaler.fit(grip[::2])
     e, g, kept = build_lifted_matrices(emg[::2], grip[::2], es, gs, params, grid)
     k = fit_static_koopman(e, g)
-    model = EstimatorModel(k, es, gs, params, grid, kept, batch_size=100, fs=100.0)
+    mask = SpectralMask(np.ones(51), bin_resolution=1.0)  # 100-sample batches at 100 Hz
+    model = EstimatorModel(
+        k, es, gs, params, grid, kept, mask, SmoothingParams(10, 0.0), batch_size=100, fs=100.0
+    )
     return model, emg, grip
 
 

@@ -92,7 +92,21 @@ class TestModelFile:
         assert np.array_equal(model.kept, m2.kept)
         assert m2.emg_scaler == model.emg_scaler
         assert m2.grid == model.grid
-        assert m2.calibration == model.calibration
+
+    def test_round_trip_keeps_signal_chain(self, tmp_path, model, mask, smoothing):
+        m2 = read_model(write_model(tmp_path / "m.txt", model))
+        assert np.array_equal(m2.mask.gains, mask.gains)
+        assert m2.mask.bin_resolution == mask.bin_resolution
+        assert m2.smoothing == smoothing
+
+    @pytest.mark.parametrize("field", ["mask_gains", "mask_resolution", "window_size", "decay"])
+    def test_model_without_chain_rejected(self, tmp_path, model, field):
+        lines = write_model(tmp_path / "m.txt", model).read_text().splitlines()
+        kept = [line for line in lines if line.partition(" ")[0] != field]
+        assert len(kept) == len(lines) - 1
+        (tmp_path / "old.txt").write_text("\n".join(kept) + "\n")
+        with pytest.raises(DataError, match=f"'{field}'"):
+            read_model(tmp_path / "old.txt")
 
 
 class TestTabularFiles:

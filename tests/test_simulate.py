@@ -5,9 +5,25 @@ import pytest
 
 from emgrip.errors import ConfigError
 from emgrip.io import Recording
-from emgrip.processing import TimestampedSeries, process_recording
+from emgrip.processing import SmoothingParams, SpectralMask, TimestampedSeries, process_recording
 from emgrip.simulate import estimation_wmape, evaluate_run, prediction_wmape, stream_simulate
 from emgrip.synth import SynthProfile, synth_recording
+
+
+CHAIN_PARTS = ["window", "decay", "flat_mask", "one_gain", "resolution"]
+
+
+def _other_chain(mask, smoothing, part):
+    """A signal chain that differs from the fitted one in ``part`` only."""
+    one_gain = mask.gains.copy()
+    one_gain[100] += 1.0
+    return {
+        "window": (mask, SmoothingParams(100, smoothing.decay)),
+        "decay": (mask, SmoothingParams(smoothing.window_size, 0.02)),
+        "flat_mask": (SpectralMask(np.ones(mask.gains.size), mask.bin_resolution), smoothing),
+        "one_gain": (SpectralMask(one_gain, mask.bin_resolution), smoothing),
+        "resolution": (SpectralMask(mask.gains, 2 * mask.bin_resolution), smoothing),
+    }[part]
 
 
 def _truncate(recording, n_samples):
@@ -97,6 +113,12 @@ class TestStreamSimulate:
         with pytest.raises(ConfigError):
             stream_simulate(slow, model, mask, smoothing)
 
+    @pytest.mark.parametrize("part", CHAIN_PARTS)
+    def test_chain_mismatch_rejected(self, test_recording, model, mask, smoothing, part):
+        other_mask, other_smoothing = _other_chain(mask, smoothing, part)
+        with pytest.raises(ConfigError, match="fitted on"):
+            stream_simulate(test_recording, model, other_mask, other_smoothing)
+
     def test_latency_report_shape(self, stream_result):
         rep = stream_result.latency
         n = rep.process_ms.size
@@ -129,6 +151,13 @@ class TestEvaluateRun:
         assert result.estimates.size == 0 and not result.forecasts
         assert np.isnan(estimation_wmape(cut.grip, result))
         assert np.isnan(prediction_wmape(cut.grip, result))
+
+    @pytest.mark.parametrize("part", CHAIN_PARTS)
+    def test_chain_mismatch_rejected(self, test_recording, model, mask, smoothing, stream_result, part):
+        other_mask, other_smoothing = _other_chain(mask, smoothing, part)
+        for result in (None, stream_result):
+            with pytest.raises(ConfigError, match="fitted on"):
+                evaluate_run(test_recording, model, other_mask, other_smoothing, result=result)
 
     def test_reuses_supplied_result(self, test_recording, model, mask, smoothing, stream_result):
         a = evaluate_run(test_recording, model, mask, smoothing, result=stream_result)
