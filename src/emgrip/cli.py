@@ -55,6 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _comma_list(cast, what: str):
+    """argparse ``type=`` for a comma-separated list; a bad item is a usage error."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+
+    return parse
+
+
+_float_list = _comma_list(float, "numbers")
+_int_list = _comma_list(int, "integers")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="emgrip", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
@@ -107,11 +123,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("tune", help="hyperparameter grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--window-mods", default="1.2,1.3,1.4")
-    p.add_argument("--smooth-mods", default="1.1")
-    p.add_argument("--thin-steps", default="7")
-    p.add_argument("--delay-counts", default="8")
-    p.add_argument("--mode-counts", default="4")
+    p.add_argument("--window-mods", type=_float_list, default="1.2,1.3,1.4")
+    p.add_argument("--smooth-mods", type=_float_list, default="1.1")
+    p.add_argument("--thin-steps", type=_int_list, default="7")
+    p.add_argument("--delay-counts", type=_int_list, default="8")
+    p.add_argument("--mode-counts", type=_int_list, default="4")
 
     p = sub.add_parser("evaluate", help="effects + ANOVA from per-run metrics")
     p.add_argument("--runs", required=True, help="CSV of subject,position,replication,wmape")
@@ -353,19 +369,13 @@ def _cmd_tune(args, config):
             for rec in corpus
         ]
 
-    def _floats(s):
-        return tuple(float(v) for v in s.split(","))
-
-    def _ints(s):
-        return tuple(int(v) for v in s.split(","))
-
     rows = grid_search(
         evaluate,
-        window_modifiers=_floats(args.window_mods),
-        smooth_modifiers=_floats(args.smooth_mods),
-        thin_steps=_ints(args.thin_steps),
-        delay_counts=_ints(args.delay_counts),
-        mode_counts=_ints(args.mode_counts),
+        window_modifiers=args.window_mods,
+        smooth_modifiers=args.smooth_mods,
+        thin_steps=args.thin_steps,
+        delay_counts=args.delay_counts,
+        mode_counts=args.mode_counts,
     )
     table = [
         (h.window_modifier, h.smooth_modifier, h.thin_step, h.delays, h.n_modes,

@@ -4,8 +4,9 @@ Both streams are downsampled, min-max scaled, and lifted: a Hankel block of
 time-shifted copies plus, for the EMG side, binary indicator observables
 marking which cell of a power-spaced grid the (base, tau1, tau2) delay
 triple falls in.  A single matrix K mapping lifted EMG to lifted grip is
-fitted by pseudoinverse on a calibration recording; at inference only the
-base-state readout row is applied to the data under the batch window.
+fitted on a calibration recording by minimum-norm least squares, singular
+values <= rcond * s_max dropped; at inference only the base-state readout
+row is applied to the data under the batch window.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import MinMaxScaler
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .processing import (
     DEFAULT_BATCH_SIZE,
     NOMINAL_EMG_FS,
@@ -186,18 +187,24 @@ def build_lifted_matrices(
 
 
 def fit_static_koopman(e: np.ndarray, g: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Frobenius-optimal linear map K with G ~= K E, via SVD pseudoinverse.
+    """Frobenius-optimal linear map K with G ~= K E, by minimum-norm least
+    squares with singular values <= ``rcond`` * s_max dropped.
 
-    Singular values below ``rcond`` times the largest are treated as zero,
-    which keeps the sparse indicator rows from blowing up the solution.
+    Dropping the small singular values keeps the sparse indicator rows from
+    blowing up the solution.  Only G's non-zero rows are solved for; the
+    rows of K for all-zero rows of G (the indicator half of G) are exactly
+    zero, as the minimum-norm solution makes them.
     """
     e = np.asarray(e, dtype=float)
     g = np.asarray(g, dtype=float)
     if e.size == 0 or g.size == 0 or e.shape[1] != g.shape[1]:
         raise DataError("E and G must be non-empty with equal column counts")
-    u, s, vt = np.linalg.svd(e, full_matrices=False)
-    keep = s > rcond * s[0]
-    return ((g @ vt[keep].T) / s[keep]) @ u[:, keep].T
+    if not (np.isfinite(e).all() and np.isfinite(g).all()):
+        raise NumericError("E and G must be finite")
+    live = np.flatnonzero(g.any(axis=1))
+    k = np.zeros((g.shape[0], e.shape[0]))
+    k[live] = np.linalg.lstsq(e.T, g[live].T, rcond=rcond)[0].T
+    return k
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ def _fmt(x) -> str:
 def _read_text(path: Path) -> str:
     try:
         return path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -307,7 +307,7 @@ def read_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(Path(path))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         first_line = str(exc).splitlines()[0]
         raise DataError(f"malformed config file {path}: {first_line}") from exc
     if not read:

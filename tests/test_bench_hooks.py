@@ -7,9 +7,11 @@ layer as zero time.  These tests pin the lookups and argument shapes.
 """
 import numpy as np
 
+import emgrip.estimation
 import emgrip.processing
 import emgrip.sensitivity
 import emgrip.simulate
+from emgrip.estimation import fit_estimator
 from emgrip.processing import DEFAULT_BATCH_SIZE
 from emgrip.sensitivity import DecisionVector, objective
 from emgrip.simulate import stream_simulate
@@ -67,3 +69,14 @@ def test_stream_calls_batch_hooks_once_per_batch(
     n_batches = result.latency.process_ms.size
     assert {name: len(c) for name, c in per_batch.items()} == {name: n_batches for name in per_batch}
     assert 0 < len(estimates) <= n_batches
+
+
+def test_fit_calls_each_estimation_hook_once(monkeypatch, calib_recording, mask, smoothing):
+    # the bench's fit_process_s, fit_lift_s and fit_solve_s read these lookups
+    calls = {
+        name: _count_calls(monkeypatch, emgrip.estimation, name)
+        for name in ("process_recording", "build_lifted_matrices", "fit_static_koopman")
+    }
+    model = fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
+    assert {name: len(c) for name, c in calls.items()} == {name: 1 for name in calls}
+    assert model.k.shape == (model.lifted_dim, model.lifted_dim)

@@ -171,6 +171,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window-mods", "1.2,x"),
+            ("--smooth-mods", ""),
+            ("--thin-steps", "abc"),
+            ("--delay-counts", "8,1.5"),
+            ("--mode-counts", "4,"),
+        ],
+    )
+    def test_bad_tune_list_is_usage_error(self, workspace, tmp_path, capsys, flag, value):
+        root, data = workspace
+        code = main([
+            "--out", str(tmp_path), "tune",
+            "--data", str(data), "--model", str(root / "model.txt"), flag, value,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "tuning.tsv").exists()
+
+    def test_non_utf8_data_file_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "bad_emg.csv").write_bytes(b"\xff\xfe" + bytes(range(256)) * 8)
+        code = main(["--out", str(tmp_path), "process", "--emg", str(tmp_path / "bad_emg.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_config_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"\xff\xfe[signal]\nwindow_size = 150\n")
+        code = main(["--config", str(cfg), "mask", "show"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
 
 class TestMaskCommand:
     def test_default_mask_round_trip(self, tmp_path):

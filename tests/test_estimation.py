@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emgrip.calibration import MinMaxScaler
-from emgrip.errors import ConfigError, DataError
+from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.estimation import (
     EstimatorModel,
     HankelParams,
@@ -20,7 +20,13 @@ from emgrip.estimation import (
     power_grid_bounds,
 )
 from emgrip.metrics import wmape
-from emgrip.processing import SmoothingParams, SpectralMask, TimestampedSeries, process_recording
+from emgrip.processing import (
+    SmoothingParams,
+    SpectralMask,
+    TimestampedSeries,
+    process_recording,
+    resample_linear,
+)
 
 
 class TestHankelLift:
@@ -233,6 +239,71 @@ class TestFitStaticKoopman:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             fit_static_koopman(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("side", ["e", "g"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, side, bad):
+        rng = np.random.default_rng(7)
+        mats = {"e": rng.standard_normal((5, 40)), "g": rng.standard_normal((3, 40))}
+        mats[side][1, 7] = bad
+        with pytest.raises(NumericError):
+            fit_static_koopman(mats["e"], mats["g"])
+
+
+def _svd_oracle(e, g, rcond=1e-10):
+    """Reference solve: SVD pseudoinverse with the same rcond rank rule."""
+    u, s, vt = np.linalg.svd(e, full_matrices=False)
+    keep = s > rcond * s[0]
+    return ((g @ vt[keep].T) / s[keep]) @ u[:, keep].T
+
+
+class TestFitMatchesSvdOracle:
+    @staticmethod
+    def _check(e, g):
+        k = fit_static_koopman(e, g)
+        ref = _svd_oracle(e, g)
+        assert k.shape == (g.shape[0], e.shape[0])
+        assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
+        zero = ~g.any(axis=1)
+        assert np.all(k[zero] == 0.0)
+        return k
+
+    def test_full_rank(self):
+        rng = np.random.default_rng(11)
+        self._check(rng.standard_normal((12, 200)), rng.standard_normal((5, 200)))
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(12)
+        e = rng.standard_normal((10, 150))
+        e[9] = e[2] + e[5]
+        self._check(e, rng.standard_normal((4, 150)))
+
+    def test_zero_row_in_e(self):
+        rng = np.random.default_rng(13)
+        e = rng.standard_normal((10, 150))
+        e[4] = 0.0
+        k = self._check(e, rng.standard_normal((6, 150)))
+        # a dead observable gets no weight, up to round-off
+        assert np.abs(k[:, 4]).max() <= 1e-12 * np.abs(k).max()
+
+    def test_zero_rows_in_g_give_zero_rows_of_k(self):
+        rng = np.random.default_rng(14)
+        e = rng.standard_normal((10, 150))
+        g = np.vstack([rng.standard_normal((4, 150)), np.zeros((6, 150))])
+        g[1] = 0.0
+        k = self._check(e, g)
+        assert np.count_nonzero(k.any(axis=1)) == 3
+
+    def test_seed42_calibration(self, calib_recording, mask, smoothing):
+        params = HankelParams()
+        processed = process_recording(calib_recording.emg, mask, smoothing)
+        grip = resample_linear(calib_recording.grip, calib_recording.emg.times[: processed.size])
+        emg_ds, grip_ds = processed[:: params.downsample], grip.values[:: params.downsample]
+        e, g, _ = build_lifted_matrices(
+            emg_ds, grip_ds, MinMaxScaler.fit(emg_ds), MinMaxScaler.fit(grip_ds), params, IndicatorGrid()
+        )
+        assert (~g.any(axis=1)).sum() > 0
+        self._check(e, g)
 
 
 def _linear_coupling_model():

@@ -4,6 +4,7 @@ import pytest
 from emgrip.errors import DataError
 from emgrip.io import (
     Recording,
+    read_config,
     read_forecasts,
     read_mask,
     read_model,
@@ -42,6 +43,12 @@ class TestSeriesFiles:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
             read_series(tmp_path / "nope.csv")
+
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"t_s,value\n\xff\xfe1.0,2.0\n")
+        with pytest.raises(DataError, match="cannot read"):
+            read_series(p)
 
 
 class TestRecordingFiles:
@@ -136,6 +143,12 @@ class TestResolveOption:
         assert resolve_option(200, cfg, "signal", "window_size", 300, int) == 200
         assert resolve_option(None, cfg, "signal", "window_size", 300, int) == 250
         assert resolve_option(None, None, "signal", "window_size", 300, int) == 300
+
+    def test_non_utf8_config_rejected(self, tmp_path):
+        p = tmp_path / "cfg.ini"
+        p.write_bytes(b"\xff\xfe[signal]\nwindow_size = 250\n")
+        with pytest.raises(DataError, match="malformed config file"):
+            read_config(p)
 
 
 class TestSynth:
