@@ -68,6 +68,8 @@ class MinMaxScaler:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             raise DataError("cannot fit scaler on empty data")
+        if not np.isfinite(values).all():
+            raise NumericError("cannot fit scaler on non-finite data")
         return cls(float(values.min()), float(values.max()))
 
     def apply(self, x):

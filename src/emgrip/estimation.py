@@ -3,9 +3,9 @@
 Both streams are downsampled, min-max scaled, and lifted: a Hankel block of
 time-shifted copies plus, for the EMG side, binary indicator observables
 marking which cell of a power-spaced grid the (base, tau1, tau2) delay
-triple falls in.  A single matrix K mapping lifted EMG to lifted grip is
+triple falls in.  A matrix K mapping lifted EMG to the grip Hankel block is
 fitted on a calibration recording by minimum-norm least squares, singular
-values <= rcond * s_max dropped; at inference only the base-state readout
+values <= 1e-10 * s_max dropped; at inference only the base-state readout
 row is applied to the data under the batch window.
 """
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .processing import (
     process_recording,
     resample_linear,
 )
+
+_RCOND = 1e-10  # relative singular-value cut-off of the operator fit
+GRIP_FLOOR = -1.0  # scaled units; estimates are clamped at or above it
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,9 @@ def build_lifted_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled, lifted data matrices for fitting the static operator.
 
-    E stacks the EMG Hankel block over its indicator rows; G stacks the
-    grip Hankel block over matching zero rows.  Both inputs must already
-    share timestamps (same downsampled grid).
+    E stacks the EMG Hankel block over its indicator rows; G is the grip
+    Hankel block.  Both inputs must already share timestamps (same
+    downsampled grid).
     """
     emg_ds = np.asarray(emg_ds, dtype=float)
     grip_ds = np.asarray(grip_ds, dtype=float)
@@ -181,19 +184,15 @@ def build_lifted_matrices(
     he = hankel_lift(emg_scaler.apply(emg_ds), params.delays)
     hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
     ind, kept = indicator_observables(he, grid)
-    e = np.vstack([he, ind])
-    g = np.vstack([hg, np.zeros_like(ind)])
-    return e, g, kept
+    return np.vstack([he, ind]), hg, kept
 
 
-def fit_static_koopman(e: np.ndarray, g: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+def fit_static_koopman(e: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Frobenius-optimal linear map K with G ~= K E, by minimum-norm least
-    squares with singular values <= ``rcond`` * s_max dropped.
+    squares with singular values <= 1e-10 * s_max dropped.
 
     Dropping the small singular values keeps the sparse indicator rows from
-    blowing up the solution.  Only G's non-zero rows are solved for; the
-    rows of K for all-zero rows of G (the indicator half of G) are exactly
-    zero, as the minimum-norm solution makes them.
+    blowing up the solution.
     """
     e = np.asarray(e, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -201,10 +200,8 @@ def fit_static_koopman(e: np.ndarray, g: np.ndarray, rcond: float = 1e-10) -> np
         raise DataError("E and G must be non-empty with equal column counts")
     if not (np.isfinite(e).all() and np.isfinite(g).all()):
         raise NumericError("E and G must be finite")
-    live = np.flatnonzero(g.any(axis=1))
-    k = np.zeros((g.shape[0], e.shape[0]))
-    k[live] = np.linalg.lstsq(e.T, g[live].T, rcond=rcond)[0].T
-    return k
+    # row-major like a model read from file, so both give bit-equal estimates
+    return np.ascontiguousarray(np.linalg.lstsq(e.T, g.T, rcond=_RCOND)[0].T)
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,11 @@ class EstimatorModel:
     smoothing: SmoothingParams
     batch_size: int = DEFAULT_BATCH_SIZE
     fs: float = NOMINAL_EMG_FS
-    grip_floor: float = -1.0  # scaled units
+
+    def __post_init__(self):
+        want = (self.hankel.delays + 1, self.lifted_dim)
+        if np.shape(self.k) != want:
+            raise DataError(f"K is {np.shape(self.k)}, expected {want}; refit with `fit`")
 
     @property
     def lifted_dim(self) -> int:
@@ -277,7 +278,7 @@ def estimate_window_scaled(model: EstimatorModel, window: np.ndarray) -> np.ndar
 
     The window is decimated, scaled, and lifted with the frozen grid; the
     estimate series comes from the base-state readout row and is floored
-    at the model's scaled clamp.  Estimate i aligns with decimated window
+    at ``GRIP_FLOOR``.  Estimate i aligns with decimated window
     position i.
     """
     window = np.asarray(window, dtype=float)
@@ -290,7 +291,7 @@ def estimate_window_scaled(model: EstimatorModel, window: np.ndarray) -> np.ndar
     ind = indicator_rows_for(he, model.grid, model.kept)
     lifted = np.vstack([he, ind])
     est = model.k[0] @ lifted
-    return np.maximum(est, model.grip_floor)
+    return np.maximum(est, GRIP_FLOOR)
 
 
 def estimate_batch(model: EstimatorModel, window: np.ndarray) -> np.ndarray:

@@ -116,12 +116,17 @@ def write_recording(out_dir, rec: Recording) -> tuple[Path, Path]:
 def read_recording(emg_path, grip_path) -> Recording:
     emg, meta = read_series(emg_path)
     grip, _ = read_series(grip_path)
+    try:
+        position = int(meta.get("position", 1))
+        replication = int(meta.get("replication", 1))
+    except ValueError as exc:
+        raise DataError(f"malformed header in {emg_path}: {exc}") from exc
     return Recording(
         emg,
         grip,
         subject=meta.get("subject", "s01"),
-        position=int(meta.get("position", 1)),
-        replication=int(meta.get("replication", 1)),
+        position=position,
+        replication=replication,
     )
 
 
@@ -172,7 +177,6 @@ def write_model(path, model: EstimatorModel) -> Path:
         f"tau1 {model.grid.tau1}",
         f"tau2 {model.grid.tau2}",
         f"min_density {_fmt(model.grid.min_density)}",
-        f"grip_floor {_fmt(model.grip_floor)}",
         "kept " + " ".join(str(int(i)) for i in model.kept),
         f"emg_scaler {_fmt(model.emg_scaler.lo)} {_fmt(model.emg_scaler.hi)}",
         f"grip_scaler {_fmt(model.grip_scaler.lo)} {_fmt(model.grip_scaler.hi)}",
@@ -194,16 +198,16 @@ def read_model(path) -> EstimatorModel:
     fields: dict[str, str] = {}
     k_rows: list[list[float]] = []
     shape = None
-    for line in lines:
-        key, _, rest = line.partition(" ")
-        if shape is not None:
-            k_rows.append([float(v) for v in line.split()])
-        elif key == "K":
-            r, c = rest.split()
-            shape = (int(r), int(c))
-        else:
-            fields[key] = rest
     try:
+        for line in lines:
+            key, _, rest = line.partition(" ")
+            if shape is not None:
+                k_rows.append([float(v) for v in line.split()])
+            elif key == "K":
+                r, c = rest.split()
+                shape = (int(r), int(c))
+            else:
+                fields[key] = rest
         k = np.array(k_rows, dtype=float).reshape(shape)
         kept = np.array(
             [int(v) for v in fields["kept"].split()] if fields["kept"].strip() else [],
@@ -233,9 +237,8 @@ def read_model(path) -> EstimatorModel:
             smoothing=smoothing,
             batch_size=int(fields["batch_size"]),
             fs=float(fields["fs"]),
-            grip_floor=float(fields["grip_floor"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     return model
 

@@ -38,3 +38,30 @@ def model(calib_recording, mask, smoothing):
 @pytest.fixture(scope="session")
 def stream_result(test_recording, model, mask, smoothing):
     return stream_simulate(test_recording, model, mask, smoothing)
+
+
+def _break_model(text: str, defect: str) -> str:
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("K "))
+    rows, cols = (int(v) for v in lines[at].split()[1:])
+    if defect == "old_square_k":
+        # square K padded with the zero rows of the indicator half, plus the
+        # grip_floor header line that older files carry
+        lines[at] = f"K {cols} {cols}"
+        lines += [" ".join(["0.0"] * cols)] * (cols - rows)
+        floor_at = next(i for i, line in enumerate(lines) if line.startswith("min_density "))
+        lines.insert(floor_at + 1, "grip_floor -1.0")
+    elif defect == "kept_mismatch":
+        kept_at = next(i for i, line in enumerate(lines) if line.startswith("kept "))
+        lines[kept_at] = lines[kept_at].rsplit(" ", 1)[0]
+    elif defect == "short_k_header":
+        lines[at] = f"K {cols}"
+    elif defect == "non_numeric_k":
+        lines[at + 1] = "abc " + lines[at + 1].partition(" ")[2]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(params=["old_square_k", "kept_mismatch", "short_k_header", "non_numeric_k"])
+def model_defect(request):
+    """(name, rewrite): rewrite turns a model file's text into one with that defect."""
+    return request.param, lambda text: _break_model(text, request.param)

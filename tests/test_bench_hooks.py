@@ -79,4 +79,4 @@ def test_fit_calls_each_estimation_hook_once(monkeypatch, calib_recording, mask,
     }
     model = fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
     assert {name: len(c) for name, c in calls.items()} == {name: 1 for name in calls}
-    assert model.k.shape == (model.lifted_dim, model.lifted_dim)
+    assert model.k.shape == (model.hankel.delays + 1, model.lifted_dim)

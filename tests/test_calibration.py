@@ -96,6 +96,13 @@ class TestMinMaxScaler:
         with pytest.raises(NumericError):
             MinMaxScaler.fit(np.full(5, 2.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.linspace(0.0, 10.0, 20)
+        values[7] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            MinMaxScaler.fit(values)
+
 
 def test_prepare_grip_zeroes_then_calibrates():
     t = np.arange(0, 20, 0.05)

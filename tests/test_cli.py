@@ -142,6 +142,31 @@ class TestExitCodes:
         assert code == 2
         assert "mask_gains" in capsys.readouterr().err
 
+    def test_defective_model_is_input_error(self, workspace, tmp_path, capsys, model_defect):
+        root, data = workspace
+        name, rewrite = model_defect
+        (tmp_path / "bad_model.txt").write_text(rewrite((root / "model.txt").read_text()))
+        code = main([
+            "--out", str(tmp_path), "estimate",
+            "--model", str(tmp_path / "bad_model.txt"),
+            "--emg", str(data / "s01_p1_r1_emg.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed model file") and len(err.strip().splitlines()) == 1
+        if name == "old_square_k":
+            assert "refit with `fit`" in err
+
+    def test_non_integer_position_header_is_input_error(self, workspace, tmp_path, capsys):
+        _, data = workspace
+        for stream in ("emg", "grip"):
+            text = (data / f"s01_p1_r1_{stream}.csv").read_text()
+            (tmp_path / f"s01_p1_r1_{stream}.csv").write_text(text.replace("# position 1", "# position one"))
+        code = main(["--out", str(tmp_path), "xcorr", "--data", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed header") and len(err.strip().splitlines()) == 1
+
     def test_malformed_config_is_input_error(self, workspace, tmp_path, capsys):
         _, data = workspace
         cfg = tmp_path / "cfg.ini"

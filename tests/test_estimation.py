@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from emgrip.calibration import MinMaxScaler
 from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.estimation import (
+    GRIP_FLOOR,
     EstimatorModel,
     HankelParams,
     IndicatorGrid,
@@ -177,9 +179,8 @@ class TestBuildLiftedMatrices:
         es, gs = self._scalers()
         e, g, kept = build_lifted_matrices(emg, grip, es, gs, params, grid)
         assert e.shape[0] == 7 + kept.size
-        assert g.shape == e.shape
-        # grip indicator block is zero by construction
-        assert np.all(g[7:] == 0.0)
+        # G is the grip Hankel block alone: no rows pad it to E's height
+        assert g.shape == (7, e.shape[1])
 
     def test_zero_grip_hankel_block_zero(self):
         rng = np.random.default_rng(3)
@@ -302,7 +303,8 @@ class TestFitMatchesSvdOracle:
         e, g, _ = build_lifted_matrices(
             emg_ds, grip_ds, MinMaxScaler.fit(emg_ds), MinMaxScaler.fit(grip_ds), params, IndicatorGrid()
         )
-        assert (~g.any(axis=1)).sum() > 0
+        assert g.shape == (params.delays + 1, e.shape[1])
+        assert g.any(axis=1).all()
         self._check(e, g)
 
 
@@ -341,12 +343,20 @@ class TestEstimateBatch:
     def test_scaled_floor_applies(self):
         model, emg, _ = _linear_coupling_model()
         scaled = estimate_window_scaled(model, emg[:40])
-        assert np.all(scaled >= model.grip_floor)
+        assert np.all(scaled >= GRIP_FLOOR)
+
+    def test_operator_shape_checked(self):
+        model, _, _ = _linear_coupling_model()
+        padded = np.vstack([model.k, np.zeros((model.kept.size, model.lifted_dim))])
+        with pytest.raises(DataError, match="refit with `fit`"):
+            replace(model, k=padded)
+        with pytest.raises(DataError):
+            replace(model, kept=model.kept[:-1])
 
     def test_zero_window_is_clamped_offset_response(self):
         model, emg, _ = _linear_coupling_model()
         est = estimate_window_scaled(model, np.zeros(40))
-        assert np.all(est >= model.grip_floor)
+        assert np.all(est >= GRIP_FLOOR)
         assert np.all(np.isfinite(est))
 
 
@@ -365,12 +375,12 @@ class TestFitEstimator:
         assert np.abs(e2 - (a * e1 + b)).max() < 1e-8
 
     def test_estimates_bounded_below_by_inverse_floor(self, model, stream_result):
-        floor_n = model.grip_scaler.invert(model.grip_floor)
+        floor_n = model.grip_scaler.invert(GRIP_FLOOR)
         assert np.all(stream_result.estimates >= floor_n - 1e-12)
 
     def test_kept_cells_within_bound(self, model):
         assert model.kept.size <= model.grid.divisions**3
-        assert model.k.shape == (model.lifted_dim, model.lifted_dim)
+        assert model.k.shape == (model.hankel.delays + 1, model.lifted_dim)
 
     def test_training_time_budget(self, calib_recording, mask, smoothing, model):
         start = time.perf_counter()
@@ -396,5 +406,5 @@ class TestFitEstimator:
         ds = model.emg_scaler.apply(window[:: model.hankel.downsample])
         he = hankel_lift(ds, model.hankel.delays)
         lifted = np.vstack([he, indicator_rows_for(he, model.grid, model.kept)])
-        want = np.maximum(model.k[0] @ lifted, model.grip_floor)
+        want = np.maximum(model.k[0] @ lifted, GRIP_FLOOR)
         assert np.array_equal(got, want)

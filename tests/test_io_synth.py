@@ -21,6 +21,7 @@ from emgrip.io import (
 )
 from emgrip.metrics import RunRecord
 from emgrip.processing import TimestampedSeries, default_optimal_mask
+from emgrip.simulate import stream_simulate
 from emgrip.synth import SynthProfile, grip_profile, synth_corpus, synth_recording
 
 
@@ -95,10 +96,20 @@ class TestModelFile:
         m2 = read_model(p1)
         p2 = write_model(tmp_path / "m2.txt", m2)
         assert p1.read_bytes() == p2.read_bytes()
+        # seed 42: only the 61 grip Hankel rows of K are stored
+        lines = p1.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("K "))
+        assert lines[header] == f"K 61 {model.lifted_dim}"
+        assert len(lines) - header - 1 == 61
         assert np.array_equal(model.k, m2.k)
         assert np.array_equal(model.kept, m2.kept)
         assert m2.emg_scaler == model.emg_scaler
         assert m2.grid == model.grid
+
+    def test_read_model_streams_bit_identical(self, tmp_path, model, test_recording, stream_result):
+        m2 = read_model(write_model(tmp_path / "m.txt", model))
+        again = stream_simulate(test_recording, m2, m2.mask, m2.smoothing)
+        assert np.array_equal(again.estimates, stream_result.estimates)
 
     def test_round_trip_keeps_signal_chain(self, tmp_path, model, mask, smoothing):
         m2 = read_model(write_model(tmp_path / "m.txt", model))
@@ -114,6 +125,14 @@ class TestModelFile:
         (tmp_path / "old.txt").write_text("\n".join(kept) + "\n")
         with pytest.raises(DataError, match=f"'{field}'"):
             read_model(tmp_path / "old.txt")
+
+    def test_defective_model_rejected(self, tmp_path, model, model_defect):
+        name, rewrite = model_defect
+        text = write_model(tmp_path / "m.txt", model).read_text()
+        (tmp_path / "bad.txt").write_text(rewrite(text))
+        match = "refit with `fit`" if name == "old_square_k" else "malformed model file"
+        with pytest.raises(DataError, match=match):
+            read_model(tmp_path / "bad.txt")
 
 
 class TestTabularFiles:
