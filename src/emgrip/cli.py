@@ -245,13 +245,15 @@ def _cmd_sa(args, config):
     if args.bounds_file:
         from .sensitivity import NarrowingRecord
 
+        text = eio._read_text(Path(args.bounds_file))
         try:
-            text = Path(args.bounds_file).read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read {args.bounds_file}: {exc}") from exc
-        bounds = NarrowingRecord.from_text(text).current
+            bounds = NarrowingRecord.from_text(text).current
+        except DataError as exc:
+            raise DataError(f"{args.bounds_file}: {exc}") from exc
     else:
         bounds = default_decision_bounds()
+    if args.method == "sobol" and args.groups == "coarse" and bounds.groups is None:
+        raise ConfigError("the bounds box has no group labels; pass --groups none")
     # "none" analyses every variable separately; unique names act as groups
     groups = bounds.groups if args.groups == "coarse" else bounds.variable_names()
 

@@ -90,6 +90,11 @@ def anova_rbd(records: list[RunRecord]) -> AnovaTable:
     """
     if not records:
         raise DataError("no records")
+    for r in records:
+        if not np.isfinite(r.metric):
+            raise DataError(
+                f"run {r.subject}_p{r.position}_r{r.replication} has non-finite metric {r.metric!r}"
+            )
     positions = sorted({r.position for r in records})
     subjects = sorted({r.subject for r in records})
     a, b = len(positions), len(subjects)

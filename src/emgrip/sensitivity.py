@@ -14,7 +14,7 @@ judgement itself stays manual).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import qmc
@@ -260,6 +260,8 @@ def sobol_indices(
     Bootstrap (when ``n_boot`` > 0) resamples base-sample indices, keeping
     each (A, B, AB_*) row triple paired, and reports percentile 95% CIs.
     """
+    if n_boot < 0:
+        raise ConfigError("n_boot must be >= 0")
     samples = np.asarray(samples, dtype=float)
     outputs = np.asarray(outputs, dtype=float).ravel()
     group_names, group_cols = _group_table(samples.shape[1], groups)
@@ -347,6 +349,8 @@ def rbdfast_indices(
         raise DataError("one output per sample row required")
     if harmonics < 1 or harmonics >= n // 2:
         raise ConfigError("harmonics must satisfy 1 <= M < n/2")
+    if n_boot < 0:
+        raise ConfigError("n_boot must be >= 0")
 
     s1 = _rbdfast_point_estimate(samples, outputs, harmonics)
     first_ci = None
@@ -460,9 +464,13 @@ class NarrowingRecord:
         return self.steps[-1].bounds
 
     def append(self, bounds: Bounds, top: list[tuple[str, float]] = ()) -> NarrowingStep:
+        """Record a nested box; one with the previous names and no group
+        labels of its own keeps the previous step's groups."""
         prev = self.current
         if not prev.contains(bounds):
             raise DataError("new bounds must be nested inside the previous step")
+        if bounds.groups is None and bounds.names == prev.names:
+            bounds = replace(bounds, groups=prev.groups)
         no_op = bool(
             np.array_equal(prev.lower, bounds.lower)
             and np.array_equal(prev.upper, bounds.upper)
@@ -472,56 +480,64 @@ class NarrowingRecord:
         return step
 
     def to_text(self) -> str:
+        """'== step' sections of 'name<TAB>lower<TAB>upper[<TAB>group]' rows."""
         lines = []
         for s in self.steps:
             lines.append(f"== step {s.step}{' (no-op)' if s.no_op else ''}")
             names = s.bounds.variable_names()
             for i in range(s.bounds.dim):
-                lines.append(
-                    f"{names[i]}\t{float(s.bounds.lower[i])!r}\t{float(s.bounds.upper[i])!r}"
-                )
+                row = f"{names[i]}\t{float(s.bounds.lower[i])!r}\t{float(s.bounds.upper[i])!r}"
+                lines.append(row if s.bounds.groups is None else f"{row}\t{s.bounds.groups[i]}")
             if s.top:
                 lines.append("top: " + ", ".join(f"{n}={v!r}" for n, v in s.top))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "NarrowingRecord":
+        """Parse ``to_text`` output; a malformed line is a DataError naming it."""
         record = None
         step_no = None
         names: list[str] = []
         lows: list[float] = []
         highs: list[float] = []
+        groups: list[str] = []
         tops: list[tuple[str, float]] = []
-        no_op = False
 
         def flush():
             nonlocal record
             if step_no is None:
                 return
-            bounds = Bounds(np.array(lows), np.array(highs), tuple(names))
+            bounds = Bounds(np.array(lows), np.array(highs), tuple(names), tuple(groups) or None)
             if record is None:
                 record = cls(bounds)
             else:
                 record.append(bounds, tops)
 
-        for line in text.splitlines():
+        for no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("== step"):
-                flush()
-                no_op = "(no-op)" in line
-                step_no = int(line.split()[2])
-                names, lows, highs, tops = [], [], [], []
-            elif line.startswith("top:"):
-                for part in line[4:].split(","):
-                    name, val = part.strip().rsplit("=", 1)
-                    tops.append((name, float(val)))
-            else:
-                name, lo, hi = line.split("\t")
-                names.append(name)
-                lows.append(float(lo))
-                highs.append(float(hi))
+            try:
+                if line.startswith("== step"):
+                    flush()
+                    step_no = int(line.split()[2])
+                    names, lows, highs, groups, tops = [], [], [], [], []
+                elif step_no is None:
+                    raise ValueError("row before the first '== step' line")
+                elif line.startswith("top:"):
+                    for part in line[4:].split(","):
+                        name, val = part.strip().rsplit("=", 1)
+                        tops.append((name, float(val)))
+                else:
+                    fields = line.split("\t")
+                    if len(fields) not in (3, 4):
+                        raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+                    names.append(fields[0])
+                    lows.append(float(fields[1]))
+                    highs.append(float(fields[2]))
+                    groups.extend(fields[3:])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"line {no}: {exc}: {line!r}") from None
         flush()
         if record is None:
             raise DataError("empty narrowing record")

@@ -135,6 +135,8 @@ def synth_corpus(
     one run per (subject, position, replication), all with independent
     deterministic seeds spawned from ``seed``.
     """
+    if min(subjects, positions, replications) < 0:
+        raise ConfigError("subject, position and replication counts must be >= 0")
     root = np.random.SeedSequence(seed)
     n_runs = subjects * (1 + positions * replications)
     children = root.spawn(n_runs)

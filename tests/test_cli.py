@@ -233,6 +233,45 @@ class TestExitCodes:
         assert err.startswith("input error") and len(err.strip().splitlines()) == 1
 
 
+    def test_malformed_runs_file_is_input_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("subject,position,replication,wmape\ns01,1,1,4.0\ns01,2,1\n")
+        code = main(["--out", str(tmp_path), "evaluate", "--runs", str(runs)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+        assert "runs.csv:3: expected 4 fields" in err
+
+    def test_non_finite_run_metric_is_input_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("s01,1,1,4.0\ns01,2,1,nan\ns02,1,1,4.5\ns02,2,1,5.75\n")
+        assert main(["--out", str(tmp_path), "evaluate", "--runs", str(runs)]) == 2
+        assert "run s01_p2_r1 has non-finite metric nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("== step zero\na\t0.0\t1.0\n", "line 1"), ("== step 0\na 0.0 1.0\n", "line 2")],
+        ids=["step_not_int", "space_separated"],
+    )
+    def test_malformed_bounds_file_is_input_error(self, workspace, tmp_path, capsys, text, where):
+        root, data = workspace
+        bounds_file = tmp_path / "bounds.txt"
+        bounds_file.write_text(text)
+        code = main([
+            "--out", str(tmp_path), "sa", "lh", "--data", str(data), "--samples", "4",
+            "--bounds-file", str(bounds_file),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+        assert f"bounds.txt: {where}: " in err
+
+    def test_negative_synth_count_is_input_error(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "synth", "--subjects", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
+
 class TestMaskCommand:
     def test_default_mask_round_trip(self, tmp_path):
         assert main(["--out", str(tmp_path), "mask", "default"]) == 0
@@ -425,6 +464,41 @@ class TestPipelineCommands:
         lines = (tmp_path / "sa_sobol.tsv").read_text().splitlines()
         assert len(lines) == 4  # header + one row per variable
 
+    def test_sa_sobol_keeps_groups_of_bounds_file(self, workspace, tmp_path):
+        from emgrip.sensitivity import Bounds, NarrowingRecord, default_decision_bounds
+
+        root, data = workspace
+        base = default_decision_bounds()
+        record = NarrowingRecord(base)
+        upper = base.upper.copy()
+        upper[248] = 330.0
+        record.append(Bounds(base.lower, upper, base.names))
+        bounds_file = tmp_path / "bounds.txt"
+        bounds_file.write_text(record.to_text())
+        code = main([
+            "--seed", "4", "--out", str(tmp_path),
+            "sa", "sobol", "--data", str(data), "--samples", "2",
+            "--bounds-file", str(bounds_file),
+        ])
+        assert code == 0
+        lines = (tmp_path / "sa_sobol.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines[1:]] == ["mask", "window_size", "decay"]
+
+    def test_sa_sobol_coarse_over_ungrouped_bounds_is_input_error(self, workspace, tmp_path, capsys):
+        from emgrip.sensitivity import Bounds, NarrowingRecord
+
+        root, data = workspace
+        tiny = Bounds(np.zeros(3), np.ones(3), ("mask_60hz", "window_size", "decay"))
+        bounds_file = tmp_path / "tiny.txt"
+        bounds_file.write_text(NarrowingRecord(tiny).to_text())
+        code = main([
+            "--out", str(tmp_path), "sa", "sobol", "--data", str(data), "--samples", "2",
+            "--bounds-file", str(bounds_file),
+        ])
+        assert code == 2
+        assert "--groups none" in capsys.readouterr().err
+        assert not (tmp_path / "sa_sobol.tsv").exists()
+
     def test_sa_resumes_from_bounds_file(self, workspace, tmp_path):
         from emgrip.sensitivity import Bounds, NarrowingRecord, default_decision_bounds
 
@@ -470,6 +544,17 @@ class TestEvaluateCommand:
         assert f_val == pytest.approx(2.52, rel=0.05)
         assert (tmp_path / "effects_position.tsv").exists()
         assert (tmp_path / "wmape_summary.tsv").exists()
+
+    def test_headerless_runs_file_reads_every_run(self, tmp_path):
+        from test_metrics import estimation_records
+
+        lines = write_runs(tmp_path / "runs.csv", estimation_records()).read_text().splitlines()
+        (tmp_path / "bare.csv").write_text("\n".join(lines[1:]) + "\n")
+        for name, out in (("runs.csv", "with"), ("bare.csv", "without")):
+            code = main(["--out", str(tmp_path / out), "evaluate", "--runs", str(tmp_path / name)])
+            assert code == 0
+        with_header = (tmp_path / "with" / "anova.tsv").read_bytes()
+        assert (tmp_path / "without" / "anova.tsv").read_bytes() == with_header
 
 
 class TestConfigPrecedence:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emgrip.errors import DataError
+from emgrip.errors import ConfigError, DataError
 from emgrip.io import (
     Recording,
     read_config,
@@ -83,6 +83,20 @@ class TestMaskFile:
         assert mask2.bin_resolution == mask.bin_resolution
         assert len(p1.read_text().splitlines()) == 249
 
+    def test_bin_resolution_from_first_two_bins(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("0.0\t0.0\n2.0\t1.0\n4.0\t0.5\n")
+        mask = read_mask(p)
+        assert mask.bin_resolution == 2.0
+        assert np.array_equal(mask.gains, [0.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize("freqs", [(0.0, 2.0, 7.0), (1.0, 3.0, 5.0), (0.0, 2.0, 4.0 + 1e-6)])
+    def test_uneven_frequency_column_rejected(self, tmp_path, freqs):
+        p = tmp_path / "m.tsv"
+        p.write_text("".join(f"{f!r}\t1.0\n" for f in freqs))
+        with pytest.raises(DataError, match="frequencies are not k"):
+            read_mask(p)
+
 
 class TestModelFile:
     def test_malformed_model_rejected(self, tmp_path):
@@ -135,6 +149,29 @@ class TestModelFile:
             read_model(tmp_path / "bad.txt")
 
 
+def _series_times(path):
+    return read_series(path)[0].times
+
+
+def _mask_gains(path):
+    return read_mask(path).gains
+
+
+# format: (header block, two good rows, an extra field, a row with an uncastable field, reader)
+_TABLES = {
+    "series": ("t_s,value\n", ("0.5,2.0", "1.0,3.0"), ",3.0", "1.0,abc", _series_times),
+    "mask": ("", ("0.0\t1.0", "2.0\t0.5"), "\t1.0", "2.0\tx", _mask_gains),
+    "forecasts": (
+        "batch_index,t_forecast_s,grip_forecast_N\n", ("0,1.25,50.5", "1,1.75,49.0"), ",1.0",
+        "1.5,1.75,49.0", read_forecasts,
+    ),
+    "runs": (
+        "subject,position,replication,wmape\n", ("ac,1,1,4.4", "dp,2,2,5.1"), ",x",
+        "dp,two,2,5.1", read_runs,
+    ),
+}
+
+
 class TestTabularFiles:
     def test_forecast_rows_round_trip(self, tmp_path):
         rows = [(0, 1.25, 50.5), (1, 1.75, 49.0)]
@@ -151,6 +188,51 @@ class TestTabularFiles:
         assert again == records
         p2 = write_runs(tmp_path / "runs2.csv", again)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_headerless_runs_read_every_row(self, tmp_path):
+        records = [RunRecord("ac", 1, 1, 4.4), RunRecord("dp", 2, 2, 5.1)]
+        lines = write_runs(tmp_path / "runs.csv", records).read_text().splitlines()
+        (tmp_path / "bare.csv").write_text("\n".join(lines[1:]) + "\n")
+        assert read_runs(tmp_path / "bare.csv") == records
+
+    def test_headerless_forecasts_read_every_row(self, tmp_path):
+        rows = [(0, 1.25, 50.5), (1, 1.75, 49.0)]
+        lines = write_forecasts(tmp_path / "f.csv", rows).read_text().splitlines()
+        (tmp_path / "bare.csv").write_text("\n".join(lines[1:]) + "\n")
+        assert read_forecasts(tmp_path / "bare.csv") == rows
+
+    def test_reworded_header_rejected(self, tmp_path):
+        p = tmp_path / "runs.csv"
+        p.write_text("subject,position,replication,metric\nac,1,1,4.4\n")
+        with pytest.raises(DataError, match=r"runs\.csv:1: cannot read 'position' as int"):
+            read_runs(p)
+
+    @pytest.mark.parametrize("fmt", sorted(_TABLES))
+    def test_blank_and_metadata_lines_skipped(self, tmp_path, fmt):
+        header, (row0, row1), _, _, read = _TABLES[fmt]
+        p = tmp_path / "t.txt"
+        p.write_text(f"# note kept\n\n{header}{row0}\n\n{row1}\n")
+        assert len(read(p)) == 2
+
+    @pytest.mark.parametrize("fmt", sorted(_TABLES))
+    def test_file_without_rows_rejected(self, tmp_path, fmt):
+        header, _, _, _, read = _TABLES[fmt]
+        p = tmp_path / "t.txt"
+        p.write_text(f"# subject s01\n{header}\n")
+        with pytest.raises(DataError, match="no data rows"):
+            read(p)
+
+    @pytest.mark.parametrize("defect", ["field_count", "uncastable"])
+    @pytest.mark.parametrize("fmt", sorted(_TABLES))
+    def test_malformed_line_named(self, tmp_path, fmt, defect):
+        header, (row0, row1), extra, uncastable, read = _TABLES[fmt]
+        bad = row1 + extra if defect == "field_count" else uncastable
+        p = tmp_path / "t.txt"
+        p.write_text(f"{header}{row0}\n\n{bad}\n{row1}\n")
+        line = header.count("\n") + 3
+        match = "expected" if defect == "field_count" else "cannot read"
+        with pytest.raises(DataError, match=rf"t\.txt:{line}: {match}"):
+            read(p)
 
 
 class TestResolveOption:
@@ -207,3 +289,8 @@ class TestSynth:
         assert len(runs) == 8
         stems = {r.stem for r in runs}
         assert len(stems) == 8
+
+    @pytest.mark.parametrize("field", ["subjects", "positions", "replications"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(ConfigError, match=">= 0"):
+            synth_corpus(seed=4, **{field: -1})

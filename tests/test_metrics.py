@@ -122,6 +122,14 @@ class TestAnova:
         with pytest.raises(DataError):
             anova_rbd(recs)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_metric_names_the_run(self, bad):
+        recs = estimation_records()
+        r = recs[5]
+        recs[5] = RunRecord(r.subject, r.position, r.replication, bad)
+        with pytest.raises(DataError, match=f"run {r.subject}_p{r.position}_r{r.replication} "):
+            anova_rbd(recs)
+
     def test_dfs_for_52_run_layout(self):
         table = anova_rbd(estimation_records())
         assert table.position.df == 1

@@ -136,6 +136,11 @@ class TestSobolIndices:
         with pytest.raises(DataError):
             sobol_indices(s, np.zeros(s.shape[0] - 1))
 
+    def test_negative_bootstrap_count_rejected(self):
+        s = saltelli_sample(unit_bounds(3), 8, seed=0)
+        with pytest.raises(ConfigError, match="n_boot"):
+            sobol_indices(s, s[:, 0], n_boot=-3)
+
 
 def _rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):
     """(first order, CI) from the per-variable loop over sample columns."""
@@ -195,6 +200,11 @@ class TestRbdFast:
         res = rbdfast_indices(x, np.full(64, 0.25), n_boot=10, seed=0)
         assert np.array_equal(res.first_order, np.zeros(250))
         assert np.array_equal(res.first_ci, np.zeros((250, 2)))
+
+    def test_negative_bootstrap_count_rejected(self):
+        x, y = _bench_design()
+        with pytest.raises(ConfigError, match="n_boot"):
+            rbdfast_indices(x, y, n_boot=-3)
 
     def test_inert_variable_near_zero(self):
         b = unit_bounds(3)
@@ -342,3 +352,33 @@ class TestNarrowingRecord:
         again = NarrowingRecord.from_text(text)
         assert again.to_text() == text
         assert len(again.steps) == 22
+        assert all(s.bounds.groups == base.groups for s in again.steps)
+
+    def test_append_keeps_groups_of_same_named_box(self):
+        rec = NarrowingRecord(Bounds(np.zeros(2), np.full(2, 5.0), ("a", "b"), ("g", "g")))
+        assert rec.append(self._bounds([0, 0], [4, 5])).bounds.groups == ("g", "g")
+        renamed = Bounds(np.zeros(2), np.full(2, 3.0), ("c", "d"))
+        assert rec.append(renamed).bounds.groups is None
+
+    def test_three_column_record_loads_without_groups(self):
+        text = NarrowingRecord(self._bounds([0, 0], [5, 5])).to_text()
+        assert text.splitlines()[1] == "a\t0.0\t5.0"
+        again = NarrowingRecord.from_text(text)
+        assert again.current.groups is None
+        assert again.current.names == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("== step zero\na\t0.0\t1.0\n", 1),
+            ("== step 0\na 0.0 1.0\n", 2),
+            ("== step 0\na\t0.0\t1.0\tg\tx\n", 2),
+            ("== step 0\na\t0.0\tone\n", 2),
+            ("a\t0.0\t1.0\n== step 0\n", 1),
+            ("== step 0\na\t0.0\t1.0\n== step 1\na\t0.0\t1.0\ntop: a\n", 5),
+        ],
+        ids=["step_not_int", "space_separated", "five_fields", "uncastable", "row_before_step", "bad_top"],
+    )
+    def test_malformed_line_named(self, text, line):
+        with pytest.raises(DataError, match=f"^line {line}: "):
+            NarrowingRecord.from_text(text)
