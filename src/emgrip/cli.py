@@ -71,6 +71,17 @@ _float_list = _comma_list(float, "numbers")
 _int_list = _comma_list(int, "integers")
 
 
+def _count(text: str) -> int:
+    """argparse ``type=`` for a non-negative integer."""
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="emgrip", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
@@ -107,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--groups", choices=["coarse", "none"], default="coarse")
     p.add_argument("--bounds-file", default=None, help="narrowing record to resume from")
-    p.add_argument("--boot", type=int, default=0)
+    p.add_argument("--boot", type=_count, default=0)
     p.add_argument("--harmonics", type=int, default=10)
 
     p = sub.add_parser("fit", parents=[signal], help="train the estimator on a calibration recording")
@@ -239,6 +250,13 @@ def _cmd_xcorr(args, config):
 
 
 def _cmd_sa(args, config):
+    # checked before the study: rbdfast_indices would only reject it after
+    # every candidate had been evaluated
+    if args.method == "rbdfast" and not 1 <= args.harmonics < args.samples // 2:
+        raise _UsageError(
+            f"argument --harmonics: expected 1 <= harmonics < samples // 2 "
+            f"= {args.samples // 2}, got {args.harmonics}"
+        )
     corpus = _load_corpus(args.data)
     out = _out_dir(args)
     seed = args.seed
@@ -337,9 +355,8 @@ def _cmd_estimate(args, config):
     rows = [("n_estimates", float(result.estimates.size)), ("runtime_s", elapsed)]
     if grip is not None:
         err = estimation_wmape(grip, result)
-        if not np.isnan(err):
-            rows.insert(0, ("wmape_pct", err))
-            print(f"estimation wMAPE: {err:.3f}%")
+        rows.insert(0, ("wmape_pct", err))
+        print(f"estimation wMAPE: {err:.3f}%")
     eio.write_table(out_dir / "estimate_report.tsv", ["metric", "value"], rows)
     return 0
 
@@ -433,8 +450,9 @@ def _cmd_evaluate(args, config):
 def _cmd_simulate(args, config):
     emg, grip, result = _run_stream(args)
     out = _out_dir(args)
-    _write_estimates(out / "estimates.csv", result)
+    # forecasts first: a stream too short to forecast then leaves no file
     eio.write_forecasts(out / "forecasts.csv", result.forecast_rows())
+    _write_estimates(out / "estimates.csv", result)
     pct = result.latency.percentiles()
     eio.write_table(
         out / "latency.tsv",
@@ -443,8 +461,7 @@ def _cmd_simulate(args, config):
     )
     print(f"wrote estimates, forecasts, latency to {out}")
     print(f"median per-batch total: {pct['total']['p50']:.2f} ms")
-    # a stream too short to estimate has nothing to score
-    if grip is not None and result.estimates.size:
+    if grip is not None:
         peak, _ = envelope_grip_xcorr(result.processed, emg, grip)
         print(
             f"peak xcorr {peak:.3f}, estimation wMAPE {estimation_wmape(grip, result):.2f}%, "
@@ -469,15 +486,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        config = _load_config(args)
+        return _HANDLERS[args.command](args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        config = _load_config(args)
-        return _HANDLERS[args.command](args, config)
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg as sla
 
 from .calibration import MinMaxScaler
 from .errors import ConfigError, DataError, NumericError
 from .estimation import hankel_lift
 
 # condition number above which the normal-equations amplitude solve is
-# swapped for a QR-based least squares
+# swapped for an SVD-based minimum-norm least squares
 _CONDITION_LIMIT = 1e12
 
 
@@ -265,7 +264,8 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
 
     Solves min_a sum_i ||s_i - Z diag(lambda^(i-1)) a||^2 through the
     Hadamard-structured normal equations; when those are ill-conditioned
-    the dense system is handed to a QR-based least-squares solver.
+    the dense system gets an SVD-based minimum-norm least-squares solve
+    (``np.linalg.lstsq``).
     """
     s = np.asarray(snapshots, dtype=float)
     m = s.shape[1]
@@ -282,7 +282,7 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
         alpha = np.linalg.solve(gram, rhs)
     else:
         dense = np.vstack([z * vand[i][None, :] for i in range(m)])
-        alpha, *_ = sla.lstsq(dense, s.T.reshape(-1), lapack_driver="gelsy")
+        alpha, *_ = np.linalg.lstsq(dense, s.T.reshape(-1), rcond=None)
     model.amplitudes = alpha
     model.n_snapshots = m
     return alpha

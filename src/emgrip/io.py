@@ -57,13 +57,17 @@ _CELL = {float: _fmt, int: lambda v: str(int(v)), str: str}
 
 def _write_rows(path, table: _Table, columns, meta: dict | None = None) -> Path:
     """'# key value' metadata lines, the header, then one line per row of
-    ``columns`` (one sequence per declared column)."""
+    ``columns`` (one sequence per declared column).  No rows is a DataError,
+    raised before the file is opened: ``_read_rows`` would reject the file."""
     path = Path(path)
+    cells = [map(_CELL[t], col) for t, col in zip(table.types, columns)]
+    rows = list(map(table.sep.join, zip(*cells)))
+    if not rows:
+        raise DataError(f"no data rows to write to {path}")
     lines = [f"# {key} {val}" for key, val in (meta or {}).items()]
     if table.header:
         lines.append(table.header)
-    cells = [map(_CELL[t], col) for t, col in zip(table.types, columns)]
-    lines.extend(map(table.sep.join, zip(*cells)))
+    lines.extend(rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 

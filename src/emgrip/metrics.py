@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError, NumericError
 
@@ -132,6 +131,10 @@ def anova_rbd(records: list[RunRecord]) -> AnovaTable:
         if ms_res <= 0:
             # degenerate data: no residual variation
             return (0.0, 1.0) if ss <= 0 else (float("inf"), 0.0)
+        # imported here: scipy.stats takes ~0.9 s to load, and only this
+        # p-value needs it
+        from scipy import stats
+
         f = ms / ms_res
         return float(f), float(stats.f.sf(f, df, df_res))
 

@@ -17,7 +17,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ConfigError, DataError, NumericError
 
@@ -255,6 +254,22 @@ def resample_linear(series: TimestampedSeries, target_times: np.ndarray) -> Time
     return TimestampedSeries(target_times, values)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth length (2**i * 3**j * 5**k) >= ``n``: the sizes the
+    FFT factors fastest, and the length ``scipy.fft.next_fast_len(n,
+    real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that is >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _window_sums(v: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Sums of ``v`` over its prefixes and over its suffixes of every length
     from ``n - max_lag`` to ``n``; entry ``j`` covers ``n - max_lag + j``
@@ -278,7 +293,7 @@ def peak_cross_correlation(
 
     Method: both series are mean-centred over their whole length, and the
     lagged cross sums ``sum(a[i] * b[i + l])`` for every lag come from one
-    ``rfft``/``irfft`` pair zero-padded to ``next_fast_len(n + max_lag)``
+    numpy ``rfft``/``irfft`` pair zero-padded to ``_fast_len(n + max_lag)``
     (enough to keep the circular product free of wrap-around).  Every
     overlap window is a prefix of one series and a suffix of the other, so
     its sums and sums of squares come from cumulative sums, and
@@ -306,8 +321,8 @@ def peak_cross_correlation(
 
     a = a - a.mean()
     b = b - b.mean()
-    nfft = sfft.next_fast_len(n + max_lag, real=True)
-    cross = sfft.irfft(np.conj(sfft.rfft(a, nfft)) * sfft.rfft(b, nfft), nfft)
+    nfft = _fast_len(n + max_lag)
+    cross = np.fft.irfft(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft), nfft)
     sxy = np.concatenate((cross[nfft - max_lag :], cross[: max_lag + 1]))
 
     lags = np.arange(-max_lag, max_lag + 1)

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, DataError
 from .processing import (
@@ -207,6 +206,10 @@ def saltelli_sample(bounds: Bounds, n_base: int, groups=None, seed=None) -> np.n
     Total rows: n_base * (G + 2).  Powers of two for ``n_base`` keep the
     sequence balanced.
     """
+    # imported here: scipy.stats takes ~0.9 s to load, and only Sobol
+    # designs need it
+    from scipy.stats import qmc
+
     if n_base < 1:
         raise ConfigError("need n_base >= 1")
     if groups is None:
@@ -525,6 +528,8 @@ class NarrowingRecord:
                 elif step_no is None:
                     raise ValueError("row before the first '== step' line")
                 elif line.startswith("top:"):
+                    if record is None:
+                        raise ValueError("'top:' line in step 0, which records no narrowing decision")
                     for part in line[4:].split(","):
                         name, val = part.strip().rsplit("=", 1)
                         tops.append((name, float(val)))

@@ -266,6 +266,28 @@ class TestExitCodes:
         assert err.startswith("input error") and len(err.strip().splitlines()) == 1
         assert f"bounds.txt: {where}: " in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sobol", "--boot", "-3"],
+            ["rbdfast", "--boot", "-1"],
+            ["rbdfast", "--boot", "two"],
+            ["rbdfast", "--samples", "8", "--harmonics", "4"],
+            ["rbdfast", "--samples", "16", "--harmonics", "0"],
+        ],
+        ids=["sobol_boot", "rbdfast_boot", "boot_not_int", "harmonics_high", "harmonics_zero"],
+    )
+    def test_bad_sa_count_fails_before_the_study(self, workspace, tmp_path, capsys, monkeypatch, args):
+        def never(*_):
+            raise AssertionError("the objective ran")
+
+        monkeypatch.setattr("emgrip.cli.map_objective", never)
+        _, data = workspace
+        code = main(["--out", str(tmp_path), "sa", args[0], "--data", str(data), *args[1:]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and len(err.strip().splitlines()) == 1
+
     def test_negative_synth_count_is_input_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "synth", "--subjects", "-1"]) == 2
         err = capsys.readouterr().err
@@ -350,11 +372,12 @@ class TestPipelineCommands:
                 "--emg", str(tmp_path / "short_emg.csv"),
                 "--grip", str(tmp_path / "short_grip.csv"),
             ])
-            assert code == 0
-        assert "wMAPE" not in capsys.readouterr().out
-        est_report = (tmp_path / "estimate_report.tsv").read_text()
-        assert "wmape_pct" not in est_report and "n_estimates\t0" in est_report
-        assert "wmape_pct" not in (tmp_path / "predict_report.tsv").read_text()
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+            assert "no data rows to write" in err
+        # a header-only output file would fail its reader, so none is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short_emg.csv", "short_grip.csv"]
 
     def test_simulate_writes_latency(self, workspace, tmp_path):
         root, data = workspace

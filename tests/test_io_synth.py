@@ -222,6 +222,22 @@ class TestTabularFiles:
         with pytest.raises(DataError, match="no data rows"):
             read(p)
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: write_series(p, TimestampedSeries([], []), {"stream": "grip_estimate_N"}),
+            lambda p: write_forecasts(p, []),
+            lambda p: write_runs(p, []),
+        ],
+        ids=["series", "forecasts", "runs"],
+    )
+    def test_zero_rows_not_written(self, tmp_path, write):
+        # the reader would reject the header-only file
+        p = tmp_path / "t.csv"
+        with pytest.raises(DataError, match="no data rows"):
+            write(p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("defect", ["field_count", "uncastable"])
     @pytest.mark.parametrize("fmt", sorted(_TABLES))
     def test_malformed_line_named(self, tmp_path, fmt, defect):

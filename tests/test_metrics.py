@@ -112,6 +112,17 @@ class TestAnova:
         assert table.position.p == 1.0
         assert table.subject.ss == pytest.approx(0.0)
 
+    def test_pinned_table(self):
+        # 3 subjects x 2 positions x 2 replications; where scipy.stats is
+        # imported must not move F or p
+        values = [4.0, 4.4, 5.0, 5.3, 4.6, 4.2, 5.9, 6.1, 3.9, 4.4, 5.1, 4.8]
+        cells = [(s, p, r) for s in (1, 2, 3) for p in (1, 2) for r in (1, 2)]
+        table = anova_rbd([RunRecord(f"s{s}", p, r, v) for (s, p, r), v in zip(cells, values)])
+        assert table.position.f == pytest.approx(39.55066079295186, rel=1e-12)
+        assert table.position.p == pytest.approx(0.0002355817461995749, rel=1e-9)
+        assert table.subject.f == pytest.approx(5.030837004405328, rel=1e-12)
+        assert table.subject.p == pytest.approx(0.03848823094640983, rel=1e-9)
+
     def test_unbalanced_rejected(self):
         recs = estimation_records()[:-1]
         with pytest.raises(DataError):

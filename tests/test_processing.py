@@ -7,6 +7,7 @@ from emgrip.processing import (
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
+    _fast_len,
     apply_spectral_mask,
     default_optimal_mask,
     peak_cross_correlation,
@@ -262,7 +263,25 @@ def _assert_matches_scan(a, b, max_lag):
     return peak, lag
 
 
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        large = np.random.default_rng(5).integers(5001, 10**9, 2000)
+        for n in [*range(1, 5001), *map(int, large)]:
+            assert _fast_len(n) == next_fast_len(n, real=True), n
+
+
 class TestPeakCrossCorrelation:
+    @pytest.mark.parametrize("n, max_lag", [(1009, 22), (1031, 50), (2000, 97)])
+    def test_padded_lengths_match_exhaustive_scan(self, n, max_lag):
+        # n + max_lag is not 5-smooth, so the FFT zero-pads past it
+        assert _fast_len(n + max_lag) > n + max_lag
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        b = np.roll(a, 7) + 0.5 * rng.standard_normal(n)
+        _assert_matches_scan(a, b, max_lag)
+
     def test_self_correlation(self):
         a = _rng().standard_normal(500)
         peak, lag = peak_cross_correlation(a, a, 30)

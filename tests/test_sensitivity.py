@@ -81,6 +81,22 @@ class TestSaltelliSample:
             saltelli_sample(unit_bounds(4), 16, seed=5),
         )
 
+    def test_pinned_design(self):
+        # where scipy.stats.qmc is imported must not move a single row
+        b = Bounds(np.array([0.0, 1.0, -2.0]), np.array([1.0, 3.0, 2.0]), ("a", "b", "c"))
+        s = saltelli_sample(b, 4, groups=("a", "b", "c"), seed=11)
+        assert s.shape == (20, 3)
+        np.testing.assert_allclose(
+            s[:2],
+            [[0.3534756787121296, 1.983100850135088, 0.2556617446243763],
+             [0.6135021913796663, 2.5250584930181503, -0.9291158355772495]],
+            rtol=1e-14,
+        )
+        np.testing.assert_allclose(
+            s[-1], [0.05944837909191847, 2.1963183023035526, -1.8270041644573212], rtol=1e-14
+        )
+        assert s.sum() == pytest.approx(42.678264720365405, rel=1e-14)
+
 
 class TestSobolIndices:
     def test_constant_output_all_zero(self):
@@ -382,3 +398,7 @@ class TestNarrowingRecord:
     def test_malformed_line_named(self, text, line):
         with pytest.raises(DataError, match=f"^line {line}: "):
             NarrowingRecord.from_text(text)
+
+    def test_top_line_in_step_0_rejected(self):
+        with pytest.raises(DataError, match="^line 3: 'top:' line in step 0"):
+            NarrowingRecord.from_text("== step 0\na\t0.0\t1.0\ntop: a=0.5\n")
