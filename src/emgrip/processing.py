@@ -128,16 +128,19 @@ class TimestampedSeries:
 def apply_spectral_mask(x: np.ndarray, mask: SpectralMask) -> np.ndarray:
     """Multiply the batch spectrum bin-wise by the mask gains.
 
-    Returns the real signal obtained by inverse FFT; output length equals
-    input length.
+    ``x`` is one batch or a ``(..., n)`` stack of batches, each transformed
+    along the last axis; every row comes out bit-identical to masking it
+    alone.  Returns the real signal obtained by inverse FFT, shaped like
+    ``x``.
     """
-    x = np.asarray(x, dtype=float)
-    n_bins = x.size // 2 + 1
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.shape[-1]
+    n_bins = n // 2 + 1
     if len(mask) != n_bins:
         raise ConfigError(
-            f"mask has {len(mask)} bins but a {x.size}-sample batch needs {n_bins}"
+            f"mask has {len(mask)} bins but a {n}-sample batch needs {n_bins}"
         )
-    return np.fft.irfft(np.fft.rfft(x) * mask.gains, n=x.size)
+    return np.fft.irfft(np.fft.rfft(x) * mask.gains, n=n)
 
 
 def smooth_ema(x: np.ndarray, prev_tail: np.ndarray, params: SmoothingParams) -> np.ndarray:
@@ -205,11 +208,29 @@ def process_recording(
     params: SmoothingParams,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> np.ndarray:
-    """Concatenated ``envelope_batches`` of a whole recording.
+    """Envelope of a whole recording, bit-identical to the concatenated
+    ``envelope_batches``.
 
-    Aligned with ``emg.times`` minus any dropped 1-sample remainder.
+    Aligned with ``emg.times`` minus any dropped 1-sample remainder.  It runs
+    batch-major: one ``apply_spectral_mask`` call masks every full batch on
+    the ``(n_batches, batch_size)`` reshape and another the trailing short
+    batch at its natural length, then the rectified signal is smoothed in
+    one pass from a zero tail.  The bits match the stream's because the FFT
+    runs the same transform on each row as on a lone batch, and each
+    smoothed sample is the same dot product over the same window: the tail
+    the stream carries is exactly the preceding slice of that signal.
     """
-    return np.concatenate(list(envelope_batches(emg, mask, params, batch_size)))
+    x = emg.values
+    fs = emg.rate
+    n_full = x.size // batch_size
+    split = n_full * batch_size
+    full = x[:split].reshape(n_full, batch_size)
+    masked = [apply_spectral_mask(full, mask.for_batch(batch_size, fs)).ravel()]
+    # a short final batch keeps its natural length; a 1-sample remainder is dropped
+    if x.size - split >= 2:
+        masked.append(apply_spectral_mask(x[split:], mask.for_batch(x.size - split, fs)))
+    rectified = np.abs(np.concatenate(masked))
+    return smooth_ema(rectified, np.zeros(params.window_size - 1), params)
 
 
 def default_optimal_mask(

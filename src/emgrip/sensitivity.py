@@ -243,6 +243,32 @@ def _sobol_point_estimate(fa, fb, fab):
     return s1, st
 
 
+def _sobol_bootstrap(fa, fb, fab, idx):
+    """``_sobol_point_estimate`` of every bootstrap replica at once: row ``j``
+    of the (c, n) ``idx`` resamples the base points of replica ``j``.
+
+    A replica's sum over its draws is a sum over the base points weighted by
+    how often each was drawn, so the (g, n) blocks meet all replicas in two
+    (c, n) @ (n, g) products rather than a (c, g, n) gather.  The pooled
+    mean and variance are taken on the drawn rows as the point estimate
+    takes them, so a zero-variance replica is exactly the one it would zero.
+    """
+    c, n = idx.shape
+    pooled = np.concatenate([fa[idx], fb[idx]], axis=1)
+    mean = pooled.mean(axis=1, keepdims=True)
+    var = pooled.var(axis=1, keepdims=True)
+    rows = (idx + n * np.arange(c)[:, None]).ravel()
+    drawn = np.bincount(rows, minlength=c * n).reshape(c, n)
+    fb_c = (pooled[:, n:] - mean).ravel()
+    fb_weight = np.bincount(rows, weights=fb_c, minlength=c * n).reshape(c, n)
+    diff = fab - fa  # fab_c - fa_c: the pooled mean cancels
+    s1 = fb_weight @ diff.T
+    st = 0.5 * (drawn @ (diff * diff).T)
+    zero = var == 0
+    scale = n * np.where(zero, 1.0, var)
+    return np.where(zero, 0.0, s1 / scale), np.where(zero, 0.0, st / scale)
+
+
 def _contain(ci: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Widen percentile intervals just enough to contain the point estimate."""
     ci[:, 0] = np.minimum(ci[:, 0], point)
@@ -282,15 +308,15 @@ def sobol_indices(
         rng = np.random.default_rng(seed)
         s1_boot = np.empty((n_boot, g))
         st_boot = np.empty((n_boot, g))
-        chunk = max(1, min(n_boot, int(2**22 // max(n, 1)) or 1))
+        # each (c, n) array of a chunk holds at most 2**19 entries (4 MiB);
+        # successive integers() calls continue one stream, so the draws do
+        # not depend on the chunking
+        chunk = max(1, min(n_boot, 2**19 // max(n, 1)))
         done = 0
         while done < n_boot:
             c = min(chunk, n_boot - done)
             idx = rng.integers(0, n, size=(c, n))
-            for j in range(c):
-                s1_boot[done + j], st_boot[done + j] = _sobol_point_estimate(
-                    fa[idx[j]], fb[idx[j]], fab[:, idx[j]]
-                )
+            s1_boot[done : done + c], st_boot[done : done + c] = _sobol_bootstrap(fa, fb, fab, idx)
             done += c
         first_ci = np.percentile(s1_boot, [2.5, 97.5], axis=0).T
         total_ci = np.percentile(st_boot, [2.5, 97.5], axis=0).T

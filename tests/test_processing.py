@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from emgrip.processing import (
     _fast_len,
     apply_spectral_mask,
     default_optimal_mask,
+    envelope_batches,
     peak_cross_correlation,
     process_batch,
     process_recording,
@@ -76,6 +79,17 @@ class TestSpectralMask:
         mask = SpectralMask(np.ones(10))
         with pytest.raises(ConfigError):
             apply_spectral_mask(np.zeros(N), mask)
+
+    def test_stacked_rows_match_single_batches(self, mask):
+        x = _rng().standard_normal((2, 3, N))
+        y = apply_spectral_mask(x, mask)
+        assert y.shape == x.shape
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(y[i, j], apply_spectral_mask(x[i, j], mask))
+
+    def test_stacked_length_mismatch_names_last_axis(self):
+        with pytest.raises(ConfigError, match="10 bins but a 496-sample batch needs 249"):
+            apply_spectral_mask(np.zeros((3, N)), SpectralMask(np.ones(10)))
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ConfigError):
@@ -202,6 +216,34 @@ class TestProcessBatch:
         series = TimestampedSeries(np.arange(sig.size) / FS, sig)
         out = process_recording(series, mask, SmoothingParams(20, 0.0))
         assert out.size == N
+
+
+class TestProcessRecording:
+    """The batch-major ``process_recording`` is the stream's envelope, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [2, 300, 495, 496, 497, 498, 3 * N, 3 * N + 1, 3 * N + 2, 3 * N + 5]
+    )
+    def test_bit_identical_to_envelope_batches(self, n, mask):
+        sig = _rng().standard_normal(n)
+        series = TimestampedSeries(np.arange(n) / FS, sig)
+        # a mask built for 600-sample batches is interpolated onto full batches too
+        masks = (mask, default_optimal_mask(600))
+        for m, w, decay, batch_size in itertools.product(
+            masks, (2, 300, 495), (0.0, 0.049), (N, 248)
+        ):
+            params = SmoothingParams(w, decay)
+            streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
+            assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
+
+    def test_bit_identical_on_sa_study(self):
+        # all 64 candidates of the seed-42 RBD-FAST bench study on its first recording
+        rec = synth_recording(seed=44)
+        for row in rbdfast_sample(default_decision_bounds(), 64, seed=46):
+            dv = DecisionVector.from_array(row)
+            m, params = dv.to_mask(rec.emg.rate / N), dv.smoothing()
+            streamed = np.concatenate(list(envelope_batches(rec.emg, m, params)))
+            assert np.array_equal(process_recording(rec.emg, m, params), streamed)
 
 
 class TestResampleLinear:

@@ -18,6 +18,7 @@ from emgrip.sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
+from emgrip.sensitivity import _sobol_point_estimate
 from emgrip.synth import SynthProfile, synth_recording
 
 ISHIGAMI_S1 = 0.3139
@@ -156,6 +157,53 @@ class TestSobolIndices:
         s = saltelli_sample(unit_bounds(3), 8, seed=0)
         with pytest.raises(ConfigError, match="n_boot"):
             sobol_indices(s, s[:, 0], n_boot=-3)
+
+
+def _sobol_ci_oracle(outputs, g, n_boot, seed):
+    """(first, total) bootstrap CIs from the replica-by-replica loop."""
+    n = outputs.size // (g + 2)
+    fa, fb, fab = outputs[:n], outputs[n : 2 * n], outputs[2 * n :].reshape(g, n)
+    s1, st = _sobol_point_estimate(fa, fb, fab)
+    rng = np.random.default_rng(seed)
+    boot = np.empty((n_boot, 2, g))
+    for j in range(n_boot):
+        rows = rng.integers(0, n, size=n)
+        boot[j] = _sobol_point_estimate(fa[rows], fb[rows], fab[:, rows])
+    ci = np.percentile(boot, [2.5, 97.5], axis=0)
+    return [
+        np.column_stack([np.minimum(ci[0, k], p), np.maximum(ci[1, k], p)])
+        for k, p in enumerate((s1, st))
+    ]
+
+
+class TestSobolBootstrap:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, n_boot, groups",
+        [(2**10, 200, None), (2**8, 1000, ("g", "g", "z")), (5, 60, None), (2**12, 300, None)],
+        ids=["ishigami", "grouped", "tiny", "chunked"],
+    )
+    def test_matches_replica_loop(self, n, n_boot, groups):
+        s = saltelli_sample(pi_bounds(), n, groups=groups, seed=8)
+        y = ishigami(s)
+        res = sobol_indices(s, y, groups=groups, n_boot=n_boot, seed=8)
+        first, total = _sobol_ci_oracle(y, len(res.names), n_boot, seed=8)
+        np.testing.assert_allclose(res.first_ci, first, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.total_ci, total, rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_variance_replicas_match_replica_loop(self):
+        # fa and fb agree on base points 0 and 1 only, so about 30% of the
+        # replicas draw a constant pooled sample while their AB block varies
+        s = saltelli_sample(unit_bounds(3), 3, seed=0)
+        fa, fb = np.array([1.0, 1.0, 3.0]), np.array([1.0, 1.0, -2.0])
+        y = np.concatenate([fa, fb, np.arange(9.0)])
+        draws = np.random.default_rng(2).integers(0, 3, size=(40, 3))
+        assert 4 <= (draws.max(axis=1) < 2).sum() <= 36
+        res = sobol_indices(s, y, n_boot=40, seed=2)
+        first, total = _sobol_ci_oracle(y, 3, 40, seed=2)
+        np.testing.assert_allclose(res.first_ci, first, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.total_ci, total, rtol=0, atol=1e-12)
 
 
 def _rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):
