@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,11 @@ class SmoothingParams:
         """Unnormalised lag weights, most recent sample first."""
         return (1.0 - self.decay) ** np.arange(self.window_size)
 
+    @cached_property
+    def _ema_plan(self) -> "_EmaPlan":
+        # what smooth_ema needs of these parameters, worked out once
+        return _EmaPlan.of(self)
+
 
 @dataclass(frozen=True)
 class TimestampedSeries:
@@ -143,23 +149,126 @@ def apply_spectral_mask(x: np.ndarray, mask: SpectralMask) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * mask.gains, n=n)
 
 
-def smooth_ema(x: np.ndarray, prev_tail: np.ndarray, params: SmoothingParams) -> np.ndarray:
+# smooth_ema restarts its recursion from a direct window sum at most this
+# many samples apart, and at most as far apart as keeps the r**-t factors
+# it scales by between restarts within 2**_MAX_SCALE_LOG2
+_RESTART_SPAN = 62
+_MAX_SCALE_LOG2 = 64
+
+
+@dataclass(frozen=True)
+class _EmaPlan:
+    """The values ``smooth_ema`` needs of a ``SmoothingParams``."""
+
+    span: int  # restart spacing L
+    leaving: float  # r**window_size, the weight a sample leaves the window with
+    weights: np.ndarray  # lag weights, oldest sample first
+    up: np.ndarray  # r**-t for t < span
+    scale: np.ndarray  # r**t / weights.sum() for t < span
+
+    @classmethod
+    def of(cls, params: SmoothingParams) -> "_EmaPlan":
+        w = params.weights()
+        weights = w[::-1].copy()
+        r = 1.0 - params.decay
+        span = _RESTART_SPAN
+        if r < 1.0:
+            span = min(span, 1 + int(_MAX_SCALE_LOG2 / -np.log2(r)))
+        t = np.arange(span)
+        up, scale = r**-t, r**t / w.sum()
+        for a in (weights, up, scale):
+            a.flags.writeable = False  # shared by every call
+        return cls(span, r**params.window_size, weights, up, scale)
+
+
+def _smooth_stack(ext: np.ndarray, start: int, q: np.ndarray, plan: _EmaPlan):
+    """Turn the recursion inputs ``q`` of outputs ``start`` to ``start +
+    q.size`` into those outputs, in place, as ``q.shape[0]`` batches of
+    ``q.shape[1]`` samples.
+
+    Output ``i`` reads ``ext[i : i + w]``, and the flat ``q[i]`` holds ``d[i] =
+    ext[i + w - 1] - r**w * ext[i - 1]``.  Each batch restarts from a direct
+    window sum at offsets 0, L, 2L, ...; in between, the sum ``S`` follows
+    ``S[i] = r * S[i-1] + d[i]``, taken in closed form as ``S[a + t] = r**t
+    * (S[a] + sum over 0 < j <= t of r**-j * d[a + j])``: one cumulative sum
+    along each L-sample block, the batches zero-padded to whole blocks.
+    """
+    k, m = q.shape
+    span, w = plan.span, plan.weights.size
+    blocks = -(-m // span)
+    padded = q
+    if m % span:
+        padded = np.zeros((k, blocks * span))
+        padded[:, :m] = q
+    rows = padded.reshape(k * blocks, span)
+    rows *= plan.up
+    # the direct sums at the restarts.  np.dot of a 3-d stack takes each
+    # window's dot product in a call of its own, so a window's bits do not
+    # depend on how many windows one call computes.  A 2-d stack would go
+    # to a BLAS gemv, whose rows do not round as lone dot products do.
+    step = ext.itemsize
+    windows = np.ndarray(
+        (k, blocks, w), buffer=ext, offset=start * step, strides=(m * step, span * step, step)
+    )
+    rows[:, 0] = np.dot(windows, plan.weights).reshape(-1)
+    np.add.accumulate(rows, axis=1, out=rows)
+    rows *= plan.scale
+    if padded is not q:
+        q[...] = padded[:, :m]
+
+
+def smooth_ema(
+    x: np.ndarray,
+    prev_tail: np.ndarray,
+    params: SmoothingParams,
+    batch_size: int | None = None,
+) -> np.ndarray:
     """Windowed exponential moving average with carry-over from ``prev_tail``.
 
     Output sample i averages the trailing ``window_size`` samples with
     weights (1 - decay)**k (k = 0 for the current sample), normalised to
-    sum to one.  Samples before the start of the batch are read from
+    sum to one.  Samples before the start of ``x`` are read from
     ``prev_tail`` (zeros for the first batch of a recording).
+
+    It costs O(len(x)) for any window.  ``x`` is split into ``batch_size``
+    batches (one batch when None).  Each batch restarts the weighted sum
+    from a direct sum over the window every L samples, counted from the
+    batch's first sample.  In between, the sum follows the exact recursion
+    ``S[i] = r * S[i-1] + x[i] - r**w * x[i-w]`` with ``r = 1 - decay``.
+    L is 62, or less where ``r**-(L-1)`` would pass 2**64: 20 at decay 0.9,
+    and 2 at the largest decay below 1.  Every operation acts on each batch
+    alone.  So smoothing a signal with ``batch_size`` gives the same bits
+    as smoothing its batches one call at a time, each call given the tail
+    the one before leaves.  A bad sample at k changes only the outputs from
+    k up to, not including, the first restart after k + w - 1.  Round-off
+    is that of at most L recursion steps: a few ulp of the window's
+    weighted magnitude.
     """
-    w = params.weights()
+    if batch_size is not None and batch_size < 1:
+        raise ConfigError("batch size must be >= 1")
+    plan = params._ema_plan
     tail = np.asarray(prev_tail, dtype=float)
-    need = params.window_size - 1
-    if tail.size < need:
-        raise DataError(
-            f"previous tail has {tail.size} samples, window {params.window_size} needs {need}"
-        )
-    ext = np.concatenate([tail[tail.size - need :], np.asarray(x, dtype=float)])
-    return np.convolve(ext, w, mode="valid") / w.sum()
+    w = params.window_size
+    if tail.size < w - 1:
+        raise DataError(f"previous tail has {tail.size} samples, window {w} needs {w - 1}")
+    x = np.asarray(x, dtype=float)
+    ext = np.concatenate([tail[tail.size - (w - 1) :], x])
+    n = x.size
+    out = np.empty(n)
+    if n == 0:
+        return out
+    # the recursion inputs; the first of every batch becomes a direct sum,
+    # and out[0] is set only so that the scaling before it reads no garbage
+    out[0] = 0.0
+    np.multiply(ext[: n - 1], plan.leaving, out=out[1:])
+    np.subtract(ext[w:], out[1:], out=out[1:])
+    m = batch_size or n
+    n_full, rest = divmod(n, m)
+    if n_full:
+        _smooth_stack(ext, 0, out[: n - rest].reshape(n_full, m), plan)
+    if rest:
+        _smooth_stack(ext, n - rest, out[n - rest :].reshape(1, rest), plan)
+    return out
 
 
 def process_batch(
@@ -212,13 +321,15 @@ def process_recording(
     ``envelope_batches``.
 
     Aligned with ``emg.times`` minus any dropped 1-sample remainder.  It runs
-    batch-major: one ``apply_spectral_mask`` call masks every full batch on
-    the ``(n_batches, batch_size)`` reshape and another the trailing short
-    batch at its natural length, then the rectified signal is smoothed in
-    one pass from a zero tail.  The bits match the stream's because the FFT
-    runs the same transform on each row as on a lone batch, and each
-    smoothed sample is the same dot product over the same window: the tail
-    the stream carries is exactly the preceding slice of that signal.
+    batch-major.  One ``apply_spectral_mask`` call masks every full batch on
+    the ``(n_batches, batch_size)`` reshape, and another masks the trailing
+    short batch at its natural length.  Then one ``smooth_ema`` call, given
+    ``batch_size``, smooths the rectified signal from a zero tail.  The bits
+    match the stream's for two reasons.  The FFT runs the same transform on
+    each row as on a lone batch.  And ``smooth_ema`` restarts at the same
+    samples and runs the same arithmetic on each batch, whether it smooths
+    one batch or all of them; the tail the stream carries is exactly the
+    preceding slice of the rectified signal.
     """
     x = emg.values
     fs = emg.rate
@@ -230,7 +341,7 @@ def process_recording(
     if x.size - split >= 2:
         masked.append(apply_spectral_mask(x[split:], mask.for_batch(x.size - split, fs)))
     rectified = np.abs(np.concatenate(masked))
-    return smooth_ema(rectified, np.zeros(params.window_size - 1), params)
+    return smooth_ema(rectified, np.zeros(params.window_size - 1), params, batch_size)
 
 
 def default_optimal_mask(

@@ -230,11 +230,14 @@ def saltelli_sample(bounds: Bounds, n_base: int, groups=None, seed=None) -> np.n
 
 def _sobol_point_estimate(fa, fb, fab):
     """First-order (product estimator) and total-order (squared-difference
-    estimator) indices from paired sample blocks."""
+    estimator) indices from paired sample blocks; zero for every group when
+    the pooled outputs are all equal.  That is tested on the outputs, not on
+    their variance: a constant whose mean does not round back to itself has
+    a variance of round-off, and dividing by it would make indices of it."""
     pooled = np.concatenate([fa, fb])
     mean = pooled.mean()
     var = pooled.var()
-    if var == 0:
+    if np.ptp(pooled) == 0:
         g = fab.shape[0]
         return np.zeros(g), np.zeros(g)
     fa_c, fb_c, fab_c = fa - mean, fb - mean, fab - mean
@@ -251,12 +254,13 @@ def _sobol_bootstrap(fa, fb, fab, idx):
     how often each was drawn, so the (g, n) blocks meet all replicas in two
     (c, n) @ (n, g) products rather than a (c, g, n) gather.  The pooled
     mean and variance are taken on the drawn rows as the point estimate
-    takes them, so a zero-variance replica is exactly the one it would zero.
+    takes them, so a constant replica is exactly the one it would zero.
     """
     c, n = idx.shape
     pooled = np.concatenate([fa[idx], fb[idx]], axis=1)
     mean = pooled.mean(axis=1, keepdims=True)
     var = pooled.var(axis=1, keepdims=True)
+    zero = pooled.max(axis=1, keepdims=True) == pooled.min(axis=1, keepdims=True)
     rows = (idx + n * np.arange(c)[:, None]).ravel()
     drawn = np.bincount(rows, minlength=c * n).reshape(c, n)
     fb_c = (pooled[:, n:] - mean).ravel()
@@ -264,7 +268,6 @@ def _sobol_bootstrap(fa, fb, fab, idx):
     diff = fab - fa  # fab_c - fa_c: the pooled mean cancels
     s1 = fb_weight @ diff.T
     st = 0.5 * (drawn @ (diff * diff).T)
-    zero = var == 0
     scale = n * np.where(zero, 1.0, var)
     return np.where(zero, 0.0, s1 / scale), np.where(zero, 0.0, st / scale)
 
@@ -344,16 +347,18 @@ def rbdfast_sample(bounds: Bounds, n: int, seed=None) -> np.ndarray:
 
 def _rbdfast_point_estimate(x, y, harmonics):
     """Bias-corrected first-order index of every column of the (n, d)
-    sample matrix ``x`` for the outputs ``y``."""
+    sample matrix ``x`` for the outputs ``y``; zero for every column when
+    the outputs are all equal, as in ``_sobol_point_estimate``."""
     order = np.argsort(x, axis=0, kind="stable")
     ordered = np.concatenate([order[0::2], order[1::2][::-1]], axis=0)
     yp = y[ordered]
     n = yp.shape[0]
     var = yp.var(axis=0)
+    zero = np.ptp(y) == 0
     spectrum = np.abs(np.fft.rfft(yp, axis=0)) ** 2 / (n * n)
-    s1 = 2.0 * spectrum[1 : harmonics + 1].sum(axis=0) / np.where(var == 0, 1.0, var)
+    s1 = 2.0 * spectrum[1 : harmonics + 1].sum(axis=0) / np.where(zero, 1.0, var)
     lam = 2.0 * harmonics / n  # small-sample bias correction
-    return np.where(var == 0, 0.0, s1 - lam / (1.0 - lam) * (1.0 - s1))
+    return np.where(zero, 0.0, s1 - lam / (1.0 - lam) * (1.0 - s1))
 
 
 def rbdfast_indices(

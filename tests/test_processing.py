@@ -168,6 +168,71 @@ class TestSmoothEma:
         with pytest.raises(ConfigError):
             SmoothingParams(1, 0.0)
 
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="batch size"):
+            smooth_ema([1.0, 2.0], [0.0], SmoothingParams(2, 0.0), batch_size=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("decay", [0.0, 0.049, 0.9, 0.999999, 0.9999999, 1 - 2**-53])
+    @pytest.mark.parametrize("w", [2, 61, 62, 63, 495])
+    def test_matches_weighted_mean_oracle(self, w, decay):
+        # the restart spacing shrinks with r = 1 - decay so that r**-t
+        # stays finite; at extreme decays too the output must stay finite
+        # and agree with the direct weighted mean
+        rng = _rng()
+        x = np.abs(rng.standard_normal(700)) * 100.0
+        tail = np.abs(rng.standard_normal(w - 1)) * 100.0
+        out = smooth_ema(x, tail, SmoothingParams(w, decay), batch_size=330)
+        assert np.isfinite(out).all()
+        weights = (1.0 - decay) ** np.arange(w)
+        ext = np.concatenate([tail, x])
+        brute = [ext[i : i + w][::-1] @ weights / weights.sum() for i in range(x.size)]
+        assert np.abs(out - brute).max() < 1e-12
+
+    @pytest.mark.parametrize("batch_size", [N, 500, 330])
+    def test_batched_call_matches_one_call_per_batch(self, batch_size):
+        rng = _rng()
+        x = np.abs(rng.standard_normal(3 * batch_size + 57))
+        for w, decay in itertools.product((2, 62, 63, 495), (0.0, 0.049, 0.9)):
+            params = SmoothingParams(w, decay)
+            tail = np.zeros(w - 1)
+            parts = []
+            for start in range(0, x.size, batch_size):
+                chunk = x[start : start + batch_size]
+                parts.append(smooth_ema(chunk, tail, params))
+                tail = np.concatenate([tail, chunk])[-(w - 1) :]
+            whole = smooth_ema(x, np.zeros(w - 1), params, batch_size)
+            assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, 1e6])
+    @pytest.mark.parametrize("batch_size", [N, 500, 330])
+    def test_bad_sample_damage_ends_at_first_restart_past_window(self, bad, batch_size):
+        # output i reads samples i - w + 1 .. i, so a bad sample k reaches
+        # outputs up to k + w - 1 in exact arithmetic; the recursion carries
+        # it, or its round-off, on to the next restart and no further
+        rng = _rng()
+        n = 3 * batch_size + 57
+        x = np.abs(rng.standard_normal(n))
+        for w, decay in itertools.product((2, 62, 63, 300, 495), (0.0, 0.049, 0.9)):
+            params = SmoothingParams(w, decay)
+            span = params._ema_plan.span
+            assert span <= 62
+            restarts = np.array(
+                [b + j for b in range(0, n, batch_size) for j in range(0, min(batch_size, n - b), span)]
+            )
+            clean = smooth_ema(x, np.zeros(w - 1), params, batch_size)
+            for k in rng.integers(0, n, 8):
+                dirty = x.copy()
+                dirty[k] = bad
+                out = smooth_ema(dirty, np.zeros(w - 1), params, batch_size)
+                later = restarts[restarts > k + w - 1]
+                end = later[0] if later.size else n
+                assert end <= k + w - 1 + span
+                assert np.array_equal(out[:k], clean[:k])
+                assert np.array_equal(out[end:], clean[end:])
+                assert not np.array_equal(out[k : k + w], clean[k : k + w])
+
 
 class TestProcessBatch:
     def test_zero_in_zero_out(self, mask):
@@ -235,6 +300,20 @@ class TestProcessRecording:
             params = SmoothingParams(w, decay)
             streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
             assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
+
+    @pytest.mark.parametrize("batch_size", [500, 330])
+    def test_bit_identical_at_batch_sizes_off_the_restart_grid(self, batch_size):
+        # 62 divides neither size, so restarts counted from the start of the
+        # recording would miss the batch starts; smoothing keeps the stream's
+        # bits only by counting them from each batch's first sample
+        m = default_optimal_mask(batch_size)
+        for n in (2, batch_size - 1, batch_size, batch_size + 1, batch_size + 2, 3 * batch_size + 7):
+            sig = _rng().standard_normal(n)
+            series = TimestampedSeries(np.arange(n) / FS, sig)
+            for w, decay in itertools.product((2, 61, 62, 63, 300, 495), (0.0, 0.049, 0.9, 0.999999)):
+                params = SmoothingParams(w, decay)
+                streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
+                assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
 
     def test_bit_identical_on_sa_study(self):
         # all 64 candidates of the seed-42 RBD-FAST bench study on its first recording

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import emgrip.sensitivity
 from emgrip.errors import ConfigError, DataError
 from emgrip.io import Recording
 from emgrip.processing import TimestampedSeries
@@ -105,6 +106,33 @@ class TestSobolIndices:
         res = sobol_indices(s, np.full(s.shape[0], 2.5))
         assert np.all(res.first_order == 0.0)
         assert np.all(res.total_order == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_round_off_constant_output_all_zero(self):
+        # the mean of 0.1s does not round back to 0.1 at every count, so
+        # their variance is ~1e-34 rather than 0; with the AB block varying,
+        # dividing by it gave indices of ~1e17
+        s = saltelli_sample(unit_bounds(3), 3, seed=0)
+        for y in (np.full(s.shape[0], 0.1), np.concatenate([np.full(6, 0.1), np.arange(9.0)])):
+            assert y[:6].var() > 0  # the pooled A and B outputs
+            res = sobol_indices(s, y, n_boot=20, seed=1)
+            assert np.array_equal(res.first_order, np.zeros(3))
+            assert np.array_equal(res.total_order, np.zeros(3))
+            assert np.array_equal(res.first_ci, np.zeros((3, 2)))
+            assert np.array_equal(res.total_ci, np.zeros((3, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_spread_on_large_offset_keeps_indices(self):
+        # var ~8e-18 of a mean square of 1, below any n * eps rule on the
+        # variance; the outputs still vary, so the indices must be those of
+        # the spread alone
+        s = saltelli_sample(unit_bounds(3), 64, seed=4)
+        res = sobol_indices(s, 1.0 + 1e-8 * s[:, 0], n_boot=20, seed=1)
+        want = sobol_indices(s, s[:, 0], n_boot=20, seed=1)
+        assert res.first_order[0] > 0.5
+        np.testing.assert_allclose(res.first_order, want.first_order, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(res.total_order, want.total_order, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(res.first_ci, want.first_ci, rtol=0, atol=1e-6)
 
     def test_single_active_variable(self):
         s = saltelli_sample(unit_bounds(2), 2**12, seed=2)
@@ -233,6 +261,20 @@ def _rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):
     return s1, np.column_stack([np.minimum(ci[:, 0], s1), np.maximum(ci[:, 1], s1)])
 
 
+def _exact_zero_rbdfast_point_estimate(x, y, harmonics):
+    """The vectorised RBD-FAST estimate as it was when only an exactly zero
+    variance counted as a constant output."""
+    order = np.argsort(x, axis=0, kind="stable")
+    ordered = np.concatenate([order[0::2], order[1::2][::-1]], axis=0)
+    yp = y[ordered]
+    n = yp.shape[0]
+    var = yp.var(axis=0)
+    spectrum = np.abs(np.fft.rfft(yp, axis=0)) ** 2 / (n * n)
+    s1 = 2.0 * spectrum[1 : harmonics + 1].sum(axis=0) / np.where(var == 0, 1.0, var)
+    lam = 2.0 * harmonics / n
+    return np.where(var == 0, 0.0, s1 - lam / (1.0 - lam) * (1.0 - s1))
+
+
 def _bench_design():
     # the seed-42 bench study's 64 x 250 design; outputs lean on a few
     # gains and the window so the indices are not all noise
@@ -264,6 +306,43 @@ class TestRbdFast:
         res = rbdfast_indices(x, np.full(64, 0.25), n_boot=10, seed=0)
         assert np.array_equal(res.first_order, np.zeros(250))
         assert np.array_equal(res.first_ci, np.zeros((250, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_round_off_constant_output_gives_zero_indices(self):
+        # 64 outputs of 0.1 have a variance of round-off, not 0; the bias
+        # correction turned that into -0.4545 for every variable
+        x, _ = _bench_design()
+        y = np.full(64, 0.1)
+        assert y.var() > 0
+        res = rbdfast_indices(x, y, n_boot=10, seed=0)
+        assert np.array_equal(res.first_order, np.zeros(250))
+        assert np.array_equal(res.first_ci, np.zeros((250, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_spread_on_large_offset_keeps_indices(self):
+        # var ~1e-17 of a mean square of 1: still a varying output
+        x, _ = _bench_design()
+        unit = (x[:, 3] - x[:, 3].min()) / np.ptp(x[:, 3])
+        res = rbdfast_indices(x, 1.0 + 1e-8 * unit, n_boot=10, seed=0)
+        want = rbdfast_indices(x, unit, n_boot=10, seed=0)
+        assert res.first_order[3] > 0.5
+        np.testing.assert_allclose(res.first_order, want.first_order, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(res.first_ci, want.first_ci, rtol=0, atol=1e-6)
+
+    def test_constancy_rule_keeps_bench_study_bits(self, monkeypatch):
+        # the seed-42 sa_rbdfast study: corpus 44/45, design and bootstrap
+        # seed 46, 100 bootstraps.  Its outputs vary, so the constancy rule
+        # must leave every index and bound as the exact-zero rule gave it.
+        corpus = [synth_recording(seed=s) for s in (44, 45)]
+        x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
+        y = map_objective(corpus, x)
+        got = rbdfast_indices(x, y, n_boot=100, seed=46)
+        monkeypatch.setattr(
+            emgrip.sensitivity, "_rbdfast_point_estimate", _exact_zero_rbdfast_point_estimate
+        )
+        want = rbdfast_indices(x, y, n_boot=100, seed=46)
+        assert np.array_equal(got.first_order, want.first_order)
+        assert np.array_equal(got.first_ci, want.first_ci)
 
     def test_negative_bootstrap_count_rejected(self):
         x, y = _bench_design()
