@@ -285,8 +285,11 @@ def process_batch(
     """
     rectified = np.abs(apply_spectral_mask(x, mask))
     smoothed = smooth_ema(rectified, prev_tail, params)
-    tail_src = np.concatenate([np.asarray(prev_tail, dtype=float), rectified])
-    return smoothed, tail_src[tail_src.size - (params.window_size - 1) :]
+    keep = params.window_size - 1
+    tail_src = rectified
+    if rectified.size < keep:
+        tail_src = np.concatenate([np.asarray(prev_tail, dtype=float), rectified])
+    return smoothed, tail_src[tail_src.size - keep :]
 
 
 def envelope_batches(

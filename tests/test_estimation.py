@@ -258,6 +258,27 @@ def _svd_oracle(e, g, rcond=1e-10):
     return ((g @ vt[keep].T) / s[keep]) @ u[:, keep].T
 
 
+def _spy_lstsq(monkeypatch):
+    """Record the coefficient-matrix shape of every ``np.linalg.lstsq`` call."""
+    shapes = []
+    real = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        shapes.append(np.shape(a))
+        return real(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return shapes
+
+
+def _partition_rows(cells, n_cells):
+    """0/1 rows, one per cell; column j is set in row cells[j] (none if -1)."""
+    rows = np.zeros((n_cells, cells.size))
+    inside = cells >= 0
+    rows[cells[inside], np.flatnonzero(inside)] = 1.0
+    return rows
+
+
 class TestFitMatchesSvdOracle:
     @staticmethod
     def _check(e, g):
@@ -294,6 +315,41 @@ class TestFitMatchesSvdOracle:
         g[1] = 0.0
         k = self._check(e, g)
         assert np.count_nonzero(k.any(axis=1)) == 3
+
+    def test_partition_block_with_empty_cells(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        # cells 7..9 stay empty; -1 columns fall outside every cell
+        cells = rng.integers(-1, 7, 300)
+        e = np.vstack([rng.standard_normal((6, 300)), _partition_rows(cells, 10)])
+        g = np.vstack([rng.standard_normal((4, 300)), np.zeros((1, 300))])
+        shapes = _spy_lstsq(monkeypatch)
+        k = self._check(e, g)
+        assert shapes == [(300, 6)]
+        assert np.all(k[:, 6 + 7 :] == 0.0)
+
+    def test_rank_deficient_dense_part_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        dense = rng.standard_normal((6, 300))
+        dense[5] = dense[1] - 2.0 * dense[3]
+        e = np.vstack([dense, _partition_rows(rng.integers(-1, 8, 300), 8)])
+        shapes = _spy_lstsq(monkeypatch)
+        self._check(e, rng.standard_normal((4, 300)))
+        assert shapes == [(300, 6), (300, 14)]
+
+    def test_overlapping_binary_rows_take_the_generic_path(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        binary = (rng.random((8, 300)) < 0.3).astype(float)
+        assert (binary.sum(axis=0) > 1).any()
+        e = np.vstack([rng.standard_normal((6, 300)), binary])
+        shapes = _spy_lstsq(monkeypatch)
+        self._check(e, rng.standard_normal((4, 300)))
+        assert shapes == [(300, 14)]
+
+    def test_seed42_fit_solves_only_the_dense_rows(self, monkeypatch, calib_recording, mask, smoothing):
+        shapes = _spy_lstsq(monkeypatch)
+        model = fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
+        assert model.kept.size > 0
+        assert [cols for _, cols in shapes] == [model.hankel.delays + 1]
 
     def test_seed42_calibration(self, calib_recording, mask, smoothing):
         params = HankelParams()
