@@ -19,6 +19,7 @@ back to one solve over all of E, which keeps the minimum-norm solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +78,12 @@ class IndicatorGrid:
         if not 0.0 <= self.min_density <= 1.0:
             raise ConfigError("min_density must lie in [0, 1]")
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return power_grid_bounds(self.divisions, self.exponent)
+        # worked out once per grid and shared by every lookup, so read-only
+        edges = power_grid_bounds(self.divisions, self.exponent)
+        edges.flags.writeable = False
+        return edges
 
 
 def hankel_lift(series: np.ndarray, delays: int) -> np.ndarray:
@@ -87,14 +91,23 @@ def hankel_lift(series: np.ndarray, delays: int) -> np.ndarray:
 
     Column n therefore holds the contiguous window series[n : n+delays+1].
     """
+    return _hankel_view(series, delays).copy()
+
+
+def _hankel_view(series: np.ndarray, delays: int) -> np.ndarray:
+    """``hankel_lift`` as a read-only view whose rows overlap in memory."""
     x = np.ascontiguousarray(series, dtype=float)
     if x.ndim != 1:
         raise DataError("series must be 1-d")
     n_cols = x.size - delays
-    if n_cols < 1:
+    if n_cols < 1 or delays < 0:
         raise DataError(f"series of {x.size} samples cannot embed {delays} delays")
-    view = np.lib.stride_tricks.sliding_window_view(x, n_cols)
-    return np.ascontiguousarray(view)
+    # the plain constructor: sliding_window_view's argument handling costs
+    # ten times the copy of a per-batch window
+    step = x.itemsize
+    view = np.ndarray((delays + 1, n_cols), float, x, strides=(step, step))
+    view.flags.writeable = False
+    return view
 
 
 def power_grid_bounds(divisions: int, exponent: float) -> np.ndarray:
@@ -104,32 +117,37 @@ def power_grid_bounds(divisions: int, exponent: float) -> np.ndarray:
     return (np.arange(divisions + 1) / divisions) ** exponent
 
 
-def _cell_coordinates(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per-dimension cell index for values in [0, 1]; -1 when outside.
-
-    Points on a shared edge belong to the lower-index cell, keeping the
-    cells disjoint.
-    """
-    idx = np.searchsorted(edges, values, side="left") - 1
-    idx[values == edges[0]] = 0
-    idx[(values < edges[0]) | (values > edges[-1]) | ~np.isfinite(values)] = -1
-    return idx
-
-
-def _flat_cells(hankel: np.ndarray, grid: IndicatorGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened cell index per Hankel column, plus validity mask."""
+def _flat_cells(hankel: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
+    """Flattened cell index per Hankel column; -1 when any of its three
+    delay coordinates lies outside [0, 1] or is not finite."""
     if hankel.shape[0] <= grid.tau2:
         raise ConfigError(
             f"grid taus ({grid.tau1}, {grid.tau2}) need at least {grid.tau2 + 1} Hankel rows"
         )
     edges = grid.edges
     div = grid.divisions
-    i = _cell_coordinates(hankel[0], edges)
-    j = _cell_coordinates(hankel[grid.tau1], edges)
-    k = _cell_coordinates(hankel[grid.tau2], edges)
-    valid = (i >= 0) & (j >= 0) & (k >= 0)
-    flat = np.where(valid, (i * div + j) * div + k, -1)
-    return flat, valid
+    coords = hankel[[0, grid.tau1, grid.tau2]]
+    # cell c holds (edges[c], edges[c + 1]], and cell 0 also edges[0]: a
+    # point on a shared edge belongs to the lower-index cell, keeping the
+    # cells disjoint
+    i, j, k = np.searchsorted(edges[1:], coords)
+    valid = ((coords >= edges[0]) & (coords <= edges[-1])).all(axis=0)
+    return np.where(valid, (i * div + j) * div + k, -1)
+
+
+def _dense_cells(flat: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
+    """Cells holding at least ``min_density`` of the columns, ascending."""
+    counts = np.bincount(flat[flat >= 0], minlength=grid.divisions**3)
+    return np.flatnonzero(counts >= grid.min_density * flat.size)
+
+
+def _mark_cells(rows: np.ndarray, flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Set the zeroed ``rows[r, n]`` to 1 where column n lies in cell kept[r]."""
+    if kept.size:
+        pos = np.searchsorted(kept, flat)
+        hit = np.flatnonzero(kept.take(pos, mode="clip") == flat)
+        rows[pos[hit], hit] = 1.0
+    return rows
 
 
 def indicator_observables(
@@ -142,23 +160,9 @@ def indicator_observables(
     of the columns are dropped.  Returns (rows, kept_flat_indices); flat
     indices run over divisions**3 candidate cells.
     """
-    flat, valid = _flat_cells(hankel, grid)
-    n_cols = hankel.shape[1]
-    counts = np.bincount(flat[valid], minlength=grid.divisions**3)
-    kept = np.flatnonzero(counts >= grid.min_density * n_cols)
-    rows = _indicator_rows(flat, valid, kept, n_cols)
-    return rows, kept
-
-
-def _indicator_rows(flat, valid, kept, n_cols) -> np.ndarray:
-    rows = np.zeros((kept.size, n_cols))
-    if kept.size == 0:
-        return rows
-    pos = np.searchsorted(kept, flat[valid])
-    cols = np.flatnonzero(valid)
-    inside = (pos < kept.size) & (kept[np.minimum(pos, kept.size - 1)] == flat[valid])
-    rows[pos[inside], cols[inside]] = 1.0
-    return rows
+    flat = _flat_cells(hankel, grid)
+    kept = _dense_cells(flat, grid)
+    return _mark_cells(np.zeros((kept.size, flat.size)), flat, kept), kept
 
 
 def indicator_rows_for(hankel: np.ndarray, grid: IndicatorGrid, kept: np.ndarray) -> np.ndarray:
@@ -167,8 +171,9 @@ def indicator_rows_for(hankel: np.ndarray, grid: IndicatorGrid, kept: np.ndarray
     Columns landing in cells outside ``kept`` (or outside [0, 1]^3) get
     all-zero observables.
     """
-    flat, valid = _flat_cells(hankel, grid)
-    return _indicator_rows(flat, valid, np.asarray(kept), hankel.shape[1])
+    kept = np.asarray(kept)
+    flat = _flat_cells(hankel, grid)
+    return _mark_cells(np.zeros((kept.size, flat.size)), flat, kept)
 
 
 def build_lifted_matrices(
@@ -183,16 +188,21 @@ def build_lifted_matrices(
 
     E stacks the EMG Hankel block over its indicator rows; G is the grip
     Hankel block.  Both inputs must already share timestamps (same
-    downsampled grid).
+    downsampled grid).  Both blocks of E are written straight into it, so
+    neither exists a second time beside it.
     """
     emg_ds = np.asarray(emg_ds, dtype=float)
     grip_ds = np.asarray(grip_ds, dtype=float)
     if emg_ds.size != grip_ds.size:
         raise DataError("EMG and grip series must have equal length")
-    he = hankel_lift(emg_scaler.apply(emg_ds), params.delays)
+    he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
+    flat = _flat_cells(he, grid)
+    kept = _dense_cells(flat, grid)
+    e = np.zeros((he.shape[0] + kept.size, flat.size))
+    e[: he.shape[0]] = he
+    _mark_cells(e[he.shape[0] :], flat, kept)
     hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
-    ind, kept = indicator_observables(he, grid)
-    return np.vstack([he, ind]), hg, kept
+    return e, hg, kept
 
 
 def fit_static_koopman(e: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -347,8 +357,9 @@ def estimate_window_scaled(model: EstimatorModel, window: np.ndarray) -> np.ndar
         )
     ds = model.emg_scaler.apply(window[:: model.hankel.downsample])
     he = hankel_lift(ds, model.hankel.delays)
-    ind = indicator_rows_for(he, model.grid, model.kept)
-    lifted = np.vstack([he, ind])
+    lifted = np.empty((model.lifted_dim, he.shape[1]))
+    lifted[: he.shape[0]] = he
+    lifted[he.shape[0] :] = indicator_rows_for(he, model.grid, model.kept)
     est = model.k[0] @ lifted
     return np.maximum(est, GRIP_FLOOR)
 

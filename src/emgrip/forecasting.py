@@ -1,11 +1,13 @@
 """Short-horizon grip-force forecasting from the estimated-grip stream.
 
 Per incoming batch the latest estimates are LOWESS-smoothed, Hankel-lifted,
-augmented with pairwise products of log-shifted entries, thinned to a
-coarser snapshot grid, and decomposed into Ritz pairs by a residual-refined
-DMD.  Mode amplitudes are refit by least squares and the modes are powered
-forward to cover the next batch.  The model is retrained from scratch every
-batch so it always reflects the latest dynamics.
+thinned to a coarser snapshot grid, augmented with pairwise products of
+log-shifted entries, and decomposed into Ritz pairs by a residual-refined
+DMD.  The lift acts on each column alone, so thinning first gives the same
+snapshots as thinning after it while lifting only the kept columns.  Mode
+amplitudes are refit by least squares and the modes are powered forward to
+cover the next batch.  The model is retrained from scratch every batch so
+it always reflects the latest dynamics.
 """
 from __future__ import annotations
 
@@ -138,6 +140,20 @@ def lowess_smooth(values: np.ndarray, window: int, iterations: int = 0) -> np.nd
     return fitted
 
 
+def _check_log_shift(values: np.ndarray) -> None:
+    if (values <= -10.0).any():
+        raise DataError("entries must exceed -10 for the log shift")
+
+
+@lru_cache(maxsize=16)
+def _row_pairs(rows: int):
+    """Lexicographic (p, q) index pairs p < q, shared and read-only."""
+    pairs = np.triu_indices(rows, k=1)  # row-major: lexicographic pairs
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
+
+
 def log_interaction_lift(delay_block: np.ndarray) -> np.ndarray:
     """Pairwise products of ln(entry + 10) over all distinct delay-row pairs.
 
@@ -147,10 +163,9 @@ def log_interaction_lift(delay_block: np.ndarray) -> np.ndarray:
     h = np.asarray(delay_block, dtype=float)
     if h.ndim != 2 or h.shape[0] < 2:
         raise DataError("delay block needs at least 2 rows")
-    if np.any(h <= -10.0):
-        raise DataError("entries must exceed -10 for the log shift")
+    _check_log_shift(h)
     logs = np.log(h + 10.0)
-    p, q = np.triu_indices(h.shape[0], k=1)  # row-major: lexicographic pairs
+    p, q = _row_pairs(h.shape[0])
     return logs[p] * logs[q]
 
 
@@ -168,24 +183,29 @@ def thin(matrix: np.ndarray, step: int) -> np.ndarray:
 
 def _conjugate_units(eigvals: np.ndarray) -> list[list[int]]:
     """Group eigenvalue indices into conjugate pairs (or real singletons)."""
+    # Python scalars: the same IEEE arithmetic as NumPy's, without its
+    # per-scalar dispatch in this quadratic loop
+    vals = np.asarray(eigvals).tolist()
     units: list[list[int]] = []
-    used = np.zeros(eigvals.size, dtype=bool)
-    for i, lam in enumerate(eigvals):
+    used = [False] * len(vals)
+    for i, lam in enumerate(vals):
         if used[i]:
             continue
         used[i] = True
-        if abs(lam.imag) <= 1e-14 * max(1.0, abs(lam)):
+        scale = max(1.0, abs(lam))
+        if abs(lam.imag) <= 1e-14 * scale:
             units.append([i])
             continue
+        conj = lam.conjugate()
         partner = None
-        best = np.inf
-        for j in range(i + 1, eigvals.size):
+        best = math.inf
+        for j in range(i + 1, len(vals)):
             if used[j]:
                 continue
-            gap = abs(np.conj(lam) - eigvals[j])
+            gap = abs(conj - vals[j])
             if gap < best:
                 best, partner = gap, j
-        if partner is not None and best <= 1e-8 * max(1.0, abs(lam)):
+        if partner is not None and best <= 1e-8 * scale:
             used[partner] = True
             units.append([i, partner])
         else:
@@ -200,9 +220,11 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int) -> DmdModel:
     the compressed coordinates through an SVD of the first snapshot block,
     and every eigenvalue's Ritz vector is refined to minimise the data-
     driven residual ||A z - lambda z||.  The ``n_modes`` modes with the
-    smallest residuals are kept (ties broken by projected energy), with
-    complex-conjugate pairs kept or dropped together so reconstructions
-    stay real.
+    smallest residuals are kept, with complex-conjugate pairs kept or
+    dropped together so reconstructions stay real.  Only when two units
+    (pairs or real singletons) have exactly equal residuals are the
+    projected energies ||z^H C|| computed, to break that tie in favour of
+    the larger; full Ritz vectors are assembled for the kept modes alone.
     """
     s = np.asarray(snapshots, dtype=float)
     if s.ndim != 2:
@@ -216,47 +238,65 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int) -> DmdModel:
     else:
         q, c = None, s
 
+    # every factor below is real, so .T is the conjugate transpose
     x, y = c[:, :-1], c[:, 1:]
     u, sv, vh = np.linalg.svd(x, full_matrices=False)
     tol = sv[0] * 1e-12 if sv.size and sv[0] > 0 else 0.0
-    rank = max(1, int(np.sum(sv > tol)))
+    rank = max(1, int(np.count_nonzero(sv > tol)))
     u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
-    b = (y @ vh.conj().T) / sv
-    rayleigh = u.conj().T @ b
-    eigvals = np.linalg.eigvals(rayleigh)
+    b = (y @ vh.T) / sv
+    eigvals = np.linalg.eigvals(u.T @ b)
 
-    # b and u are real, so a conjugate partner's residual problem is the
-    # exact conjugate of its leader's: refine each unit's leader only, all
-    # in one stacked SVD, and mirror the partner
+    # a conjugate partner's residual problem is the exact conjugate of its
+    # leader's: refine each unit's leader only, all in one stacked SVD, and
+    # mirror the partner
     units = _conjugate_units(eigvals)
     leaders = [unit[0] for unit in units]
     stack = b[None] - eigvals[leaders, None, None] * u[None]
     _, sig, wh = np.linalg.svd(stack, full_matrices=False)
     lead_vectors = u @ wh[:, -1].conj().T
-    vectors = np.empty((c.shape[0], eigvals.size), dtype=complex)
-    residuals = np.empty(eigvals.size)
-    vectors[:, leaders] = lead_vectors
-    residuals[leaders] = sig[:, -1]
-    for k, unit in enumerate(units):
-        if len(unit) == 2:
-            vectors[:, unit[1]] = lead_vectors[:, k].conj()
-            residuals[unit[1]] = sig[k, -1]
+    residual = sig[:, -1].tolist()
 
-    energy = np.linalg.norm(vectors.conj().T @ c, axis=1)
-    units.sort(key=lambda unit: (residuals[unit].min(), -energy[unit].max()))
-    chosen: list[int] = []
-    for unit in units:
-        if len(chosen) + len(unit) <= n_modes:
-            chosen.extend(unit)
-        if len(chosen) == n_modes:
+    if len(set(residual)) == len(residual):
+        ranked = sorted(range(len(units)), key=residual.__getitem__)
+    else:
+        # an exact tie goes to the unit of larger projected energy
+        energy = _projected_energy(units, lead_vectors, c)
+        ranked = sorted(
+            range(len(units)),
+            key=lambda k: (residual[k], -max(energy[i] for i in units[k])),
+        )
+    # units are visited in residual order and members share their unit's
+    # residual, so the kept modes come out sorted by residual
+    picked: list[int] = []
+    count = 0
+    for k in ranked:
+        if count + len(units[k]) <= n_modes:
+            picked.append(k)
+            count += len(units[k])
+        if count == n_modes:
             break
-    order = np.argsort(residuals[chosen], kind="stable")
-    chosen = [chosen[i] for i in order]
 
-    z = vectors[:, chosen]
+    # kept mode j is eigenvalue modes[j] of unit lead[j]; a partner's Ritz
+    # vector is its leader's conjugated
+    modes = [i for k in picked for i in units[k]]
+    lead = [k for k in picked for _ in units[k]]
+    partners = [j for j, k in enumerate(lead) if modes[j] != units[k][0]]
+    z = lead_vectors[:, lead].astype(complex, copy=False)
+    z[:, partners] = z[:, partners].conj()
     if q is not None:
         z = q @ z
-    return DmdModel(eigvals[chosen], z, residuals[chosen])
+    return DmdModel(eigvals[modes], z, sig[lead, -1])
+
+
+def _projected_energy(units, lead_vectors, c) -> list[float]:
+    """||z^H C|| per eigenvalue, partners mirroring their leader's vector."""
+    vectors = np.empty((c.shape[0], sum(len(unit) for unit in units)), dtype=complex)
+    for k, unit in enumerate(units):
+        vectors[:, unit[0]] = lead_vectors[:, k]
+        if len(unit) == 2:
+            vectors[:, unit[1]] = lead_vectors[:, k].conj()
+    return np.linalg.norm(vectors.conj().T @ c, axis=1).tolist()
 
 
 def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
@@ -271,14 +311,19 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
     m = s.shape[1]
     lam = model.ritz_values
     z = model.ritz_vectors
-    if m > 1 and np.all(lam == 0):
+    if m > 1 and not lam.any():
         raise NumericError("all-zero eigenvalues cannot fit multiple snapshots")
 
     vand = lam[None, :] ** np.arange(m)[:, None]          # (m, l)
-    gram = (z.conj().T @ z) * (vand.conj().T @ vand)
-    rhs = ((z.conj().T @ s) * vand.conj().T).sum(axis=1)
-    cond = np.linalg.cond(gram)
-    if np.isfinite(cond) and cond < _CONDITION_LIMIT:
+    vand_h = vand.conj().T
+    z_h = z.conj().T
+    gram = z_h @ z
+    gram *= vand_h @ vand
+    rhs = z_h @ s
+    rhs *= vand_h
+    rhs = rhs.sum(axis=1)
+    # NaN and inf compare False, so a singular gram takes the fallback
+    if np.linalg.cond(gram) < _CONDITION_LIMIT:
         alpha = np.linalg.solve(gram, rhs)
     else:
         dense = np.vstack([z * vand[i][None, :] for i in range(m)])
@@ -302,11 +347,11 @@ def forecast(
     """
     if model.amplitudes is None:
         raise DataError("fit amplitudes before forecasting")
-    taus = np.arange(1, n_ahead + 1)
-    powers = model.ritz_values[None, :] ** (model.n_snapshots - 1 + taus[:, None])
-    vals = np.real(powers @ (model.ritz_vectors[readout_row] * model.amplitudes))
+    steps = np.arange(model.n_snapshots, model.n_snapshots + n_ahead)
+    powers = model.ritz_values[None, :] ** steps[:, None]
+    vals = (powers @ (model.ritz_vectors[readout_row] * model.amplitudes)).real
     if clamp is not None:
-        vals = np.clip(vals, clamp[0], clamp[1])
+        vals = np.minimum(np.maximum(vals, clamp[0]), clamp[1])
     if scaler is not None:
         vals = scaler.invert(vals)
     return vals
@@ -321,10 +366,10 @@ def predict_batch(
     """Forecasts (newtons) covering the next batch, or None while warming up.
 
     The tail of the scaled estimate stream is smoothed (the LOWESS window
-    reaches into the previous batches), the training window is lifted and
-    thinned, a fresh DMD model is fitted, and the readout row holding the
-    newest sample is powered forward.  Forecasts are clamped to the
-    calibration grip range before inverse scaling.
+    reaches into the previous batches), the training window's delay block
+    is thinned and then log-lifted, a fresh DMD model is fitted, and the
+    readout row holding the newest sample is powered forward.  Forecasts
+    are clamped to the calibration grip range before inverse scaling.
     """
     est = np.asarray(estimates_scaled, dtype=float)
     n_pred = round(hyper.window_modifier * batch_samples)
@@ -336,12 +381,14 @@ def predict_batch(
     smoothed = lowess_smooth(segment, n_smooth)
     window = smoothed[-n_pred:]
 
-    delay_block = hankel_lift(window, hyper.delays)
+    # thinning drops some window samples before the lift sees them, so the
+    # log-shift domain is checked on the whole window
+    _check_log_shift(window)
+    delay_block = thin(hankel_lift(window, hyper.delays), hyper.thin_step)
     lifted = np.vstack([log_interaction_lift(delay_block), delay_block])
-    thinned = thin(lifted, hyper.thin_step)
 
-    model = fit_dmd(thinned, hyper.n_modes)
-    fit_amplitudes(model, thinned)
+    model = fit_dmd(lifted, hyper.n_modes)
+    fit_amplitudes(model, lifted)
     n_ahead = math.ceil(batch_samples / hyper.thin_step)
     readout = lifted.shape[0] - 1  # newest-sample delay row
     return forecast(model, n_ahead, readout, scaler=scaler, clamp=(0.0, 1.0))

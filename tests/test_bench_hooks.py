@@ -8,6 +8,7 @@ layer as zero time.  These tests pin the lookups and argument shapes.
 import numpy as np
 
 import emgrip.estimation
+import emgrip.forecasting
 import emgrip.processing
 import emgrip.sensitivity
 import emgrip.simulate
@@ -18,12 +19,12 @@ from emgrip.synth import SynthProfile, synth_recording
 
 
 def _count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` and return the list of positional args it sees."""
+    """Wrap ``module.name`` and return the list of (args, kwargs) it sees."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -50,7 +51,7 @@ def test_objective_calls_each_sensitivity_hook_once_per_recording(monkeypatch):
     assert len(per_batch["smooth_ema"]) == len(corpus)
     assert len(per_batch["apply_spectral_mask"]) <= 2 * len(corpus)
     # the lag-at-boundary counter reads max_lag as the third positional argument
-    assert all(type(args[2]) is int for args in calls["peak_cross_correlation"])
+    assert all(type(args[2]) is int for args, _ in calls["peak_cross_correlation"])
 
 
 def test_stream_calls_batch_hooks_once_per_batch(
@@ -81,3 +82,33 @@ def test_fit_calls_each_estimation_hook_once(monkeypatch, calib_recording, mask,
     model = fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
     assert {name: len(c) for name, c in calls.items()} == {name: 1 for name in calls}
     assert model.k.shape == (model.hankel.delays + 1, model.lifted_dim)
+
+
+def test_stream_calls_layer_hooks_once_per_estimate_and_forecast(
+    monkeypatch, test_recording, model, mask, smoothing
+):
+    # the forecasting.*_ms_p50 spans, estimation.hankel/indicator spans and
+    # the clamped_ratio and out_of_grid counters read these lookups
+    per_forecast = {
+        name: _count_calls(monkeypatch, emgrip.forecasting, name)
+        for name in (
+            "lowess_smooth", "hankel_lift", "thin", "log_interaction_lift",
+            "fit_dmd", "fit_amplitudes", "forecast",
+        )
+    }
+    per_estimate = {
+        name: _count_calls(monkeypatch, emgrip.estimation, name)
+        for name in ("hankel_lift", "indicator_rows_for")
+    }
+    estimates = _count_calls(monkeypatch, emgrip.simulate, "estimate_window_scaled")
+    result = stream_simulate(test_recording, model, mask, smoothing)
+    n_forecasts = len(result.forecasts)
+    assert n_forecasts > 0
+    assert {name: len(c) for name, c in per_forecast.items()} == {
+        name: n_forecasts for name in per_forecast
+    }
+    # the clamped_ratio counter reads the scaler from the keywords
+    assert all("scaler" in kwargs for _, kwargs in per_forecast["forecast"])
+    assert {name: len(c) for name, c in per_estimate.items()} == {
+        name: len(estimates) for name in per_estimate
+    }

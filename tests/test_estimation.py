@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import emgrip.estimation
 from emgrip.calibration import MinMaxScaler
 from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.estimation import (
@@ -181,6 +183,44 @@ class TestBuildLiftedMatrices:
         assert e.shape[0] == 7 + kept.size
         # G is the grip Hankel block alone: no rows pad it to E's height
         assert g.shape == (7, e.shape[1])
+
+    def test_e_is_hankel_over_indicator_rows(self):
+        rng = np.random.default_rng(4)
+        emg = rng.uniform(0, 1, 300)
+        grip = rng.uniform(0, 1, 300)
+        params = HankelParams(delays=6, downsample=1)
+        grid = IndicatorGrid(divisions=3, exponent=1.8, tau1=2, tau2=5, min_density=0.01)
+        es, gs = self._scalers()
+        e, g, kept = build_lifted_matrices(emg, grip, es, gs, params, grid)
+        he = hankel_lift(emg, params.delays)
+        rows, want_kept = indicator_observables(he, grid)
+        assert np.array_equal(kept, want_kept)
+        assert np.array_equal(e, np.vstack([he, rows]))
+        assert np.array_equal(g, hankel_lift(grip, params.delays))
+
+    def test_lift_peak_is_about_e_plus_g(self, monkeypatch, calib_recording, mask, smoothing):
+        # both blocks of E are written straight into it, so no second copy
+        # of either sits beside E and G (before: 1.79x E + G on seed 42)
+        seen = []
+        original = emgrip.estimation.build_lifted_matrices
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            e, g, kept = original(*args)
+            seen.append((tracemalloc.get_traced_memory()[1] - base, e.nbytes + g.nbytes))
+            return e, g, kept
+
+        monkeypatch.setattr(emgrip.estimation, "build_lifted_matrices", measured)
+        fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)  # warm
+        tracemalloc.start()
+        try:
+            fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
+        finally:
+            tracemalloc.stop()
+        peak, held = seen[-1]
+        assert held > 8e6
+        assert peak <= 1.05 * held
 
     def test_zero_grip_hankel_block_zero(self):
         rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import emgrip.forecasting
 from emgrip.calibration import MinMaxScaler
 from emgrip.errors import ConfigError, DataError
 from emgrip.estimation import hankel_lift
@@ -96,6 +97,84 @@ def per_eigenvalue_refinement(snapshots):
     if q is not None:
         vectors = q @ vectors
     return eigvals, vectors, residuals
+
+
+def reference_conjugate_units(eigvals):
+    """The original conjugate pairing, on NumPy scalars."""
+    units = []
+    used = np.zeros(eigvals.size, dtype=bool)
+    for i, lam in enumerate(eigvals):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(lam.imag) <= 1e-14 * max(1.0, abs(lam)):
+            units.append([i])
+            continue
+        partner = None
+        best = np.inf
+        for j in range(i + 1, eigvals.size):
+            if used[j]:
+                continue
+            gap = abs(np.conj(lam) - eigvals[j])
+            if gap < best:
+                best, partner = gap, j
+        if partner is not None and best <= 1e-8 * max(1.0, abs(lam)):
+            used[partner] = True
+            units.append([i, partner])
+        else:
+            units.append([i])
+    return units
+
+
+def reference_fit_dmd(snapshots, n_modes):
+    """The original fit_dmd: every Ritz vector and every projected energy
+    built before selection.  Returns (ritz_values, ritz_vectors, residuals)."""
+    s = np.asarray(snapshots, dtype=float)
+    rows, m = s.shape
+    q, c = np.linalg.qr(s) if rows > m else (None, s)
+    x, y = c[:, :-1], c[:, 1:]
+    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    tol = sv[0] * 1e-12 if sv.size and sv[0] > 0 else 0.0
+    rank = max(1, int(np.sum(sv > tol)))
+    u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
+    b = (y @ vh.conj().T) / sv
+    eigvals = np.linalg.eigvals(u.conj().T @ b)
+    units = reference_conjugate_units(eigvals)
+    leaders = [unit[0] for unit in units]
+    stack = b[None] - eigvals[leaders, None, None] * u[None]
+    _, sig, wh = np.linalg.svd(stack, full_matrices=False)
+    lead_vectors = u @ wh[:, -1].conj().T
+    vectors = np.empty((c.shape[0], eigvals.size), dtype=complex)
+    residuals = np.empty(eigvals.size)
+    vectors[:, leaders] = lead_vectors
+    residuals[leaders] = sig[:, -1]
+    for k, unit in enumerate(units):
+        if len(unit) == 2:
+            vectors[:, unit[1]] = lead_vectors[:, k].conj()
+            residuals[unit[1]] = sig[k, -1]
+    energy = np.linalg.norm(vectors.conj().T @ c, axis=1)
+    units.sort(key=lambda unit: (residuals[unit].min(), -energy[unit].max()))
+    chosen = []
+    for unit in units:
+        if len(chosen) + len(unit) <= n_modes:
+            chosen.extend(unit)
+        if len(chosen) == n_modes:
+            break
+    order = np.argsort(residuals[chosen], kind="stable")
+    chosen = [chosen[i] for i in order]
+    z = vectors[:, chosen]
+    if q is not None:
+        z = q @ z
+    return eigvals[chosen], z, residuals[chosen]
+
+
+def assert_matches_reference(snapshots, n_modes):
+    model = fit_dmd(snapshots, n_modes)
+    values, vectors, residuals = reference_fit_dmd(snapshots, n_modes)
+    for got, want in ((model.ritz_values, values), (model.ritz_vectors, vectors),
+                      (model.residuals, residuals)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestLowess:
@@ -291,6 +370,47 @@ class TestFitDmd:
                 assert np.array_equal(model.ritz_vectors[:, b], model.ritz_vectors[:, a].conj())
                 assert model.residuals[b] == model.residuals[a]
 
+    def test_bit_identical_to_reference_on_stream_snapshots(
+        self, monkeypatch, test_recording, model, mask, smoothing
+    ):
+        from emgrip.simulate import stream_simulate
+
+        seen = []
+        original = emgrip.forecasting.fit_dmd
+
+        def capture(snapshots, n_modes):
+            seen.append((np.array(snapshots), n_modes))
+            return original(snapshots, n_modes)
+
+        monkeypatch.setattr(emgrip.forecasting, "fit_dmd", capture)
+        stream_simulate(test_recording, model, mask, smoothing)
+        monkeypatch.undo()
+        assert len(seen) > 50
+        for snapshots, n_modes in seen:
+            assert_matches_reference(snapshots, n_modes)
+
+    @pytest.mark.parametrize("shape", [(45, 11), (12, 9), (5, 14), (2, 6), (30, 4)])
+    def test_bit_identical_to_reference_on_random_matrices(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for trial in range(4):
+            snapshots = rng.standard_normal(shape)
+            if trial % 2:  # rank 2 exercises the rank cut
+                snapshots = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+            for n_modes in range(1, min(shape[1] - 1, 6) + 1):
+                assert_matches_reference(snapshots, n_modes)
+
+    def test_exact_residual_tie_broken_by_energy_like_reference(self):
+        # eigvals gives (-1, 0); both real units have a residual of exactly
+        # 0, and 0 has the larger projected energy, so it ranks first and
+        # takes the one slot
+        snapshots = np.array([[0.0, 1.0, -1.0], [2.0, 0.0, 0.0]])
+        values, _, residuals = reference_fit_dmd(snapshots, 2)
+        assert np.isrealobj(values) and values.tolist() == [0.0, -1.0]
+        assert residuals[0] == residuals[1]
+        for n_modes in (1, 2):
+            assert_matches_reference(snapshots, n_modes)
+        assert fit_dmd(snapshots, 1).ritz_values.tolist() == [0.0]
+
     def test_insufficient_snapshots_rejected(self):
         with pytest.raises(DataError):
             fit_dmd(np.zeros((3, 4)), 4)
@@ -419,6 +539,19 @@ class TestPredictBatch:
         out = predict_batch(est, ForecastHyperparams(), scaler)
         assert out.min() >= 5.0 - 1e-9
         assert out.max() <= 80.0 + 1e-9
+
+    def test_log_shift_checked_in_columns_thinning_drops(self, monkeypatch):
+        # without smoothing the window is the raw tail; window[0] lies only
+        # in delay column 0, which thinning drops before the log lift
+        monkeypatch.setattr(emgrip.forecasting, "lowess_smooth", lambda v, w: np.array(v))
+        hyper = ForecastHyperparams()
+        n_pred = round(hyper.window_modifier * 62)
+        est = np.full(400, 0.5)
+        est[-n_pred] = -10.0
+        window = est[-n_pred:]
+        assert thin(hankel_lift(window, hyper.delays), hyper.thin_step).min() > -10.0
+        with pytest.raises(DataError, match="log shift"):
+            predict_batch(est, hyper, MinMaxScaler(0.0, 100.0))
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ConfigError):
