@@ -54,6 +54,7 @@ from .processing import (
     process_recording,
     resample_linear,
     smooth_ema,
+    xcorr_side,
 )
 from .sensitivity import (
     Bounds,

@@ -415,8 +415,55 @@ def _window_sums(v: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     return prefix, suffix
 
 
+@dataclass(frozen=True)
+class XcorrSide:
+    """One series' half of ``peak_cross_correlation``, built by
+    ``xcorr_side`` for a length ``n`` and a ``max_lag``.
+
+    ``spectrum`` is the ``rfft`` of the mean-centred series zero-padded to
+    ``nfft = _fast_len(n + max_lag)``.  ``pre``/``suf`` and
+    ``sq_pre``/``sq_suf`` are the ``_window_sums`` of the centred series
+    and of its square.
+    """
+
+    n: int
+    max_lag: int
+    nfft: int
+    spectrum: np.ndarray
+    pre: np.ndarray
+    suf: np.ndarray
+    sq_pre: np.ndarray
+    sq_suf: np.ndarray
+
+
+def xcorr_side(x: np.ndarray, max_lag_samples: int) -> XcorrSide:
+    """Check, centre and transform one series for ``peak_cross_correlation``.
+
+    Raises as ``peak_cross_correlation`` does for this series alone: a
+    length below 2 is a ``DataError``, a lag outside ``0 <= lag < n`` a
+    ``ConfigError``, and a constant or non-finite series a ``NumericError``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 2:
+        raise DataError("series must have length >= 2")
+    max_lag = int(max_lag_samples)
+    if max_lag < 0 or max_lag >= n:
+        raise ConfigError("max lag must satisfy 0 <= lag < length")
+    if np.ptp(x) == 0:
+        raise NumericError("constant input: correlation undefined")
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite input: correlation undefined")
+    x = x - x.mean()
+    nfft = _fast_len(n + max_lag)
+    arrays = (np.fft.rfft(x, nfft), *_window_sums(x, max_lag), *_window_sums(x * x, max_lag))
+    for arr in arrays:
+        arr.flags.writeable = False  # a side may be shared by many calls
+    return XcorrSide(n, max_lag, nfft, *arrays)
+
+
 def peak_cross_correlation(
-    a: np.ndarray, b: np.ndarray, max_lag_samples: int
+    a: np.ndarray, b: np.ndarray | XcorrSide, max_lag_samples: int
 ) -> tuple[float, int]:
     """Maximum lagged Pearson correlation between two aligned series.
 
@@ -426,52 +473,55 @@ def peak_cross_correlation(
     on that window.  Returns (peak, lag) for the (signed) maximum; a tie
     goes to the most negative lag.
 
-    Method: both series are mean-centred over their whole length, and the
-    lagged cross sums ``sum(a[i] * b[i + l])`` for every lag come from one
-    numpy ``rfft``/``irfft`` pair zero-padded to ``_fast_len(n + max_lag)``
-    (enough to keep the circular product free of wrap-around).  Every
-    overlap window is a prefix of one series and a suffix of the other, so
-    its sums and sums of squares come from cumulative sums, and
-    ``r = (Sxy - Sx*Sy/m) / sqrt((Sxx - Sx**2/m) * (Syy - Sy**2/m))``.
+    ``b`` may also be the ``xcorr_side`` of the series, so that a series
+    correlated with many others is checked and transformed once; the result
+    is bit-identical to passing the array.  A side built for another length
+    is a ``DataError``, and one built for another ``max_lag`` a
+    ``ConfigError``.
+
+    Method: ``xcorr_side`` mean-centres each series over its whole length
+    and zero-pads its ``rfft`` to ``_fast_len(n + max_lag)``, enough to
+    keep the circular product free of wrap-around; one ``irfft`` of the
+    product gives the lagged cross sums ``sum(a[i] * b[i + l])`` of every
+    lag.  Every overlap window is a prefix of one series and a suffix of
+    the other, so its sums and sums of squares come from cumulative sums,
+    and ``r = (Sxy - Sx*Sy/m) / sqrt((Sxx - Sx**2/m) * (Syy - Sy**2/m))``.
     A lag is skipped when its window has fewer than 2 samples, or when
     either window variance is at or below round-off (``m * eps`` of the
-    window's sum of squares), that is, zero.  A non-finite sample anywhere
-    raises ``NumericError``, since the FFT spreads it to every lag.  The
-    FFT's round-off is relative to the whole series, so windows of a few
-    samples carry more of it (up to ~1e-11 in ``r`` at 2 samples), and ties
-    among them may fall to another lag than in a lag-by-lag scan.
+    window's sum of squares), that is, zero.  A constant series, or a
+    non-finite sample anywhere, raises ``NumericError``; the FFT would
+    spread a bad sample to every lag.  The FFT's round-off is relative to
+    the whole series, so windows of a few samples carry more of it (up to
+    ~1e-11 in ``r`` at 2 samples), and ties among them may fall to another
+    lag than in a lag-by-lag scan.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    prepared = isinstance(b, XcorrSide)
+    if not prepared:
+        b = np.asarray(b, dtype=float)
     n = a.size
-    if b.size != n or n < 2:
+    if (b.n if prepared else b.size) != n or n < 2:
         raise DataError("series must have equal length >= 2")
     max_lag = int(max_lag_samples)
     if max_lag < 0 or max_lag >= n:
         raise ConfigError("max lag must satisfy 0 <= lag < length")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise NumericError("constant input: correlation undefined")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NumericError("non-finite input: correlation undefined")
+    if prepared and b.max_lag != max_lag:
+        raise ConfigError(f"side was built for max lag {b.max_lag}, not {max_lag}")
+    x = xcorr_side(a, max_lag)
+    y = b if prepared else xcorr_side(b, max_lag)
 
-    a = a - a.mean()
-    b = b - b.mean()
-    nfft = _fast_len(n + max_lag)
-    cross = np.fft.irfft(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft), nfft)
+    nfft = x.nfft
+    cross = np.fft.irfft(np.conj(x.spectrum) * y.spectrum, nfft)
     sxy = np.concatenate((cross[nfft - max_lag :], cross[: max_lag + 1]))
 
     lags = np.arange(-max_lag, max_lag + 1)
     j = max_lag - np.abs(lags)
     m = n - np.abs(lags)
     ahead = lags >= 0  # a's window is a prefix and b's a suffix
-    a_pre, a_suf = _window_sums(a, max_lag)
-    b_pre, b_suf = _window_sums(b, max_lag)
-    a2_pre, a2_suf = _window_sums(a * a, max_lag)
-    b2_pre, b2_suf = _window_sums(b * b, max_lag)
-    sx = np.where(ahead, a_pre[j], a_suf[j])
-    sy = np.where(ahead, b_suf[j], b_pre[j])
-    sxx = np.where(ahead, a2_pre[j], a2_suf[j])
-    syy = np.where(ahead, b2_suf[j], b2_pre[j])
+    sx = np.where(ahead, x.pre[j], x.suf[j])
+    sy = np.where(ahead, y.suf[j], y.pre[j])
+    sxx = np.where(ahead, x.sq_pre[j], x.sq_suf[j])
+    syy = np.where(ahead, y.sq_suf[j], y.sq_pre[j])
 
     vx = sxx - sx * sx / m
     vy = syy - sy * sy / m

@@ -3,7 +3,10 @@
 The tunable space has 250 dimensions: 248 spectral-mask gains (DC excluded),
 the smoothing window size, and the smoothing decay factor.  The objective is
 1 minus the mean peak cross-correlation between processed EMG and grip force
-over a set of recordings, so lower is better.
+over a set of recordings, so lower is better.  The grip side of each
+recording's correlation does not depend on the candidate, so the objective
+builds it once per recording and reuses it while the recording's data stay
+bit-equal.
 
 Provided machinery: Latin hypercube and Saltelli/radial samplers, grouped
 Sobol first/total-order estimators with bootstrap confidence intervals, the
@@ -14,6 +17,7 @@ judgement itself stays manual).
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,9 +29,11 @@ from .processing import (
     NOMINAL_EMG_FS,
     SmoothingParams,
     SpectralMask,
+    XcorrSide,
     peak_cross_correlation,
     process_recording,
     resample_linear,
+    xcorr_side,
 )
 
 N_MASK_VARS = DEFAULT_BATCH_SIZE // 2  # non-DC bins: 248
@@ -401,16 +407,59 @@ def rbdfast_indices(
     )
 
 
+def _max_lag(emg) -> int:
+    """``DEFAULT_MAX_LAG_S`` in samples of ``emg``."""
+    return int(round(DEFAULT_MAX_LAG_S * emg.rate))
+
+
+def _grip_side(emg, grip, n: int) -> tuple[XcorrSide, int]:
+    """``grip`` on the first ``n`` EMG timestamps as an ``xcorr_side``, and
+    the max lag it was built for."""
+    grip_on_emg = resample_linear(grip, emg.times[:n]).values
+    max_lag = _max_lag(emg)
+    return xcorr_side(grip_on_emg, max_lag), max_lag
+
+
 def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
     """Peak lagged correlation between an EMG envelope and grip force.
 
     ``grip`` is resampled onto the first ``envelope.size`` EMG timestamps
     and lags are searched within +-``DEFAULT_MAX_LAG_S``.  Returns (peak,
-    lag in EMG samples) as ``peak_cross_correlation`` does.
+    lag in EMG samples) as ``peak_cross_correlation`` does.  Nothing is
+    kept between calls; ``objective`` reuses each recording's grip side.
     """
-    grip_on_emg = resample_linear(grip, emg.times[: envelope.size]).values
-    max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
-    return peak_cross_correlation(envelope, grip_on_emg, max_lag)
+    side, max_lag = _grip_side(emg, grip, envelope.size)
+    return peak_cross_correlation(envelope, side, max_lag)
+
+
+# id(recording) -> (copies of grip.times, grip.values and emg.times[:n], the
+# grip side, max_lag); a weakref.finalize drops the entry with its recording
+_GRIP_SIDES: dict[int, tuple] = {}
+
+
+def _recording_grip_side(rec, n: int) -> tuple[XcorrSide, int]:
+    """``_grip_side`` of a recording, reused while its inputs stay bit-equal."""
+    emg, grip = rec.emg, rec.grip
+    key = id(rec)
+    entry = _GRIP_SIDES.get(key)
+    if entry is not None:
+        times, values, emg_times, side, max_lag = entry
+        if (
+            side.n == n
+            and max_lag == _max_lag(emg)
+            and np.array_equal(times, grip.times)
+            and np.array_equal(values, grip.values)
+            and np.array_equal(emg_times, emg.times[:n])
+        ):
+            return side, max_lag
+    side, max_lag = _grip_side(emg, grip, n)
+    if entry is None:
+        try:
+            weakref.finalize(rec, _GRIP_SIDES.pop, key, None)
+        except TypeError:  # no weak references to it, so nothing to key on
+            return side, max_lag
+    _GRIP_SIDES[key] = (grip.times.copy(), grip.values.copy(), emg.times[:n].copy(), side, max_lag)
+    return side, max_lag
 
 
 def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE) -> float:
@@ -419,12 +468,20 @@ def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE)
     Each recording's EMG is processed in batches with the candidate mask
     and smoothing, then correlated with its grip force on the EMG clock.
     Near 0 for configurations that track grip well.
+
+    The grip side of each correlation (grip resampled onto the EMG clock,
+    checked, centred and transformed) depends on the recording alone, so
+    it is built once per recording and kept until the recording is
+    garbage-collected.  It is reused only while the recording's grip times
+    and values and the EMG times it covers are bit-equal to those it was
+    built from, so results are those of ``envelope_grip_xcorr``.
     """
     peaks = []
     for rec in dataset:
         emg = rec.emg
         processed = process_recording(emg, dv.to_mask(emg.rate / batch_size), dv.smoothing(), batch_size)
-        peaks.append(envelope_grip_xcorr(processed, emg, rec.grip)[0])
+        side, max_lag = _recording_grip_side(rec, processed.size)
+        peaks.append(peak_cross_correlation(processed, side, max_lag)[0])
     if not peaks:
         raise DataError("empty dataset")
     return 1.0 - float(np.mean(peaks))

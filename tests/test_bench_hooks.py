@@ -52,6 +52,14 @@ def test_objective_calls_each_sensitivity_hook_once_per_recording(monkeypatch):
     assert len(per_batch["apply_spectral_mask"]) <= 2 * len(corpus)
     # the lag-at-boundary counter reads max_lag as the third positional argument
     assert all(type(args[2]) is int for args, _ in calls["peak_cross_correlation"])
+    # a second candidate on the same corpus reuses each recording's grip
+    # side: no resampling, but still one processing and one correlation
+    # call a recording, so the lag-at-boundary counter sees every candidate
+    objective(corpus, DecisionVector(np.full(248, 0.5), 90, 0.01))
+    assert len(calls["resample_linear"]) == len(corpus)
+    assert len(calls["process_recording"]) == len(calls["peak_cross_correlation"]) == 2 * len(corpus)
+    assert len(per_batch["smooth_ema"]) == 2 * len(corpus)
+    assert all(type(args[2]) is int for args, _ in calls["peak_cross_correlation"])
 
 
 def test_stream_calls_batch_hooks_once_per_batch(

@@ -268,6 +268,25 @@ class TestResolveOption:
             read_config(p)
 
 
+def _grip_profile_loop(profile, t):
+    """The per-segment boolean-mask loop ``grip_profile`` replaced, O(levels x n)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    prev = 0.0
+    start = profile.lead_s
+    for level in profile.levels:
+        ramp = (t >= start) & (t < start + profile.ramp_s)
+        u = (t[ramp] - start) / profile.ramp_s
+        out[ramp] = prev + (level - prev) * 0.5 * (1.0 - np.cos(np.pi * u))
+        start += profile.ramp_s
+        plateau = (t >= start) & (t < start + profile.plateau_s)
+        out[plateau] = level
+        start += profile.plateau_s
+        prev = level
+    out[t >= start] = prev
+    return out
+
+
 class TestSynth:
     def test_deterministic_files(self, tmp_path):
         prof = SynthProfile(plateau_s=0.5, ramp_s=0.3, lead_s=0.2)
@@ -297,6 +316,38 @@ class TestSynth:
         for lv in prof.levels:
             assert np.any(np.isclose(g, lv, atol=1e-12))
         assert g[t < prof.lead_s].max() == 0.0
+
+    @pytest.mark.parametrize("repeat", [1, 16])
+    def test_profile_matches_segment_loop_on_recording_clocks(self, repeat):
+        # the EMG clock (shifted by the EMG lag) and the grip clock of the
+        # default recording and of the 16x longer one
+        prof = SynthProfile(levels=SynthProfile().levels * repeat)
+        for fs, shift in ((prof.emg_fs, prof.emg_lag_s), (prof.grip_fs, 0.0)):
+            t = np.arange(int(round(prof.duration_s * fs))) / fs - shift
+            assert np.array_equal(grip_profile(prof, t), _grip_profile_loop(prof, t))
+
+    def test_profile_matches_segment_loop_on_edges(self):
+        # times exactly on every accumulated segment edge, one ulp either
+        # side, before the lead-in and after the last plateau; levels that
+        # repeat, rise and fall, and an integer lead-in.  The ramps 0.3 -> 0.9
+        # and 0.9 -> 0.2 end an ulp off their plateau level, so a time on
+        # such an edge must fall in the plateau, as in the loop
+        prof = SynthProfile(
+            levels=(0.3, 0.3, 1.0, 0.0, 0.1, 0.7, 0.3, 0.9, 0.2), plateau_s=0.7, ramp_s=0.3, lead_s=2
+        )
+        edges = [prof.lead_s]
+        for _ in prof.levels:
+            edges += [edges[-1] + prof.ramp_s, edges[-1] + prof.ramp_s + prof.plateau_s]
+        edges = np.array(edges, dtype=float)
+        t = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-1.0, 0.0, edges[-1] + 5.0], np.linspace(-1.0, prof.duration_s + 1.0, 997),
+        ])
+        assert np.array_equal(grip_profile(prof, t), _grip_profile_loop(prof, t))
+        grid = t[:990].reshape(30, 33)
+        assert np.array_equal(grip_profile(prof, grid), _grip_profile_loop(prof, grid))
+        no_levels = SynthProfile(levels=())
+        assert np.array_equal(grip_profile(no_levels, t), _grip_profile_loop(no_levels, t))
 
     def test_corpus_layout(self):
         prof = SynthProfile(plateau_s=0.3, ramp_s=0.2, lead_s=0.1)

@@ -18,6 +18,7 @@ from emgrip.processing import (
     process_recording,
     resample_linear,
     smooth_ema,
+    xcorr_side,
 )
 from emgrip.sensitivity import (
     DecisionVector,
@@ -377,7 +378,10 @@ def _scan_oracle(a, b, max_lag):
 
 
 def _assert_matches_scan(a, b, max_lag):
+    """Check the array call against the scan oracle, and the call given
+    ``b``'s prepared ``xcorr_side`` against the array call, bit for bit."""
     peak, lag = peak_cross_correlation(a, b, max_lag)
+    assert peak_cross_correlation(a, xcorr_side(b, max_lag), max_lag) == (peak, lag)
     want_peak, want_lag = _scan_oracle(a, b, max_lag)
     assert peak == pytest.approx(want_peak, abs=1e-12)
     assert lag == want_lag
@@ -504,6 +508,37 @@ class TestPeakCrossCorrelation:
         a[where] = np.nan
         with pytest.raises(NumericError):
             peak_cross_correlation(a, _rng().standard_normal(100), 5)
+
+    def test_side_reusable_across_series(self):
+        rng = _rng()
+        b = rng.standard_normal(400)
+        side = xcorr_side(b, 40)
+        for _ in range(3):
+            a = np.roll(b, 9) + rng.standard_normal(400)
+            assert peak_cross_correlation(a, side, 40) == peak_cross_correlation(a, b, 40)
+
+    def test_side_for_other_length_or_lag_rejected(self):
+        rng = _rng()
+        a = rng.standard_normal(100)
+        with pytest.raises(DataError):
+            peak_cross_correlation(a, xcorr_side(rng.standard_normal(101), 5), 5)
+        with pytest.raises(ConfigError, match="max lag 6"):
+            peak_cross_correlation(a, xcorr_side(rng.standard_normal(100), 6), 5)
+
+    @pytest.mark.parametrize("bad", ["constant", "non-finite", "short", "lag"])
+    def test_side_checks_its_series(self, bad):
+        x = _rng().standard_normal(50)
+        lag, error = 5, NumericError
+        if bad == "constant":
+            x[:] = 2.5
+        elif bad == "non-finite":
+            x[7] = np.inf
+        elif bad == "short":
+            x, error = x[:1], DataError
+        else:
+            lag, error = 50, ConfigError
+        with pytest.raises(error):
+            xcorr_side(x, lag)
 
     @pytest.mark.filterwarnings("error")
     def test_sa_recording_matches_scan(self):

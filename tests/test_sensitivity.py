@@ -1,10 +1,19 @@
+import collections
+import gc
+
 import numpy as np
 import pytest
 
 import emgrip.sensitivity
-from emgrip.errors import ConfigError, DataError
+from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.io import Recording
-from emgrip.processing import TimestampedSeries
+from emgrip.processing import (
+    DEFAULT_MAX_LAG_S,
+    TimestampedSeries,
+    peak_cross_correlation,
+    process_recording,
+    resample_linear,
+)
 from emgrip.sensitivity import (
     Bounds,
     DecisionVector,
@@ -436,6 +445,83 @@ class TestObjective:
         samples = latin_hypercube(bounds, 3, seed=0)
         rows = [objective(small_corpus, DecisionVector.from_array(x)) for x in samples]
         assert np.array_equal(map_objective(small_corpus, samples), rows)
+
+
+def _objective_without_memo(dataset, dv, batch_size=496):
+    """``objective`` as one-shot calls: resample, then correlate arrays."""
+    peaks = []
+    for rec in dataset:
+        emg = rec.emg
+        env = process_recording(emg, dv.to_mask(emg.rate / batch_size), dv.smoothing(), batch_size)
+        grip = resample_linear(rec.grip, emg.times[: env.size]).values
+        max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
+        peaks.append(peak_cross_correlation(env, grip, max_lag)[0])
+    return 1.0 - float(np.mean(peaks))
+
+
+def _small_recording(seed):
+    return synth_recording(SynthProfile(plateau_s=1.0, ramp_s=0.5, lead_s=0.5), seed=seed)
+
+
+class TestObjectiveGripMemo:
+    def test_study_matches_memo_free_objective(self):
+        # the seed-42 sa_rbdfast study: corpus 44/45, design seed 46
+        corpus = [synth_recording(seed=s) for s in (44, 45)]
+        x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
+        got = map_objective(corpus, x)
+        want = [_objective_without_memo(corpus, DecisionVector.from_array(row)) for row in x]
+        assert np.array_equal(got, want)
+        assert all(id(rec) in emgrip.sensitivity._GRIP_SIDES for rec in corpus)
+
+    @pytest.mark.parametrize("change", ["grip_values", "emg_times"])
+    def test_in_place_change_recomputed(self, change):
+        rec = _small_recording(33)
+        dv = DecisionVector(np.ones(248), 120, 0.01)
+        before = objective([rec], dv)
+        if change == "grip_values":
+            rec.grip.values[:] = rec.grip.values[::-1].copy()
+        else:
+            rec.emg.times[:] += 0.05  # same rate and max lag, other grip samples
+        after = objective([rec], dv)
+        assert after == _objective_without_memo([rec], dv)
+        assert after != before
+
+    def test_entry_dropped_with_its_recording(self):
+        rec = _small_recording(34)
+        objective([rec], DecisionVector(np.ones(248), 120, 0.0))
+        key = id(rec)
+        assert key in emgrip.sensitivity._GRIP_SIDES
+        del rec
+        gc.collect()
+        assert key not in emgrip.sensitivity._GRIP_SIDES
+
+    def test_recording_without_weak_references_not_kept(self):
+        rec = _small_recording(36)
+        plain = collections.namedtuple("Plain", "emg grip")(rec.emg, rec.grip)
+        dv = DecisionVector(np.ones(248), 120, 0.0)
+        assert objective([plain], dv) == objective([rec], dv)
+        assert id(plain) not in emgrip.sensitivity._GRIP_SIDES
+        assert id(rec) in emgrip.sensitivity._GRIP_SIDES
+
+    @pytest.mark.parametrize(
+        "envelope, grip",
+        [(e, g) for e in ("ok", "constant", "non-finite") for g in ("ok", "constant", "non-finite")][1:],
+    )
+    def test_constant_or_non_finite_raises(self, envelope, grip):
+        rec = _small_recording(35)
+        gains = np.zeros(248) if envelope == "constant" else np.ones(248)
+        if envelope == "non-finite":
+            rec.emg.values[1000] = np.nan
+        values = rec.grip.values.copy()
+        if grip == "constant":
+            values[:] = 3.0
+        elif grip == "non-finite":
+            values[200] = np.inf
+        rec = Recording(rec.emg, TimestampedSeries(rec.grip.times, values))
+        with pytest.raises(NumericError):
+            objective([rec], DecisionVector(gains, 120, 0.0))
+        if grip != "ok":
+            assert id(rec) not in emgrip.sensitivity._GRIP_SIDES
 
 
 class TestProjectionSummary:
