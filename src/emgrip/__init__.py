@@ -13,6 +13,7 @@ from .estimation import (
     EstimatorModel,
     HankelParams,
     IndicatorGrid,
+    LiftedMatrix,
     build_lifted_matrices,
     estimate_batch,
     fit_estimator,

@@ -10,11 +10,13 @@ row is applied to the data under the batch window.
 
 A column lies in at most one cell, so the indicator rows partition the
 columns (the dictionary of Ulam's method) and are mutually orthogonal.  The
-fit eliminates them exactly: per-cell means come off the Hankel rows and
-off G, the reduced problem in the Hankel rows alone is solved with the
-1e-10 cut-off relative to that reduced block, and each cell's weight is
-back-substituted from its means.  A reduced block of deficient rank falls
-back to one solve over all of E, which keeps the minimum-norm solution.
+calibration lift therefore keeps E as a ``LiftedMatrix``: the Hankel block
+plus each column's cell, with no 0/1 rows written out.  The fit eliminates
+the cells exactly: per-cell means come off the Hankel rows and off G, the
+reduced problem in the Hankel rows alone is solved with the 1e-10 cut-off
+relative to that reduced block, and each cell's weight is back-substituted
+from its means.  A reduced block of deficient rank falls back to one solve
+over all of E, which keeps the minimum-norm solution.
 """
 from __future__ import annotations
 
@@ -176,6 +178,39 @@ def indicator_rows_for(hankel: np.ndarray, grid: IndicatorGrid, kept: np.ndarray
     return _mark_cells(np.zeros((kept.size, flat.size)), flat, kept)
 
 
+@dataclass(frozen=True)
+class LiftedMatrix:
+    """The lifted calibration matrix E, kept as the two parts it is made of.
+
+    ``dense`` is the EMG Hankel block, (delays+1) x N; ``cells[n]`` is the
+    position in the kept cell list of column n's grid cell, or -1 when the
+    column lies in no kept cell.  E is ``dense`` stacked over ``n_cells``
+    0/1 indicator rows, row r set where ``cells == r``; the rows are never
+    written out unless ``toarray`` asks for them.
+    """
+
+    dense: np.ndarray
+    cells: np.ndarray
+    n_cells: int
+
+    def __post_init__(self):
+        if self.dense.ndim != 2 or np.shape(self.cells) != self.dense.shape[1:]:
+            raise DataError("cells must hold one entry per column of the dense block")
+        if self.cells.size and not -1 <= self.cells.min() <= self.cells.max() < self.n_cells:
+            raise DataError(f"cells must lie in [-1, {self.n_cells})")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dense.shape[0] + self.n_cells, self.dense.shape[1]
+
+    def toarray(self) -> np.ndarray:
+        """E as one dense array: the Hankel block over its indicator rows."""
+        e = np.zeros(self.shape)
+        e[: self.dense.shape[0]] = self.dense
+        _mark_cells(e[self.dense.shape[0] :], self.cells, np.arange(self.n_cells))
+        return e
+
+
 def build_lifted_matrices(
     emg_ds: np.ndarray,
     grip_ds: np.ndarray,
@@ -183,13 +218,14 @@ def build_lifted_matrices(
     grip_scaler: MinMaxScaler,
     params: HankelParams,
     grid: IndicatorGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[LiftedMatrix, np.ndarray, np.ndarray]:
     """Scaled, lifted data matrices for fitting the static operator.
 
-    E stacks the EMG Hankel block over its indicator rows; G is the grip
-    Hankel block.  Both inputs must already share timestamps (same
-    downsampled grid).  Both blocks of E are written straight into it, so
-    neither exists a second time beside it.
+    Returns (E, G, kept).  E is a ``LiftedMatrix``: the EMG Hankel block,
+    a read-only view of the scaled series, plus each column's position in
+    ``kept``; its 0/1 indicator rows are not built.  G is the grip Hankel
+    block.  Both inputs must already share timestamps (same downsampled
+    grid).
     """
     emg_ds = np.asarray(emg_ds, dtype=float)
     grip_ds = np.asarray(grip_ds, dtype=float)
@@ -198,78 +234,75 @@ def build_lifted_matrices(
     he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
     flat = _flat_cells(he, grid)
     kept = _dense_cells(flat, grid)
-    e = np.zeros((he.shape[0] + kept.size, flat.size))
-    e[: he.shape[0]] = he
-    _mark_cells(e[he.shape[0] :], flat, kept)
+    cells = np.full(flat.size, -1)
+    if kept.size:
+        pos = np.searchsorted(kept, flat)
+        hit = np.flatnonzero(kept.take(pos, mode="clip") == flat)
+        cells[hit] = pos[hit]
     hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
-    return e, hg, kept
+    return LiftedMatrix(he, cells, kept.size), hg, kept
 
 
-def fit_static_koopman(e: np.ndarray, g: np.ndarray) -> np.ndarray:
+def fit_static_koopman(e: LiftedMatrix | np.ndarray, g: np.ndarray) -> np.ndarray:
     """Frobenius-optimal linear map K with G ~= K E, the minimum-norm least
     squares solution with singular values <= 1e-10 * s_max dropped.
 
-    When E ends in a block of 0/1 rows with pairwise disjoint supports (the
-    indicator rows ``build_lifted_matrices`` stacks under the Hankel block),
-    that block is eliminated exactly, as in the first block of a Householder
-    QR: its rows are orthogonal, so for any K_dense the best weight of a cell
-    is the cell's mean of G - K_dense E_dense.  Subtracting per-cell means
-    from the dense rows of E and from G leaves a least-squares problem in
-    the dense rows alone (61 unknowns per G row instead of 232 on the
-    default calibration), solved with the 1e-10 cut-off taken relative to
-    that reduced block; then K_cell = mean_G - K_dense @ mean_E, and a cell
-    with no columns gets exactly 0.  When E has no such block, or the
-    reduced block has rank below its row count, the whole of E goes through
-    one solve, so a rank-deficient fit keeps its minimum-norm solution.
+    A plain array E goes through one solve.  For a ``LiftedMatrix`` the
+    indicator rows are eliminated exactly, as in the first block of a
+    Householder QR: they are orthogonal, so for any K_dense the best weight
+    of a cell is the cell's mean of G - K_dense E_dense.  Subtracting
+    per-cell means from the dense rows of E and from G leaves a
+    least-squares problem in the dense rows alone (61 unknowns per G row
+    instead of 232 on the default calibration), solved with the 1e-10
+    cut-off taken relative to that reduced block; then K_cell = mean_G -
+    K_dense @ mean_E, and a cell with no columns gets exactly 0.  When the
+    reduced block has rank below its row count, ``e.toarray()`` goes through
+    one solve instead, so a rank-deficient fit keeps its minimum-norm
+    solution.
     """
-    e = np.asarray(e, dtype=float)
+    lifted = e if isinstance(e, LiftedMatrix) else None
+    dense = lifted.dense if lifted is not None else np.asarray(e, dtype=float)
     g = np.asarray(g, dtype=float)
-    if e.size == 0 or g.size == 0 or e.shape[1] != g.shape[1]:
+    if dense.size == 0 or g.size == 0 or dense.shape[1] != g.shape[1]:
         raise DataError("E and G must be non-empty with equal column counts")
-    if not (np.isfinite(e).all() and np.isfinite(g).all()):
+    if not (np.isfinite(dense).all() and np.isfinite(g).all()):
         raise NumericError("E and G must be finite")
-    k = _fit_eliminating_partition(e, g)
+    k = _fit_eliminating_cells(lifted, g) if lifted is not None else None
     if k is None:
-        k = np.linalg.lstsq(e.T, g.T, rcond=_RCOND)[0].T
+        full = lifted.toarray() if lifted is not None else dense
+        k = np.linalg.lstsq(full.T, g.T, rcond=_RCOND)[0].T
     # row-major like a model read from file, so both give bit-equal estimates
     return np.ascontiguousarray(k)
 
 
-def _fit_eliminating_partition(e: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """K with E's trailing partition block eliminated; None when E has no
-    such block or the reduced solve is rank-deficient."""
-    binary = ((e == 0.0) | (e == 1.0)).all(axis=1)
-    dense_rows = np.flatnonzero(~binary)
-    m = dense_rows[-1] + 1 if dense_rows.size else 0
-    block = e[m:]  # a view: the block is never copied
-    if block.shape[0] == 0:
-        return None
-    hits = block.sum(axis=0)
-    if hits.max() > 1.0:
-        return None
-    inside = hits > 0.0
-    cell = np.where(inside, block.argmax(axis=0), -1)
-    counts = np.bincount(cell[inside], minlength=block.shape[0])
+def _fit_eliminating_cells(e: LiftedMatrix, g: np.ndarray) -> np.ndarray | None:
+    """K with E's indicator rows eliminated; None when the reduced solve is
+    rank-deficient."""
+    m = e.dense.shape[0]
+    inside = e.cells >= 0
+    counts = np.bincount(e.cells[inside], minlength=e.n_cells)
     occupied = np.flatnonzero(counts)
     counts = counts[occupied]
+    # rows of d and y are the columns of E_dense and G, cell by cell; the
     # columns outside every cell sort first and are not centred
-    order = np.argsort(cell, kind="stable")
-    first = e.shape[1] - np.count_nonzero(inside)
-    starts = first + np.cumsum(counts) - counts
-    d = e[:m, order]
-    y = g[:, order]
-    mean_d = np.add.reduceat(d, starts, axis=1) / counts
-    mean_y = np.add.reduceat(y, starts, axis=1) / counts
-    d[:, first:] -= np.repeat(mean_d, counts, axis=1)
+    order = np.argsort(e.cells, kind="stable")
+    ends = np.cumsum(counts) + (e.cells.size - np.count_nonzero(inside))
+    starts = ends - counts
+    d = e.dense.T[order]
+    y = g.T[order]
+    mean_d = np.add.reduceat(d, starts, axis=0) / counts[:, None]
+    mean_y = np.add.reduceat(y, starts, axis=0) / counts[:, None]
     # exact arithmetic needs no centred G (the centred d is orthogonal to
     # the cell means), but centring it keeps K ~4x closer to the SVD route
-    y[:, first:] -= np.repeat(mean_y, counts, axis=1)
-    k_dense, _, rank, _ = np.linalg.lstsq(d.T, y.T, rcond=_RCOND)
+    for a, b, md, my in zip(starts.tolist(), ends.tolist(), mean_d, mean_y):
+        d[a:b] -= md
+        y[a:b] -= my
+    k_dense, _, rank, _ = np.linalg.lstsq(d, y, rcond=_RCOND)
     if rank < m:
         return None
     k = np.zeros((g.shape[0], e.shape[0]))
     k[:, :m] = k_dense.T
-    k[:, m + occupied] = mean_y - k_dense.T @ mean_d
+    k[:, m + occupied] = mean_y.T - k_dense.T @ mean_d.T
     return k
 
 
@@ -296,6 +329,14 @@ class EstimatorModel:
         want = (self.hankel.delays + 1, self.lifted_dim)
         if np.shape(self.k) != want:
             raise DataError(f"K is {np.shape(self.k)}, expected {want}; refit with `fit`")
+        # inference looks cells up by bisection, so an unsorted, repeated or
+        # out-of-grid entry would silently move weights to the wrong cells
+        n_cells = self.grid.divisions**3
+        kept = self.kept
+        if kept.ndim != 1 or (
+            kept.size and (kept[0] < 0 or kept[-1] >= n_cells or (np.diff(kept) <= 0).any())
+        ):
+            raise DataError(f"kept cells must be strictly increasing within [0, {n_cells})")
 
     @property
     def lifted_dim(self) -> int:

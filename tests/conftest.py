@@ -54,6 +54,18 @@ def _break_model(text: str, defect: str) -> str:
     elif defect == "kept_mismatch":
         kept_at = next(i for i, line in enumerate(lines) if line.startswith("kept "))
         lines[kept_at] = lines[kept_at].rsplit(" ", 1)[0]
+    elif defect.startswith("kept_"):
+        kept_at = next(i for i, line in enumerate(lines) if line.startswith("kept "))
+        kept = lines[kept_at].split()[1:]
+        if defect == "kept_swapped":
+            kept[3], kept[4] = kept[4], kept[3]
+        elif defect == "kept_negative":
+            kept[0] = "-1"
+        elif defect == "kept_duplicate":
+            kept[4] = kept[3]
+        elif defect == "kept_out_of_range":
+            kept[-1] = "10648"  # 22**3, one past the last cell of the grid
+        lines[kept_at] = " ".join(["kept", *kept])
     elif defect == "short_k_header":
         lines[at] = f"K {cols}"
     elif defect == "non_numeric_k":
@@ -61,7 +73,18 @@ def _break_model(text: str, defect: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture(params=["old_square_k", "kept_mismatch", "short_k_header", "non_numeric_k"])
+@pytest.fixture(
+    params=[
+        "old_square_k",
+        "kept_mismatch",
+        "kept_swapped",
+        "kept_negative",
+        "kept_duplicate",
+        "kept_out_of_range",
+        "short_k_header",
+        "non_numeric_k",
+    ]
+)
 def model_defect(request):
     """(name, rewrite): rewrite turns a model file's text into one with that defect."""
     return request.param, lambda text: _break_model(text, request.param)

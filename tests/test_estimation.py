@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import emgrip.estimation
 from emgrip.calibration import MinMaxScaler
 from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.estimation import (
@@ -13,6 +12,12 @@ from emgrip.estimation import (
     EstimatorModel,
     HankelParams,
     IndicatorGrid,
+    LiftedMatrix,
+    _dense_cells,
+    _flat_cells,
+    _hankel_view,
+    _mark_cells,
+    _RCOND,
     build_lifted_matrices,
     estimate_batch,
     estimate_window_scaled,
@@ -31,6 +36,7 @@ from emgrip.processing import (
     process_recording,
     resample_linear,
 )
+from emgrip.synth import synth_recording
 
 
 class TestHankelLift:
@@ -195,32 +201,9 @@ class TestBuildLiftedMatrices:
         he = hankel_lift(emg, params.delays)
         rows, want_kept = indicator_observables(he, grid)
         assert np.array_equal(kept, want_kept)
-        assert np.array_equal(e, np.vstack([he, rows]))
+        assert np.array_equal(e.dense, he) and not e.dense.flags.writeable
+        assert np.array_equal(e.toarray(), np.vstack([he, rows]))
         assert np.array_equal(g, hankel_lift(grip, params.delays))
-
-    def test_lift_peak_is_about_e_plus_g(self, monkeypatch, calib_recording, mask, smoothing):
-        # both blocks of E are written straight into it, so no second copy
-        # of either sits beside E and G (before: 1.79x E + G on seed 42)
-        seen = []
-        original = emgrip.estimation.build_lifted_matrices
-
-        def measured(*args):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            e, g, kept = original(*args)
-            seen.append((tracemalloc.get_traced_memory()[1] - base, e.nbytes + g.nbytes))
-            return e, g, kept
-
-        monkeypatch.setattr(emgrip.estimation, "build_lifted_matrices", measured)
-        fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)  # warm
-        tracemalloc.start()
-        try:
-            fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
-        finally:
-            tracemalloc.stop()
-        peak, held = seen[-1]
-        assert held > 8e6
-        assert peak <= 1.05 * held
 
     def test_zero_grip_hankel_block_zero(self):
         rng = np.random.default_rng(3)
@@ -281,14 +264,15 @@ class TestFitStaticKoopman:
         with pytest.raises(DataError):
             fit_static_koopman(np.zeros((0, 0)), np.zeros((0, 0)))
 
-    @pytest.mark.parametrize("side", ["e", "g"])
+    @pytest.mark.parametrize("side", ["e", "g", "lifted"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, side, bad):
         rng = np.random.default_rng(7)
         mats = {"e": rng.standard_normal((5, 40)), "g": rng.standard_normal((3, 40))}
-        mats[side][1, 7] = bad
+        mats["g" if side == "g" else "e"][1, 7] = bad
+        e = LiftedMatrix(mats["e"], np.zeros(40, dtype=int), 1) if side == "lifted" else mats["e"]
         with pytest.raises(NumericError):
-            fit_static_koopman(mats["e"], mats["g"])
+            fit_static_koopman(e, mats["g"])
 
 
 def _svd_oracle(e, g, rcond=1e-10):
@@ -323,7 +307,7 @@ class TestFitMatchesSvdOracle:
     @staticmethod
     def _check(e, g):
         k = fit_static_koopman(e, g)
-        ref = _svd_oracle(e, g)
+        ref = _svd_oracle(e.toarray() if isinstance(e, LiftedMatrix) else e, g)
         assert k.shape == (g.shape[0], e.shape[0])
         assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
         zero = ~g.any(axis=1)
@@ -360,7 +344,8 @@ class TestFitMatchesSvdOracle:
         rng = np.random.default_rng(15)
         # cells 7..9 stay empty; -1 columns fall outside every cell
         cells = rng.integers(-1, 7, 300)
-        e = np.vstack([rng.standard_normal((6, 300)), _partition_rows(cells, 10)])
+        e = LiftedMatrix(rng.standard_normal((6, 300)), cells, 10)
+        assert np.array_equal(e.toarray(), np.vstack([e.dense, _partition_rows(cells, 10)]))
         g = np.vstack([rng.standard_normal((4, 300)), np.zeros((1, 300))])
         shapes = _spy_lstsq(monkeypatch)
         k = self._check(e, g)
@@ -371,10 +356,33 @@ class TestFitMatchesSvdOracle:
         rng = np.random.default_rng(16)
         dense = rng.standard_normal((6, 300))
         dense[5] = dense[1] - 2.0 * dense[3]
-        e = np.vstack([dense, _partition_rows(rng.integers(-1, 8, 300), 8)])
+        e = LiftedMatrix(dense, rng.integers(-1, 8, 300), 8)
         shapes = _spy_lstsq(monkeypatch)
         self._check(e, rng.standard_normal((4, 300)))
         assert shapes == [(300, 6), (300, 14)]
+
+    def test_array_with_partition_block_takes_one_full_solve(self, monkeypatch):
+        # only a LiftedMatrix says which rows are cells; an array is solved whole
+        rng = np.random.default_rng(15)
+        e = np.vstack([rng.standard_normal((6, 300)), _partition_rows(rng.integers(-1, 7, 300), 8)])
+        shapes = _spy_lstsq(monkeypatch)
+        self._check(e, rng.standard_normal((4, 300)))
+        assert shapes == [(300, 14)]
+
+    def test_lifted_matrix_without_cells(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        e = LiftedMatrix(rng.standard_normal((6, 300)), np.full(300, -1), 3)
+        shapes = _spy_lstsq(monkeypatch)
+        k = self._check(e, rng.standard_normal((4, 300)))
+        assert shapes == [(300, 6)]
+        assert np.all(k[:, 6:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "cells, n_cells", [(np.zeros(39, dtype=int), 1), (np.full(40, 2), 2), (np.full(40, -2), 2)]
+    )
+    def test_lifted_matrix_rejects_bad_cells(self, cells, n_cells):
+        with pytest.raises(DataError):
+            LiftedMatrix(np.zeros((5, 40)), cells, n_cells)
 
     def test_overlapping_binary_rows_take_the_generic_path(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -392,16 +400,131 @@ class TestFitMatchesSvdOracle:
         assert [cols for _, cols in shapes] == [model.hankel.delays + 1]
 
     def test_seed42_calibration(self, calib_recording, mask, smoothing):
-        params = HankelParams()
-        processed = process_recording(calib_recording.emg, mask, smoothing)
-        grip = resample_linear(calib_recording.grip, calib_recording.emg.times[: processed.size])
-        emg_ds, grip_ds = processed[:: params.downsample], grip.values[:: params.downsample]
-        e, g, _ = build_lifted_matrices(
-            emg_ds, grip_ds, MinMaxScaler.fit(emg_ds), MinMaxScaler.fit(grip_ds), params, IndicatorGrid()
-        )
-        assert g.shape == (params.delays + 1, e.shape[1])
+        e, g, _ = build_lifted_matrices(*_calibration_lift_args(calib_recording, mask, smoothing))
+        assert g.shape == (HankelParams().delays + 1, e.shape[1])
         assert g.any(axis=1).all()
         self._check(e, g)
+
+
+def _calibration_lift_args(recording, mask, smoothing, grid=IndicatorGrid()):
+    """``build_lifted_matrices`` arguments as ``fit_estimator`` forms them."""
+    params = HankelParams()
+    processed = process_recording(recording.emg, mask, smoothing)
+    grip = resample_linear(recording.grip, recording.emg.times[: processed.size])
+    emg_ds, grip_ds = processed[:: params.downsample], grip.values[:: params.downsample]
+    return emg_ds, grip_ds, MinMaxScaler.fit(emg_ds), MinMaxScaler.fit(grip_ds), params, grid
+
+
+def _oracle_build_lifted_matrices(emg_ds, grip_ds, emg_scaler, grip_scaler, params, grid):
+    """The lift that wrote E's indicator rows out as a dense 0/1 block."""
+    emg_ds = np.asarray(emg_ds, dtype=float)
+    grip_ds = np.asarray(grip_ds, dtype=float)
+    if emg_ds.size != grip_ds.size:
+        raise DataError("EMG and grip series must have equal length")
+    he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
+    flat = _flat_cells(he, grid)
+    kept = _dense_cells(flat, grid)
+    e = np.zeros((he.shape[0] + kept.size, flat.size))
+    e[: he.shape[0]] = he
+    _mark_cells(e[he.shape[0] :], flat, kept)
+    hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
+    return e, hg, kept
+
+
+def _oracle_fit(e, g):
+    """The fit that found the 0/1 block by scanning E, then eliminated it."""
+    k = _oracle_fit_eliminating_partition(e, g)
+    if k is None:
+        k = np.linalg.lstsq(e.T, g.T, rcond=_RCOND)[0].T
+    return np.ascontiguousarray(k)
+
+
+def _oracle_fit_eliminating_partition(e, g):
+    binary = ((e == 0.0) | (e == 1.0)).all(axis=1)
+    dense_rows = np.flatnonzero(~binary)
+    m = dense_rows[-1] + 1 if dense_rows.size else 0
+    block = e[m:]  # a view: the block is never copied
+    if block.shape[0] == 0:
+        return None
+    hits = block.sum(axis=0)
+    if hits.max() > 1.0:
+        return None
+    inside = hits > 0.0
+    cell = np.where(inside, block.argmax(axis=0), -1)
+    counts = np.bincount(cell[inside], minlength=block.shape[0])
+    occupied = np.flatnonzero(counts)
+    counts = counts[occupied]
+    # columns outside every cell sort first and are not centred
+    order = np.argsort(cell, kind="stable")
+    first = e.shape[1] - np.count_nonzero(inside)
+    starts = first + np.cumsum(counts) - counts
+    d = e[:m, order]
+    y = g[:, order]
+    mean_d = np.add.reduceat(d, starts, axis=1) / counts
+    mean_y = np.add.reduceat(y, starts, axis=1) / counts
+    d[:, first:] -= np.repeat(mean_d, counts, axis=1)
+    y[:, first:] -= np.repeat(mean_y, counts, axis=1)
+    k_dense, _, rank, _ = np.linalg.lstsq(d.T, y.T, rcond=_RCOND)
+    if rank < m:
+        return None
+    k = np.zeros((g.shape[0], e.shape[0]))
+    k[:, :m] = k_dense.T
+    k[:, m + occupied] = mean_y - k_dense.T @ mean_d
+    return k
+
+
+class TestFitFromCells:
+    """The cell-based lift and fit against the dense 0/1-block ones, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [42, 47, 1234])
+    def test_bit_identical_to_dense_block_fit(self, seed, calib_recording, mask, smoothing):
+        recording = calib_recording if seed == 42 else synth_recording(seed=seed)
+        args = _calibration_lift_args(recording, mask, smoothing)
+        e, g, kept = build_lifted_matrices(*args)
+        want_e, want_g, want_kept = _oracle_build_lifted_matrices(*args)
+        assert np.array_equal(kept, want_kept) and np.array_equal(g, want_g)
+        assert e.shape == want_e.shape
+        assert np.array_equal(e.toarray(), want_e)
+        k = fit_static_koopman(e, g)
+        assert k.flags.c_contiguous
+        assert np.array_equal(k, _oracle_fit(want_e, want_g))
+
+    def test_fit_estimator_k_is_the_oracle_k(self, model, calib_recording, mask, smoothing):
+        e, g, _ = _oracle_build_lifted_matrices(*_calibration_lift_args(calib_recording, mask, smoothing))
+        assert np.array_equal(model.k, _oracle_fit(e, g))
+
+    def test_warm_fit_peak(self, calib_recording, mask, smoothing):
+        # no 0/1 block and no centring temporaries: the whole warm seed-42
+        # fit reads 6.4 MB, against 14.4 MB when E's 0/1 block was built and
+        # centred through np.repeat
+        fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
+        tracemalloc.start()
+        try:
+            fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_every_cell_kept_scales_with_k(self, calib_recording, mask, smoothing):
+        # min_density 0 keeps all 22**3 cells: a dense E would be 308 MB; the
+        # fit reads 11.7 MB, 5.2 MB of which is K itself
+        grid = IndicatorGrid(min_density=0.0)
+        fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing, grid=grid)
+        tracemalloc.start()
+        try:
+            model = fit_estimator(calib_recording.emg, calib_recording.grip, mask, smoothing, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(model.kept, np.arange(grid.divisions**3))
+        assert peak <= model.k.nbytes + 8e6
+        e, _, _ = build_lifted_matrices(*_calibration_lift_args(calib_recording, mask, smoothing, grid))
+        counts = np.bincount(e.cells[e.cells >= 0], minlength=e.n_cells)
+        cell_k = model.k[:, model.hankel.delays + 1 :]
+        assert np.count_nonzero(counts == 0) > 9000
+        assert np.all(cell_k[:, counts == 0] == 0.0)
+        assert np.all(cell_k[:, counts > 0].any(axis=0))
 
 
 def _linear_coupling_model():
@@ -448,6 +571,17 @@ class TestEstimateBatch:
             replace(model, k=padded)
         with pytest.raises(DataError):
             replace(model, kept=model.kept[:-1])
+
+    @pytest.mark.parametrize(
+        "kept",
+        [[0, 2, 1, *range(3, 27)], [-1, *range(1, 27)], [0, 0, *range(2, 27)], [*range(26), 27]],
+        ids=["swapped", "negative", "duplicate", "out_of_grid"],
+    )
+    def test_kept_must_increase_within_the_grid(self, kept):
+        model, _, _ = _linear_coupling_model()
+        assert np.array_equal(model.kept, np.arange(27))
+        with pytest.raises(DataError, match=r"strictly increasing within \[0, 27\)"):
+            replace(model, kept=np.array(kept))
 
     def test_zero_window_is_clamped_offset_response(self):
         model, emg, _ = _linear_coupling_model()
