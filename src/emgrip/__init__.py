@@ -47,7 +47,9 @@ from .processing import (
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
+    Workspace,
     apply_spectral_mask,
+    batch_spectra,
     default_optimal_mask,
     envelope_batches,
     peak_cross_correlation,

@@ -224,8 +224,8 @@ def build_lifted_matrices(
     Returns (E, G, kept).  E is a ``LiftedMatrix``: the EMG Hankel block,
     a read-only view of the scaled series, plus each column's position in
     ``kept``; its 0/1 indicator rows are not built.  G is the grip Hankel
-    block.  Both inputs must already share timestamps (same downsampled
-    grid).
+    block, a read-only view of the scaled grip.  Both inputs must already
+    share timestamps (same downsampled grid).
     """
     emg_ds = np.asarray(emg_ds, dtype=float)
     grip_ds = np.asarray(grip_ds, dtype=float)
@@ -239,7 +239,7 @@ def build_lifted_matrices(
         pos = np.searchsorted(kept, flat)
         hit = np.flatnonzero(kept.take(pos, mode="clip") == flat)
         cells[hit] = pos[hit]
-    hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
+    hg = _hankel_view(grip_scaler.apply(grip_ds), params.delays)
     return LiftedMatrix(he, cells, kept.size), hg, kept
 
 

@@ -131,22 +131,79 @@ class TimestampedSeries:
         return (len(self) - 1) / self.span
 
 
-def apply_spectral_mask(x: np.ndarray, mask: SpectralMask) -> np.ndarray:
+class Workspace:
+    """Reusable buffers for repeated ``process_recording`` and
+    ``peak_cross_correlation`` calls.
+
+    Given as ``work``, those calls and the ``apply_spectral_mask`` and
+    ``smooth_ema`` calls they make write their large temporaries here rather
+    than allocate them, and return the same bits.  Each named buffer grows
+    to the largest call and is then reused by every later one:
+
+    - ``spectrum`` (complex) holds a masked spectrum, then the ``rfft`` of
+      the first series of a correlation and its product with the second;
+    - ``signal`` holds the rectified signal behind its smoothing tail, then
+      the centred first series of a correlation, its square and the cross
+      sums;
+    - ``envelope`` holds what ``process_recording`` returns, which its next
+      call with this workspace overwrites.
+
+    One workspace serves one thread at a time.
+    """
+
+    _DTYPES = {"spectrum": complex, "signal": float, "envelope": float}
+
+    def __init__(self):
+        self._buffers = {name: np.empty(0, dtype) for name, dtype in self._DTYPES.items()}
+
+    def take(self, name: str, size: int) -> np.ndarray:
+        """The first ``size`` entries of buffer ``name``, grown if shorter."""
+        buf = self._buffers[name]
+        if buf.size < size:
+            buf = self._buffers[name] = np.empty(size, buf.dtype)
+        return buf[:size]
+
+
+def apply_spectral_mask(
+    x: np.ndarray,
+    mask: SpectralMask,
+    n: int | None = None,
+    out: np.ndarray | None = None,
+    work: Workspace | None = None,
+) -> np.ndarray:
     """Multiply the batch spectrum bin-wise by the mask gains.
 
     ``x`` is one batch or a ``(..., n)`` stack of batches, each transformed
     along the last axis; every row comes out bit-identical to masking it
     alone.  Returns the real signal obtained by inverse FFT, shaped like
     ``x``.
+
+    ``x`` may also be the ``rfft`` of such batches, a complex array as
+    ``BatchSpectra`` holds, with ``n`` the batch length (``2 * (bins - 1)``
+    when None, as for ``np.fft.irfft``).  The forward FFT is then skipped
+    and the result is bit-identical.  The result is written into ``out``
+    when given, and the masked spectrum into ``work``'s ``spectrum`` buffer
+    when that is given.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.shape[-1]
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        n = 2 * (x.shape[-1] - 1) if n is None else n
+        if x.shape[-1] != n // 2 + 1:
+            raise ConfigError(f"a {n}-sample batch has {n // 2 + 1} bins, not {x.shape[-1]}")
+        spectrum = x
+    else:
+        x = np.atleast_1d(x.astype(float, copy=False))
+        n = x.shape[-1]
+        spectrum = None
     n_bins = n // 2 + 1
     if len(mask) != n_bins:
         raise ConfigError(
             f"mask has {len(mask)} bins but a {n}-sample batch needs {n_bins}"
         )
-    return np.fft.irfft(np.fft.rfft(x) * mask.gains, n=n)
+    if spectrum is None:
+        spectrum = np.fft.rfft(x)
+    product = None if work is None else work.take("spectrum", spectrum.size).reshape(spectrum.shape)
+    return np.fft.irfft(np.multiply(spectrum, mask.gains, out=product), n=n, out=out)
 
 
 # smooth_ema restarts its recursion from a direct window sum at most this
@@ -222,6 +279,8 @@ def smooth_ema(
     prev_tail: np.ndarray,
     params: SmoothingParams,
     batch_size: int | None = None,
+    out: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Windowed exponential moving average with carry-over from ``prev_tail``.
 
@@ -243,6 +302,11 @@ def smooth_ema(
     k up to, not including, the first restart after k + w - 1.  Round-off
     is that of at most L recursion steps: a few ulp of the window's
     weighted magnitude.
+
+    The result is written into ``out`` when given.  With ``work``, the
+    window buffer (the last ``window_size - 1`` samples of ``prev_tail``,
+    then ``x``) is built in its ``signal`` buffer, where ``x`` and the tail
+    may already sit: ``process_recording`` rectifies into that place.
     """
     if batch_size is not None and batch_size < 1:
         raise ConfigError("batch size must be >= 1")
@@ -252,9 +316,16 @@ def smooth_ema(
     if tail.size < w - 1:
         raise DataError(f"previous tail has {tail.size} samples, window {w} needs {w - 1}")
     x = np.asarray(x, dtype=float)
-    ext = np.concatenate([tail[tail.size - (w - 1) :], x])
     n = x.size
-    out = np.empty(n)
+    if work is None:
+        ext = np.concatenate([tail[tail.size - (w - 1) :], x])
+    else:
+        # numpy skips the copy of a slice onto the same memory
+        ext = work.take("signal", n + w - 1)
+        ext[: w - 1] = tail[tail.size - (w - 1) :]
+        ext[w - 1 :] = x
+    if out is None:
+        out = np.empty(n)
     if n == 0:
         return out
     # the recursion inputs; the first of every batch becomes a direct sum,
@@ -314,11 +385,52 @@ def envelope_batches(
         yield out
 
 
+@dataclass(frozen=True)
+class BatchSpectra:
+    """The raw-EMG half of ``process_recording``, built by ``batch_spectra``
+    for one recording and batch size.
+
+    ``full`` is the ``rfft`` of the ``(n_batches, batch_size)`` stack of
+    full batches.  ``tail`` is the ``rfft`` of the trailing short batch at
+    its natural length of ``tail_size`` samples; a 1-sample remainder is
+    dropped, and then ``tail_size`` is 0 and ``tail`` empty.  ``rate`` is
+    the recording's sampling rate, which places the short batch's bins.
+    """
+
+    rate: float
+    batch_size: int
+    full: np.ndarray
+    tail: np.ndarray
+    tail_size: int
+
+    @property
+    def size(self) -> int:
+        """Samples the envelope covers."""
+        return self.full.shape[0] * self.batch_size + self.tail_size
+
+
+def batch_spectra(emg: TimestampedSeries, batch_size: int = DEFAULT_BATCH_SIZE) -> BatchSpectra:
+    """Split ``emg`` into batches as ``envelope_batches`` does and transform
+    each, so that a recording processed with many masks is transformed once."""
+    x = emg.values
+    rate = emg.rate
+    n_full = x.size // batch_size
+    split = n_full * batch_size
+    # a short final batch keeps its natural length; a 1-sample remainder is dropped
+    tail_size = x.size - split if x.size - split >= 2 else 0
+    full = np.fft.rfft(x[:split].reshape(n_full, batch_size))
+    tail = np.fft.rfft(x[split:]) if tail_size else np.empty(0, complex)
+    for arr in (full, tail):
+        arr.flags.writeable = False  # may be shared by many calls
+    return BatchSpectra(rate, batch_size, full, tail, tail_size)
+
+
 def process_recording(
-    emg: TimestampedSeries,
+    emg: TimestampedSeries | BatchSpectra,
     mask: SpectralMask,
     params: SmoothingParams,
     batch_size: int = DEFAULT_BATCH_SIZE,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Envelope of a whole recording, bit-identical to the concatenated
     ``envelope_batches``.
@@ -333,18 +445,36 @@ def process_recording(
     samples and runs the same arithmetic on each batch, whether it smooths
     one batch or all of them; the tail the stream carries is exactly the
     preceding slice of the rectified signal.
+
+    ``emg`` may also be the recording's ``batch_spectra``, so that a
+    recording processed many times is transformed once; one built for
+    another batch size is a ``ConfigError``.  With ``work``, every
+    temporary lives in its buffers, and the envelope returned is its
+    ``envelope`` buffer, which the next call with it overwrites.
     """
-    x = emg.values
-    fs = emg.rate
-    n_full = x.size // batch_size
-    split = n_full * batch_size
-    full = x[:split].reshape(n_full, batch_size)
-    masked = [apply_spectral_mask(full, mask.for_batch(batch_size, fs)).ravel()]
-    # a short final batch keeps its natural length; a 1-sample remainder is dropped
-    if x.size - split >= 2:
-        masked.append(apply_spectral_mask(x[split:], mask.for_batch(x.size - split, fs)))
-    rectified = np.abs(np.concatenate(masked))
-    return smooth_ema(rectified, np.zeros(params.window_size - 1), params, batch_size)
+    spectra = emg if isinstance(emg, BatchSpectra) else batch_spectra(emg, batch_size)
+    if spectra.batch_size != batch_size:
+        raise ConfigError(f"spectra were built for batch size {spectra.batch_size}, not {batch_size}")
+    if work is None:
+        work = Workspace()
+    w = params.window_size
+    n = spectra.size
+    split = n - spectra.tail_size
+    # the rectified signal goes behind the zero tail that smooth_ema reads
+    # before it, so that the window buffer needs no copy
+    ext = work.take("signal", w - 1 + n)
+    ext[: w - 1] = 0.0
+    rectified = ext[w - 1 :]
+    full_mask = mask.for_batch(batch_size, spectra.rate)
+    apply_spectral_mask(
+        spectra.full, full_mask, batch_size, rectified[:split].reshape(-1, batch_size), work
+    )
+    if spectra.tail_size:
+        tail_mask = mask.for_batch(spectra.tail_size, spectra.rate)
+        apply_spectral_mask(spectra.tail, tail_mask, spectra.tail_size, rectified[split:], work)
+    np.abs(rectified, out=rectified)
+    envelope = work.take("envelope", n)
+    return smooth_ema(rectified, ext[: w - 1], params, batch_size, envelope, work)
 
 
 def default_optimal_mask(
@@ -450,20 +580,37 @@ def xcorr_side(x: np.ndarray, max_lag_samples: int) -> XcorrSide:
     max_lag = int(max_lag_samples)
     if max_lag < 0 or max_lag >= n:
         raise ConfigError("max lag must satisfy 0 <= lag < length")
-    if np.ptp(x) == 0:
-        raise NumericError("constant input: correlation undefined")
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite input: correlation undefined")
-    x = x - x.mean()
-    nfft = _fast_len(n + max_lag)
-    arrays = (np.fft.rfft(x, nfft), *_window_sums(x, max_lag), *_window_sums(x * x, max_lag))
-    for arr in arrays:
+    side = _centred_side(x, max_lag)
+    for arr in (side.spectrum, side.pre, side.suf, side.sq_pre, side.sq_suf):
         arr.flags.writeable = False  # a side may be shared by many calls
-    return XcorrSide(n, max_lag, nfft, *arrays)
+    return side
+
+
+def _centred_side(x: np.ndarray, max_lag: int, work: Workspace | None = None) -> XcorrSide:
+    """``xcorr_side`` of a series of length >= 2 and a lag already checked,
+    its arrays left writable.  With ``work``, the centred series and its
+    square live in the ``signal`` buffer and the spectrum in ``spectrum``."""
+    # min and max carry a NaN, and an inf shows in one of them, so these two
+    # reductions check every sample without a mask the size of the series
+    lo, hi = x.min(), x.max()
+    if hi - lo == 0:
+        raise NumericError("constant input: correlation undefined")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError("non-finite input: correlation undefined")
+    n = x.size
+    nfft = _fast_len(n + max_lag)
+    c = np.subtract(x, x.mean(), out=None if work is None else work.take("signal", n))
+    spectrum = np.fft.rfft(c, nfft, out=None if work is None else work.take("spectrum", nfft // 2 + 1))
+    pre, suf = _window_sums(c, max_lag)
+    sq_pre, sq_suf = _window_sums(np.multiply(c, c, out=c), max_lag)
+    return XcorrSide(n, max_lag, nfft, spectrum, pre, suf, sq_pre, sq_suf)
 
 
 def peak_cross_correlation(
-    a: np.ndarray, b: np.ndarray | XcorrSide, max_lag_samples: int
+    a: np.ndarray,
+    b: np.ndarray | XcorrSide,
+    max_lag_samples: int,
+    work: Workspace | None = None,
 ) -> tuple[float, int]:
     """Maximum lagged Pearson correlation between two aligned series.
 
@@ -477,7 +624,8 @@ def peak_cross_correlation(
     correlated with many others is checked and transformed once; the result
     is bit-identical to passing the array.  A side built for another length
     is a ``DataError``, and one built for another ``max_lag`` a
-    ``ConfigError``.
+    ``ConfigError``.  With ``work``, a's side and the cross sums are built
+    in its ``spectrum`` and ``signal`` buffers, which ``a`` must not share.
 
     Method: ``xcorr_side`` mean-centres each series over its whole length
     and zero-pads its ``rfft`` to ``_fast_len(n + max_lag)``, enough to
@@ -507,11 +655,14 @@ def peak_cross_correlation(
         raise ConfigError("max lag must satisfy 0 <= lag < length")
     if prepared and b.max_lag != max_lag:
         raise ConfigError(f"side was built for max lag {b.max_lag}, not {max_lag}")
-    x = xcorr_side(a, max_lag)
+    x = _centred_side(a, max_lag, work)
     y = b if prepared else xcorr_side(b, max_lag)
 
     nfft = x.nfft
-    cross = np.fft.irfft(np.conj(x.spectrum) * y.spectrum, nfft)
+    # a's side is this call's own, so its spectrum takes the product
+    product = np.conjugate(x.spectrum, out=x.spectrum)
+    product *= y.spectrum
+    cross = np.fft.irfft(product, nfft, out=None if work is None else work.take("signal", nfft))
     sxy = np.concatenate((cross[nfft - max_lag :], cross[: max_lag + 1]))
 
     lags = np.arange(-max_lag, max_lag + 1)

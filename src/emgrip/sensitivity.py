@@ -3,10 +3,10 @@
 The tunable space has 250 dimensions: 248 spectral-mask gains (DC excluded),
 the smoothing window size, and the smoothing decay factor.  The objective is
 1 minus the mean peak cross-correlation between processed EMG and grip force
-over a set of recordings, so lower is better.  The grip side of each
-recording's correlation does not depend on the candidate, so the objective
-builds it once per recording and reuses it while the recording's data stay
-bit-equal.
+over a set of recordings, so lower is better.  The spectra of each
+recording's raw EMG batches and the grip side of its correlation do not
+depend on the candidate, so the objective builds them once per recording and
+reuses them while the recording's data stay bit-equal.
 
 Provided machinery: Latin hypercube and Saltelli/radial samplers, grouped
 Sobol first/total-order estimators with bootstrap confidence intervals, the
@@ -16,6 +16,7 @@ judgement itself stays manual).
 """
 from __future__ import annotations
 
+import threading
 import warnings
 import weakref
 from dataclasses import dataclass, replace
@@ -27,9 +28,12 @@ from .processing import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_MAX_LAG_S,
     NOMINAL_EMG_FS,
+    BatchSpectra,
     SmoothingParams,
     SpectralMask,
+    Workspace,
     XcorrSide,
+    batch_spectra,
     peak_cross_correlation,
     process_recording,
     resample_linear,
@@ -432,34 +436,36 @@ def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
     return peak_cross_correlation(envelope, side, max_lag)
 
 
-# id(recording) -> (copies of grip.times, grip.values and emg.times[:n], the
-# grip side, max_lag); a weakref.finalize drops the entry with its recording
-_GRIP_SIDES: dict[int, tuple] = {}
+# id(recording) -> (copies of emg.times, emg.values, grip.times and
+# grip.values, batch_size, the EMG batch spectra, the grip side, max_lag);
+# a weakref.finalize drops the entry with its recording
+_RECORDING_SIDES: dict[int, tuple] = {}
+
+# one Workspace per thread, shared by every recording it processes
+_SCRATCH = threading.local()
 
 
-def _recording_grip_side(rec, n: int) -> tuple[XcorrSide, int]:
-    """``_grip_side`` of a recording, reused while its inputs stay bit-equal."""
+def _recording_sides(rec, batch_size: int) -> tuple[BatchSpectra, XcorrSide, int]:
+    """A recording's ``batch_spectra`` and ``_grip_side``, reused while its
+    EMG and grip times and values stay bit-equal."""
     emg, grip = rec.emg, rec.grip
+    inputs = (emg.times, emg.values, grip.times, grip.values)
     key = id(rec)
-    entry = _GRIP_SIDES.get(key)
+    entry = _RECORDING_SIDES.get(key)
     if entry is not None:
-        times, values, emg_times, side, max_lag = entry
-        if (
-            side.n == n
-            and max_lag == _max_lag(emg)
-            and np.array_equal(times, grip.times)
-            and np.array_equal(values, grip.values)
-            and np.array_equal(emg_times, emg.times[:n])
-        ):
-            return side, max_lag
-    side, max_lag = _grip_side(emg, grip, n)
+        *copies, size, spectra, side, max_lag = entry
+        if size == batch_size and all(map(np.array_equal, copies, inputs)):
+            return spectra, side, max_lag
+    spectra = batch_spectra(emg, batch_size)
+    side, max_lag = _grip_side(emg, grip, spectra.size)
     if entry is None:
         try:
-            weakref.finalize(rec, _GRIP_SIDES.pop, key, None)
+            weakref.finalize(rec, _RECORDING_SIDES.pop, key, None)
         except TypeError:  # no weak references to it, so nothing to key on
-            return side, max_lag
-    _GRIP_SIDES[key] = (grip.times.copy(), grip.values.copy(), emg.times[:n].copy(), side, max_lag)
-    return side, max_lag
+            return spectra, side, max_lag
+    copies = [a.copy() for a in inputs]
+    _RECORDING_SIDES[key] = (*copies, batch_size, spectra, side, max_lag)
+    return spectra, side, max_lag
 
 
 def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE) -> float:
@@ -469,19 +475,28 @@ def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE)
     and smoothing, then correlated with its grip force on the EMG clock.
     Near 0 for configurations that track grip well.
 
-    The grip side of each correlation (grip resampled onto the EMG clock,
-    checked, centred and transformed) depends on the recording alone, so
-    it is built once per recording and kept until the recording is
-    garbage-collected.  It is reused only while the recording's grip times
-    and values and the EMG times it covers are bit-equal to those it was
-    built from, so results are those of ``envelope_grip_xcorr``.
+    Two parts of that work depend on the recording alone: the ``rfft`` of
+    its raw EMG batches (``batch_spectra``) and the grip side of the
+    correlation (grip resampled onto the EMG clock, checked, centred and
+    transformed).  Both are built once per recording and kept until the
+    recording is garbage-collected.  They are reused only while the
+    recording's EMG times and values and grip times and values are
+    bit-equal to those they were built from, so results are those of
+    ``process_recording`` and ``envelope_grip_xcorr`` on the raw series.
+    What does depend on the candidate (the masked ``irfft``, smoothing,
+    the envelope's ``rfft`` and the cross ``irfft``) runs in one
+    ``Workspace`` per thread, sized to the largest recording it has seen.
     """
+    work = getattr(_SCRATCH, "work", None)
+    if work is None:
+        work = _SCRATCH.work = Workspace()
+    smoothing = dv.smoothing()
     peaks = []
     for rec in dataset:
-        emg = rec.emg
-        processed = process_recording(emg, dv.to_mask(emg.rate / batch_size), dv.smoothing(), batch_size)
-        side, max_lag = _recording_grip_side(rec, processed.size)
-        peaks.append(peak_cross_correlation(processed, side, max_lag)[0])
+        spectra, side, max_lag = _recording_sides(rec, batch_size)
+        mask = dv.to_mask(spectra.rate / batch_size)
+        envelope = process_recording(spectra, mask, smoothing, batch_size, work)
+        peaks.append(peak_cross_correlation(envelope, side, max_lag, work)[0])
     if not peaks:
         raise DataError("empty dataset")
     return 1.0 - float(np.mean(peaks))

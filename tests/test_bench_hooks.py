@@ -45,11 +45,14 @@ def test_objective_calls_each_sensitivity_hook_once_per_recording(monkeypatch):
     objective(corpus, DecisionVector(np.ones(248), 150, 0.0))
     assert {name: len(c) for name, c in calls.items()} == {name: 2 for name in calls}
     # process_recording runs batch-major: no per-batch call, one smoothing
-    # pass and at most two mask calls (full batches, short tail) a recording,
-    # so the processing.* layer metrics of an SA study time whole recordings
+    # pass, one mask call for the full batches and one for a trailing batch
+    # of 2 or more samples, so the processing.* layer metrics of an SA study
+    # time whole recordings, and every candidate masks
+    masks = sum(1 + (rec.emg.values.size % 496 >= 2) for rec in corpus)
+    assert masks > len(corpus)
     assert len(per_batch["process_batch"]) == 0
     assert len(per_batch["smooth_ema"]) == len(corpus)
-    assert len(per_batch["apply_spectral_mask"]) <= 2 * len(corpus)
+    assert len(per_batch["apply_spectral_mask"]) == masks
     # the lag-at-boundary counter reads max_lag as the third positional argument
     assert all(type(args[2]) is int for args, _ in calls["peak_cross_correlation"])
     # a second candidate on the same corpus reuses each recording's grip
@@ -59,6 +62,7 @@ def test_objective_calls_each_sensitivity_hook_once_per_recording(monkeypatch):
     assert len(calls["resample_linear"]) == len(corpus)
     assert len(calls["process_recording"]) == len(calls["peak_cross_correlation"]) == 2 * len(corpus)
     assert len(per_batch["smooth_ema"]) == 2 * len(corpus)
+    assert len(per_batch["apply_spectral_mask"]) == 2 * masks
     assert all(type(args[2]) is int for args, _ in calls["peak_cross_correlation"])
 
 

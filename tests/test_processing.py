@@ -9,8 +9,10 @@ from emgrip.processing import (
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
+    Workspace,
     _fast_len,
     apply_spectral_mask,
+    batch_spectra,
     default_optimal_mask,
     envelope_batches,
     peak_cross_correlation,
@@ -87,6 +89,18 @@ class TestSpectralMask:
         assert y.shape == x.shape
         for i, j in np.ndindex(2, 3):
             assert np.array_equal(y[i, j], apply_spectral_mask(x[i, j], mask))
+        # a ready spectrum skips the forward FFT and keeps the bits
+        out = np.empty_like(x)
+        assert apply_spectral_mask(np.fft.rfft(x), mask, out=out, work=Workspace()) is out
+        assert np.array_equal(out, y)
+
+    @pytest.mark.parametrize("n", [2, 3, 331, 332])
+    def test_spectrum_of_short_batch_needs_its_length(self, n):
+        x = _rng().standard_normal(n)
+        m = default_optimal_mask().for_batch(n, FS)
+        assert np.array_equal(apply_spectral_mask(np.fft.rfft(x), m, n), apply_spectral_mask(x, m))
+        with pytest.raises(ConfigError):
+            apply_spectral_mask(np.fft.rfft(x), m, n + 2)
 
     def test_stacked_length_mismatch_names_last_axis(self):
         with pytest.raises(ConfigError, match="10 bins but a 496-sample batch needs 249"):
@@ -295,12 +309,24 @@ class TestProcessRecording:
         series = TimestampedSeries(np.arange(n) / FS, sig)
         # a mask built for 600-sample batches is interpolated onto full batches too
         masks = (mask, default_optimal_mask(600))
+        work = Workspace()  # reused by every call, across batch sizes and windows
         for m, w, decay, batch_size in itertools.product(
             masks, (2, 300, 495), (0.0, 0.049), (N, 248)
         ):
             params = SmoothingParams(w, decay)
             streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
             assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
+            spectra = batch_spectra(series, batch_size)
+            assert spectra.size == streamed.size
+            assert np.array_equal(process_recording(spectra, m, params, batch_size, work), streamed)
+
+    def test_spectra_are_read_only_and_bound_to_their_batch_size(self, mask):
+        series = TimestampedSeries(np.arange(3 * N + 7) / FS, _rng().standard_normal(3 * N + 7))
+        spectra = batch_spectra(series)
+        assert not spectra.full.flags.writeable and not spectra.tail.flags.writeable
+        assert (spectra.full.shape, spectra.tail_size) == ((3, N // 2 + 1), 7)
+        with pytest.raises(ConfigError, match="batch size 496, not 248"):
+            process_recording(spectra, mask, SmoothingParams(), 248)
 
     @pytest.mark.parametrize("batch_size", [500, 330])
     def test_bit_identical_at_batch_sizes_off_the_restart_grid(self, batch_size):
@@ -311,10 +337,13 @@ class TestProcessRecording:
         for n in (2, batch_size - 1, batch_size, batch_size + 1, batch_size + 2, 3 * batch_size + 7):
             sig = _rng().standard_normal(n)
             series = TimestampedSeries(np.arange(n) / FS, sig)
+            spectra = batch_spectra(series, batch_size)
+            work = Workspace()
             for w, decay in itertools.product((2, 61, 62, 63, 300, 495), (0.0, 0.049, 0.9, 0.999999)):
                 params = SmoothingParams(w, decay)
                 streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
                 assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
+                assert np.array_equal(process_recording(spectra, m, params, batch_size, work), streamed)
 
     def test_bit_identical_on_sa_study(self):
         # all 64 candidates of the seed-42 RBD-FAST bench study on its first recording
@@ -513,9 +542,14 @@ class TestPeakCrossCorrelation:
         rng = _rng()
         b = rng.standard_normal(400)
         side = xcorr_side(b, 40)
-        for _ in range(3):
+        work = Workspace()
+        for size in (400, 400, 1000, 400):
             a = np.roll(b, 9) + rng.standard_normal(400)
-            assert peak_cross_correlation(a, side, 40) == peak_cross_correlation(a, b, 40)
+            want = peak_cross_correlation(a, b, 40)
+            assert peak_cross_correlation(a, side, 40) == want
+            assert peak_cross_correlation(a, side, 40, work) == want
+            # a larger call in between grows the buffers; later ones reuse them
+            peak_cross_correlation(rng.standard_normal(size), rng.standard_normal(size), 40, work)
 
     def test_side_for_other_length_or_lag_rejected(self):
         rng = _rng()

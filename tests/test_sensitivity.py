@@ -1,5 +1,9 @@
 import collections
 import gc
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -471,17 +475,19 @@ class TestObjectiveGripMemo:
         got = map_objective(corpus, x)
         want = [_objective_without_memo(corpus, DecisionVector.from_array(row)) for row in x]
         assert np.array_equal(got, want)
-        assert all(id(rec) in emgrip.sensitivity._GRIP_SIDES for rec in corpus)
+        assert all(id(rec) in emgrip.sensitivity._RECORDING_SIDES for rec in corpus)
 
-    @pytest.mark.parametrize("change", ["grip_values", "emg_times"])
+    @pytest.mark.parametrize("change", ["grip_values", "emg_times", "emg_values"])
     def test_in_place_change_recomputed(self, change):
         rec = _small_recording(33)
         dv = DecisionVector(np.ones(248), 120, 0.01)
         before = objective([rec], dv)
         if change == "grip_values":
             rec.grip.values[:] = rec.grip.values[::-1].copy()
-        else:
+        elif change == "emg_times":
             rec.emg.times[:] += 0.05  # same rate and max lag, other grip samples
+        else:
+            rec.emg.values[:] = rec.emg.values[::-1].copy()  # other batch spectra
         after = objective([rec], dv)
         assert after == _objective_without_memo([rec], dv)
         assert after != before
@@ -490,18 +496,78 @@ class TestObjectiveGripMemo:
         rec = _small_recording(34)
         objective([rec], DecisionVector(np.ones(248), 120, 0.0))
         key = id(rec)
-        assert key in emgrip.sensitivity._GRIP_SIDES
-        del rec
+        assert key in emgrip.sensitivity._RECORDING_SIDES
+        # both halves of the entry: the EMG batch spectra and the grip side
+        spectra, side, _ = emgrip.sensitivity._recording_sides(rec, 496)
+        kept = [weakref.ref(spectra), weakref.ref(side)]
+        del rec, spectra, side
         gc.collect()
-        assert key not in emgrip.sensitivity._GRIP_SIDES
+        assert key not in emgrip.sensitivity._RECORDING_SIDES
+        assert [ref() for ref in kept] == [None, None]
 
     def test_recording_without_weak_references_not_kept(self):
         rec = _small_recording(36)
         plain = collections.namedtuple("Plain", "emg grip")(rec.emg, rec.grip)
         dv = DecisionVector(np.ones(248), 120, 0.0)
         assert objective([plain], dv) == objective([rec], dv)
-        assert id(plain) not in emgrip.sensitivity._GRIP_SIDES
-        assert id(rec) in emgrip.sensitivity._GRIP_SIDES
+        assert id(plain) not in emgrip.sensitivity._RECORDING_SIDES
+        assert id(rec) in emgrip.sensitivity._RECORDING_SIDES
+        sides = emgrip.sensitivity._recording_sides
+        assert sides(rec, 496)[0] is sides(rec, 496)[0]
+        assert sides(plain, 496)[0] is not sides(plain, 496)[0]
+
+    def test_failed_candidate_leaves_no_trace(self):
+        # gains that overflow give a non-finite envelope, which raises after
+        # the candidate has written its scratch; the next one must not read it
+        rec = _small_recording(37)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            objective([rec], DecisionVector(np.full(248, 1e308), 400, 0.0))
+        dv = DecisionVector(np.ones(248), 120, 0.01)
+        assert objective([rec], dv) == _objective_without_memo([rec], dv)
+
+    def test_threads_share_a_corpus(self):
+        # the seed-42 sa_rbdfast study, on a corpus whose memo starts cold,
+        # from more threads than cores, each with its own scratch
+        x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
+        serial = map_objective([synth_recording(seed=s) for s in (44, 45)], x)
+        corpus = [synth_recording(seed=s) for s in (44, 45)]
+        results = {}
+
+        def run(i):
+            results[i] = map_objective(corpus, x)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2]
+        assert all(np.array_equal(y, serial) for y in results.values())
+
+    def test_warm_candidate_allocates_no_envelope(self):
+        # each envelope-sized array of the seed-42 study is ~0.23 MB; a warm
+        # candidate writes all of them into the per-thread scratch
+        corpus = [synth_recording(seed=s) for s in (44, 45)]
+        x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
+        map_objective(corpus, x[:1])
+        rises = []
+        tracemalloc.start()
+        try:
+            for row in x:
+                dv = DecisionVector.from_array(row)
+                tracemalloc.reset_peak()
+                entry = tracemalloc.get_traced_memory()[0]
+                objective(corpus, dv)
+                rises.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+        assert max(rises) <= 0.5e6
 
     @pytest.mark.parametrize(
         "envelope, grip",
@@ -521,7 +587,7 @@ class TestObjectiveGripMemo:
         with pytest.raises(NumericError):
             objective([rec], DecisionVector(gains, 120, 0.0))
         if grip != "ok":
-            assert id(rec) not in emgrip.sensitivity._GRIP_SIDES
+            assert id(rec) not in emgrip.sensitivity._RECORDING_SIDES
 
 
 class TestProjectionSummary:
