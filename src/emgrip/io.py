@@ -139,7 +139,7 @@ def write_series(path, series: TimestampedSeries, meta: dict | None = None) -> P
 
 def read_series(path) -> tuple[TimestampedSeries, dict]:
     (times, values), meta = _read_rows(path, _SERIES)
-    return TimestampedSeries(np.array(times), np.array(values)), meta
+    return TimestampedSeries(times, values), meta
 
 
 def recording_paths(out_dir, rec: Recording) -> tuple[Path, Path]:

@@ -101,16 +101,20 @@ class SmoothingParams:
 
 @dataclass(frozen=True)
 class TimestampedSeries:
-    """Paired (time, value) arrays with strictly increasing times."""
+    """Paired (time, value) arrays with strictly increasing times.  Both are
+    read-only: a writeable or non-float input is copied once and frozen."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        for name in ("times", "values"):
+            a = getattr(self, name)
+            if type(a) is not np.ndarray or a.dtype != float or a.flags.writeable:
+                a = np.array(a, dtype=float)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
+        times, values = self.times, self.values
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
             raise DataError("times and values must be 1-d arrays of equal length")
         if times.size >= 2 and not np.all(np.diff(times) > 0):

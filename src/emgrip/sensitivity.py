@@ -6,7 +6,7 @@ the smoothing window size, and the smoothing decay factor.  The objective is
 over a set of recordings, so lower is better.  The spectra of each
 recording's raw EMG batches and the grip side of its correlation do not
 depend on the candidate, so the objective builds them once per recording and
-reuses them while the recording's data stay bit-equal.
+keeps them with the recording and its two immutable series.
 
 Provided machinery: Latin hypercube and Saltelli/radial samplers, grouped
 Sobol first/total-order estimators with bootstrap confidence intervals, the
@@ -436,56 +436,50 @@ def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
     return peak_cross_correlation(envelope, side, max_lag)
 
 
-# id(recording) -> (copies of emg.times, emg.values, grip.times and
-# grip.values, batch_size, the EMG batch spectra, the grip side, max_lag);
-# a weakref.finalize drops the entry with its recording
+# id(recording) -> (its emg and grip series, the EMG batch spectra, the grip
+# side, max_lag); a weakref.finalize drops the entry with its recording
 _RECORDING_SIDES: dict[int, tuple] = {}
 
 # one Workspace per thread, shared by every recording it processes
 _SCRATCH = threading.local()
 
 
-def _recording_sides(rec, batch_size: int) -> tuple[BatchSpectra, XcorrSide, int]:
-    """A recording's ``batch_spectra`` and ``_grip_side``, reused while its
-    EMG and grip times and values stay bit-equal."""
+def _recording_sides(rec) -> tuple[BatchSpectra, XcorrSide, int]:
+    """A recording's ``batch_spectra`` and ``_grip_side``, reused while it
+    holds the same two series (whose arrays are read-only)."""
     emg, grip = rec.emg, rec.grip
-    inputs = (emg.times, emg.values, grip.times, grip.values)
     key = id(rec)
     entry = _RECORDING_SIDES.get(key)
-    if entry is not None:
-        *copies, size, spectra, side, max_lag = entry
-        if size == batch_size and all(map(np.array_equal, copies, inputs)):
-            return spectra, side, max_lag
-    spectra = batch_spectra(emg, batch_size)
+    if entry is not None and entry[0] is emg and entry[1] is grip:
+        return entry[2:]
+    spectra = batch_spectra(emg, DEFAULT_BATCH_SIZE)
     side, max_lag = _grip_side(emg, grip, spectra.size)
     if entry is None:
         try:
             weakref.finalize(rec, _RECORDING_SIDES.pop, key, None)
         except TypeError:  # no weak references to it, so nothing to key on
             return spectra, side, max_lag
-    copies = [a.copy() for a in inputs]
-    _RECORDING_SIDES[key] = (*copies, batch_size, spectra, side, max_lag)
+    _RECORDING_SIDES[key] = (emg, grip, spectra, side, max_lag)
     return spectra, side, max_lag
 
 
-def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE) -> float:
+def objective(dataset, dv: DecisionVector) -> float:
     """1 minus the mean peak cross-correlation over a set of recordings.
 
-    Each recording's EMG is processed in batches with the candidate mask
-    and smoothing, then correlated with its grip force on the EMG clock.
-    Near 0 for configurations that track grip well.
+    Each recording's EMG is processed in ``DEFAULT_BATCH_SIZE`` batches with
+    the candidate mask and smoothing, then correlated with its grip force
+    on the EMG clock.  Near 0 for configurations that track grip well.
 
     Two parts of that work depend on the recording alone: the ``rfft`` of
     its raw EMG batches (``batch_spectra``) and the grip side of the
     correlation (grip resampled onto the EMG clock, checked, centred and
-    transformed).  Both are built once per recording and kept until the
-    recording is garbage-collected.  They are reused only while the
-    recording's EMG times and values and grip times and values are
-    bit-equal to those they were built from, so results are those of
-    ``process_recording`` and ``envelope_grip_xcorr`` on the raw series.
-    What does depend on the candidate (the masked ``irfft``, smoothing,
-    the envelope's ``rfft`` and the cross ``irfft``) runs in one
-    ``Workspace`` per thread, sized to the largest recording it has seen.
+    transformed).  Both are built once per recording, kept until it is
+    garbage-collected, and reused while it holds the same two series, whose
+    arrays are read-only.  So results are those of ``process_recording``
+    and ``envelope_grip_xcorr`` on the raw series.  What does depend on the
+    candidate (the masked ``irfft``, smoothing, the envelope's ``rfft`` and
+    the cross ``irfft``) runs in one ``Workspace`` per thread, sized to the
+    largest recording it has seen.
     """
     work = getattr(_SCRATCH, "work", None)
     if work is None:
@@ -493,9 +487,9 @@ def objective(dataset, dv: DecisionVector, batch_size: int = DEFAULT_BATCH_SIZE)
     smoothing = dv.smoothing()
     peaks = []
     for rec in dataset:
-        spectra, side, max_lag = _recording_sides(rec, batch_size)
-        mask = dv.to_mask(spectra.rate / batch_size)
-        envelope = process_recording(spectra, mask, smoothing, batch_size, work)
+        spectra, side, max_lag = _recording_sides(rec)
+        mask = dv.to_mask(spectra.rate / DEFAULT_BATCH_SIZE)
+        envelope = process_recording(spectra, mask, smoothing, DEFAULT_BATCH_SIZE, work)
         peaks.append(peak_cross_correlation(envelope, side, max_lag, work)[0])
     if not peaks:
         raise DataError("empty dataset")

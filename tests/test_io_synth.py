@@ -20,7 +20,14 @@ from emgrip.io import (
     write_series,
 )
 from emgrip.metrics import RunRecord
-from emgrip.processing import TimestampedSeries, default_optimal_mask
+from emgrip.processing import (
+    DEFAULT_MAX_LAG_S,
+    SmoothingParams,
+    TimestampedSeries,
+    default_optimal_mask,
+    process_recording,
+)
+from emgrip.sensitivity import envelope_grip_xcorr
 from emgrip.simulate import stream_simulate
 from emgrip.synth import SynthProfile, grip_profile, synth_corpus, synth_recording
 
@@ -348,6 +355,20 @@ class TestSynth:
         assert np.array_equal(grip_profile(prof, grid), _grip_profile_loop(prof, grid))
         no_levels = SynthProfile(levels=())
         assert np.array_equal(grip_profile(no_levels, t), _grip_profile_loop(no_levels, t))
+
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_emg_lag_sign_moves_xcorr_peak(self, seed):
+        # EMG that follows force (+0.05 s, the default) peaks at a more
+        # negative lag than EMG in step (0) or ahead of force (-0.08 s);
+        # only the leading EMG keeps its peak clear of the lag window's edge
+        lags = []
+        for emg_lag_s in (0.05, 0.0, -0.08):
+            rec = synth_recording(SynthProfile(emg_lag_s=emg_lag_s), seed=seed)
+            env = process_recording(rec.emg, default_optimal_mask(), SmoothingParams(300, 0.0))
+            lags.append(envelope_grip_xcorr(env, rec.emg, rec.grip)[1])
+        assert lags[0] < lags[1] < lags[2]
+        max_lag = int(round(DEFAULT_MAX_LAG_S * rec.emg.rate))
+        assert max_lag == 159 and abs(lags[2]) < max_lag
 
     def test_corpus_layout(self):
         prof = SynthProfile(plateau_s=0.3, ramp_s=0.2, lead_s=0.1)

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from emgrip.calibration import prepare_grip
 from emgrip.errors import ConfigError, DataError, NumericError
+from emgrip.io import read_series, write_series
 from emgrip.processing import (
     DEFAULT_MAX_LAG_S,
     SmoothingParams,
@@ -596,3 +598,36 @@ class TestTypes:
     def test_series_must_increase(self):
         with pytest.raises(DataError):
             TimestampedSeries([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_series_keeps_a_copy_of_a_writeable_input(self):
+        t, v = np.arange(4.0), np.array([1.0, 2.0, 3.0, 4.0])
+        s = TimestampedSeries(t, v)
+        assert s.times is not t and s.values is not v
+        assert t.flags.writeable and np.array_equal(v, [1.0, 2.0, 3.0, 4.0])
+        t[0], v[0] = -1.0, 9.0  # the caller's arrays stay theirs to change
+        assert s.times[0] == 0.0 and s.values[0] == 1.0
+
+    def test_series_keeps_a_read_only_input(self):
+        t, v = np.arange(4.0), np.ones(4)
+        t.flags.writeable = v.flags.writeable = False
+        s = TimestampedSeries(t, v)
+        assert s.times is t and s.values is v
+
+    @pytest.mark.parametrize(
+        "producer", ["constructor", "synth_recording", "read_series", "resample_linear", "prepare_grip"]
+    )
+    @pytest.mark.parametrize("field", ["times", "values"])
+    def test_series_arrays_read_only(self, producer, field, tmp_path):
+        rec = synth_recording(seed=3)
+        if producer == "constructor":
+            series = TimestampedSeries(np.arange(4.0), np.ones(4))
+        elif producer == "synth_recording":
+            series = rec.emg
+        elif producer == "read_series":
+            series, _ = read_series(write_series(tmp_path / "g.csv", rec.grip))
+        elif producer == "resample_linear":
+            series = resample_linear(rec.grip, rec.emg.times[:100])
+        else:
+            series = prepare_grip(rec.grip)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(series, field)[1] = 0.0

@@ -477,19 +477,48 @@ class TestObjectiveGripMemo:
         assert np.array_equal(got, want)
         assert all(id(rec) in emgrip.sensitivity._RECORDING_SIDES for rec in corpus)
 
+    @pytest.mark.parametrize("field", ["grip_values", "emg_times", "emg_values"])
+    def test_in_place_edit_raises(self, field):
+        rec = _small_recording(33)
+        objective([rec], DecisionVector(np.ones(248), 120, 0.01))
+        series, attr = field.split("_")
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(getattr(rec, series), attr)[:] = 0.0
+
     @pytest.mark.parametrize("change", ["grip_values", "emg_times", "emg_values"])
-    def test_in_place_change_recomputed(self, change):
+    def test_changed_recording_recomputed(self, change):
         rec = _small_recording(33)
         dv = DecisionVector(np.ones(248), 120, 0.01)
         before = objective([rec], dv)
+        emg, grip = rec.emg, rec.grip
         if change == "grip_values":
-            rec.grip.values[:] = rec.grip.values[::-1].copy()
+            grip = TimestampedSeries(grip.times, grip.values[::-1])
         elif change == "emg_times":
-            rec.emg.times[:] += 0.05  # same rate and max lag, other grip samples
+            emg = TimestampedSeries(emg.times + 0.05, emg.values)  # same rate and max lag, other grip samples
         else:
-            rec.emg.values[:] = rec.emg.values[::-1].copy()  # other batch spectra
+            emg = TimestampedSeries(emg.times, emg.values[::-1])  # other batch spectra
+        rec = Recording(emg, grip)
         after = objective([rec], dv)
         assert after == _objective_without_memo([rec], dv)
+        assert after != before
+
+    @pytest.mark.parametrize("attr", ["emg", "grip"])
+    def test_reassigned_series_recomputed(self, attr):
+        # a duck-typed recording whose attributes can be reassigned: the
+        # entry must not outlive the series it was built from
+        class Mutable:
+            pass
+
+        rec = _small_recording(38)
+        duck = Mutable()
+        duck.emg, duck.grip = rec.emg, rec.grip
+        dv = DecisionVector(np.ones(248), 120, 0.01)
+        before = objective([duck], dv)
+        assert id(duck) in emgrip.sensitivity._RECORDING_SIDES
+        old = getattr(rec, attr)
+        setattr(duck, attr, TimestampedSeries(old.times, old.values[::-1]))
+        after = objective([duck], dv)
+        assert after == _objective_without_memo([duck], dv)
         assert after != before
 
     def test_entry_dropped_with_its_recording(self):
@@ -498,7 +527,7 @@ class TestObjectiveGripMemo:
         key = id(rec)
         assert key in emgrip.sensitivity._RECORDING_SIDES
         # both halves of the entry: the EMG batch spectra and the grip side
-        spectra, side, _ = emgrip.sensitivity._recording_sides(rec, 496)
+        spectra, side, _ = emgrip.sensitivity._recording_sides(rec)
         kept = [weakref.ref(spectra), weakref.ref(side)]
         del rec, spectra, side
         gc.collect()
@@ -513,8 +542,8 @@ class TestObjectiveGripMemo:
         assert id(plain) not in emgrip.sensitivity._RECORDING_SIDES
         assert id(rec) in emgrip.sensitivity._RECORDING_SIDES
         sides = emgrip.sensitivity._recording_sides
-        assert sides(rec, 496)[0] is sides(rec, 496)[0]
-        assert sides(plain, 496)[0] is not sides(plain, 496)[0]
+        assert sides(rec)[0] is sides(rec)[0]
+        assert sides(plain)[0] is not sides(plain)[0]
 
     def test_failed_candidate_leaves_no_trace(self):
         # gains that overflow give a non-finite envelope, which raises after
@@ -576,14 +605,17 @@ class TestObjectiveGripMemo:
     def test_constant_or_non_finite_raises(self, envelope, grip):
         rec = _small_recording(35)
         gains = np.zeros(248) if envelope == "constant" else np.ones(248)
+        emg = rec.emg
         if envelope == "non-finite":
-            rec.emg.values[1000] = np.nan
+            emg_values = emg.values.copy()
+            emg_values[1000] = np.nan
+            emg = TimestampedSeries(emg.times, emg_values)
         values = rec.grip.values.copy()
         if grip == "constant":
             values[:] = 3.0
         elif grip == "non-finite":
             values[200] = np.inf
-        rec = Recording(rec.emg, TimestampedSeries(rec.grip.times, values))
+        rec = Recording(emg, TimestampedSeries(rec.grip.times, values))
         with pytest.raises(NumericError):
             objective([rec], DecisionVector(gains, 120, 0.0))
         if grip != "ok":
