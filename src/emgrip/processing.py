@@ -99,10 +99,24 @@ class SmoothingParams:
         return _EmaPlan.of(self)
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True when no array can write to ``a``'s data: ``a`` and every array
+    in its ``base`` chain are read-only, and the chain ends in one that owns
+    its data rather than in a foreign buffer."""
+    while a.base is not None:
+        if a.flags.writeable or type(a.base) is not np.ndarray:
+            return False
+        a = a.base
+    return not a.flags.writeable
+
+
 @dataclass(frozen=True)
 class TimestampedSeries:
     """Paired (time, value) arrays with strictly increasing times.  Both are
-    read-only: a writeable or non-float input is copied once and frozen."""
+    read-only: an input is kept by reference only when it is a float array
+    that nothing can write through, that is, it and every array in its
+    ``base`` chain are read-only and the last of them owns its data.  Any
+    other input is copied once and frozen."""
 
     times: np.ndarray
     values: np.ndarray
@@ -110,7 +124,7 @@ class TimestampedSeries:
     def __post_init__(self):
         for name in ("times", "values"):
             a = getattr(self, name)
-            if type(a) is not np.ndarray or a.dtype != float or a.flags.writeable:
+            if type(a) is not np.ndarray or a.dtype != float or not _frozen(a):
                 a = np.array(a, dtype=float)
                 a.flags.writeable = False
                 object.__setattr__(self, name, a)
@@ -144,11 +158,13 @@ class Workspace:
     than allocate them, and return the same bits.  Each named buffer grows
     to the largest call and is then reused by every later one:
 
-    - ``spectrum`` (complex) holds a masked spectrum, then the ``rfft`` of
-      the first series of a correlation and its product with the second;
+    - ``spectrum`` (complex) holds a masked spectrum, then a correlation's
+      ``(K + 1, L // 2 + 1)`` rows: the ``rfft``s of the first series' K
+      blocks, their products with the second series' segment spectra, and
+      the sum of those products;
     - ``signal`` holds the rectified signal behind its smoothing tail, then
-      the centred first series of a correlation, its square and the cross
-      sums;
+      the first series of a correlation, centred and laid out as a
+      zero-padded ``(K, B)`` stack of blocks, followed by the L cross sums;
     - ``envelope`` holds what ``process_recording`` returns, which its next
       call with this workspace overwrites.
 
@@ -523,51 +539,73 @@ def resample_linear(series: TimestampedSeries, target_times: np.ndarray) -> Time
     return TimestampedSeries(target_times, values)
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth length (2**i * 3**j * 5**k) >= ``n``: the sizes the
-    FFT factors fastest, and the length ``scipy.fft.next_fast_len(n,
-    real=True)`` picks."""
-    best = 1 << (n - 1).bit_length()  # the next power of two
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power-of-two multiple of p35 that is >= n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+def _blocks(n: int, max_lag: int) -> tuple[int, int, int]:
+    """The block count K, block length B and transform length L of
+    ``peak_cross_correlation`` for series of length ``n``.
+
+    L is the smallest power of two >= max(1024, 4 * (2 * max_lag + 1)),
+    2048 at the default lag of 159 samples, or >= n + 2 * max_lag when that
+    is smaller, so that a series shorter than one block is a single block.
+    B = L - 2 * max_lag and K = ceil(n / B)."""
+    span = 2 * max_lag
+    nfft = 1 << (min(max(1024, 4 * (span + 1)), n + span) - 1).bit_length()
+    block = nfft - span
+    return -(-n // block), block, nfft
 
 
-def _window_sums(v: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of ``v`` over its prefixes and over its suffixes of every length
-    from ``n - max_lag`` to ``n``; entry ``j`` covers ``n - max_lag + j``
-    samples."""
+def _window_sums(v: np.ndarray, max_lag: int) -> np.ndarray:
+    """Sums of ``v`` and of its square over its prefixes and over its
+    suffixes of every length from ``n - max_lag`` to ``n``, one a row
+    (prefix, suffix, square prefix, square suffix); entry ``j`` of a row
+    covers ``n - max_lag + j`` samples."""
     n = v.size
-    prefix = np.cumsum(np.concatenate(([v[: n - max_lag].sum()], v[n - max_lag :])))
-    suffix = np.cumsum(np.concatenate(([v[max_lag:].sum()], v[:max_lag][::-1])))
-    return prefix, suffix
+    head, tail = v[: n - max_lag], v[max_lag:]  # the shortest windows
+    rest, lead = v[n - max_lag :], v[:max_lag][::-1]  # what longer ones add
+    sums = np.empty((4, max_lag + 1))
+    sums[:, 0] = head.sum(), tail.sum(), head @ head, tail @ tail
+    sums[0, 1:], sums[1, 1:] = rest, lead
+    np.multiply(rest, rest, out=sums[2, 1:])
+    np.multiply(lead, lead, out=sums[3, 1:])
+    return np.cumsum(sums, axis=1, out=sums)
 
 
 @dataclass(frozen=True)
 class XcorrSide:
-    """One series' half of ``peak_cross_correlation``, built by
+    """The second series' half of ``peak_cross_correlation``, built by
     ``xcorr_side`` for a length ``n`` and a ``max_lag``.
 
-    ``spectrum`` is the ``rfft`` of the mean-centred series zero-padded to
-    ``nfft = _fast_len(n + max_lag)``.  ``pre``/``suf`` and
-    ``sq_pre``/``sq_suf`` are the ``_window_sums`` of the centred series
-    and of its square.
+    ``centred`` is the mean-centred series.  With K, B and L = B + 2 *
+    max_lag from ``_blocks(n, max_lag)``, ``spectra`` is the ``(K, L // 2 +
+    1)`` stack of the ``rfft``s of K overlapping segments of it: segment
+    ``k`` holds samples ``k * B`` to ``(k + 1) * B + max_lag``, then the
+    ``max_lag`` samples before ``k * B``, zero outside the series.  This
+    circular layout puts lag ``l`` of the cross sums at index ``l mod L``,
+    so a single block is the plain zero-padded transform.  ``pre``/``suf``
+    and ``sq_pre``/``sq_suf`` are the ``_window_sums`` of the centred
+    series.  All six arrays are read-only.
     """
 
     n: int
     max_lag: int
-    nfft: int
-    spectrum: np.ndarray
+    centred: np.ndarray
+    spectra: np.ndarray
     pre: np.ndarray
     suf: np.ndarray
     sq_pre: np.ndarray
     sq_suf: np.ndarray
+
+
+def _centre(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x`` minus its mean, written to ``out``; a constant or non-finite
+    ``x`` is a ``NumericError``."""
+    # min and max carry a NaN, and an inf shows in one of them, so these two
+    # reductions check every sample without a mask the size of the series
+    lo, hi = x.min(), x.max()
+    if hi - lo == 0:
+        raise NumericError("constant input: correlation undefined")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError("non-finite input: correlation undefined")
+    return np.subtract(x, x.mean(), out=out)
 
 
 def xcorr_side(x: np.ndarray, max_lag_samples: int) -> XcorrSide:
@@ -584,30 +622,22 @@ def xcorr_side(x: np.ndarray, max_lag_samples: int) -> XcorrSide:
     max_lag = int(max_lag_samples)
     if max_lag < 0 or max_lag >= n:
         raise ConfigError("max lag must satisfy 0 <= lag < length")
-    side = _centred_side(x, max_lag)
-    for arr in (side.spectrum, side.pre, side.suf, side.sq_pre, side.sq_suf):
+    k, block, nfft = _blocks(n, max_lag)
+    padded = np.zeros(k * block + 2 * max_lag)
+    c = _centre(x, padded[max_lag : max_lag + n])
+    segments = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::block]
+    # each segment starts at its block, and its lead wraps round to the end
+    spectra = np.fft.rfft(np.roll(segments, -max_lag, axis=1))
+    sums = _window_sums(c, max_lag)
+    for arr in (padded, c, spectra, sums):
         arr.flags.writeable = False  # a side may be shared by many calls
-    return side
+    return XcorrSide(n, max_lag, c, spectra, *sums)
 
 
-def _centred_side(x: np.ndarray, max_lag: int, work: Workspace | None = None) -> XcorrSide:
-    """``xcorr_side`` of a series of length >= 2 and a lag already checked,
-    its arrays left writable.  With ``work``, the centred series and its
-    square live in the ``signal`` buffer and the spectrum in ``spectrum``."""
-    # min and max carry a NaN, and an inf shows in one of them, so these two
-    # reductions check every sample without a mask the size of the series
-    lo, hi = x.min(), x.max()
-    if hi - lo == 0:
-        raise NumericError("constant input: correlation undefined")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise NumericError("non-finite input: correlation undefined")
-    n = x.size
-    nfft = _fast_len(n + max_lag)
-    c = np.subtract(x, x.mean(), out=None if work is None else work.take("signal", n))
-    spectrum = np.fft.rfft(c, nfft, out=None if work is None else work.take("spectrum", nfft // 2 + 1))
-    pre, suf = _window_sums(c, max_lag)
-    sq_pre, sq_suf = _window_sums(np.multiply(c, c, out=c), max_lag)
-    return XcorrSide(n, max_lag, nfft, spectrum, pre, suf, sq_pre, sq_suf)
+# r within this of the peak may be a tie that the FFT's round-off (at worst
+# ~1e-11, in 2-sample windows) split; neighbouring lags of real series are
+# orders of magnitude further apart
+_NEAR_PEAK = 1e-9
 
 
 def peak_cross_correlation(
@@ -628,24 +658,35 @@ def peak_cross_correlation(
     correlated with many others is checked and transformed once; the result
     is bit-identical to passing the array.  A side built for another length
     is a ``DataError``, and one built for another ``max_lag`` a
-    ``ConfigError``.  With ``work``, a's side and the cross sums are built
-    in its ``spectrum`` and ``signal`` buffers, which ``a`` must not share.
+    ``ConfigError``.  With ``work``, a's blocks, their spectra and the
+    cross sums are built in its ``signal`` and ``spectrum`` buffers, which
+    ``a`` must not share.
 
-    Method: ``xcorr_side`` mean-centres each series over its whole length
-    and zero-pads its ``rfft`` to ``_fast_len(n + max_lag)``, enough to
-    keep the circular product free of wrap-around; one ``irfft`` of the
-    product gives the lagged cross sums ``sum(a[i] * b[i + l])`` of every
-    lag.  Every overlap window is a prefix of one series and a suffix of
-    the other, so its sums and sums of squares come from cumulative sums,
-    and ``r = (Sxy - Sx*Sy/m) / sqrt((Sxx - Sx**2/m) * (Syy - Sy**2/m))``.
+    Method: both series are mean-centred over their whole length, and the
+    lagged cross sums ``sum(a[i] * b[i + l])`` of every lag come from
+    overlap-save block correlation (Stockham 1966).  ``_blocks`` picks a
+    block length B and a transform length L = B + 2 * max_lag from ``n``
+    and ``max_lag``.  ``a`` is cut into K zero-padded blocks of B samples,
+    and b's side holds the ``rfft``s of the K matching segments of ``b``,
+    each reaching ``max_lag`` samples past its block on both sides.  The
+    conjugated block spectra of ``a`` times the segment spectra, summed
+    over the blocks, give the cross sums of every lag in one ``irfft`` of
+    length L, free of wrap-around.  Every overlap window is a prefix of one
+    series and a suffix of the other, so its sums and sums of squares come
+    from cumulative sums, and
+    ``r = (Sxy - Sx*Sy/m) / sqrt((Sxx - Sx**2/m) * (Syy - Sy**2/m))``.
     A lag is skipped when its window has fewer than 2 samples, or when
     either window variance is at or below round-off (``m * eps`` of the
     window's sum of squares), that is, zero.  A constant series, or a
     non-finite sample anywhere, raises ``NumericError``; the FFT would
     spread a bad sample to every lag.  The FFT's round-off is relative to
-    the whole series, so windows of a few samples carry more of it (up to
-    ~1e-11 in ``r`` at 2 samples), and ties among them may fall to another
-    lag than in a lag-by-lag scan.
+    a block and its segment, and can split lags that tie exactly, such as
+    ``l`` and ``-l`` when ``b = -a``; so the lags whose ``r`` is within
+    1e-9 of the peak get their cross sums again as direct dot products
+    before the tie rule picks one.  The window sums' round-off is relative
+    to the whole series, so windows of a few samples carry more of it (up
+    to ~1e-11 in ``r`` at 2 samples), and ties among them may fall to
+    another lag than in a lag-by-lag scan.
     """
     a = np.asarray(a, dtype=float)
     prepared = isinstance(b, XcorrSide)
@@ -659,23 +700,33 @@ def peak_cross_correlation(
         raise ConfigError("max lag must satisfy 0 <= lag < length")
     if prepared and b.max_lag != max_lag:
         raise ConfigError(f"side was built for max lag {b.max_lag}, not {max_lag}")
-    x = _centred_side(a, max_lag, work)
+    k, block, nfft = _blocks(n, max_lag)
+    f = nfft // 2 + 1
+    if work is None:
+        work = Workspace()
+    # a's blocks, one a row of a zero-padded (K, B) stack, then the cross sums
+    signal = work.take("signal", k * block + nfft)
+    stack, cross = signal[: k * block], signal[k * block :]
+    c = _centre(a, stack[:n])
+    stack[n:] = 0.0
     y = b if prepared else xcorr_side(b, max_lag)
 
-    nfft = x.nfft
-    # a's side is this call's own, so its spectrum takes the product
-    product = np.conjugate(x.spectrum, out=x.spectrum)
-    product *= y.spectrum
-    cross = np.fft.irfft(product, nfft, out=None if work is None else work.take("signal", nfft))
+    # K rows for a's block spectra, which take the product, and one for its sum
+    rows = work.take("spectrum", (k + 1) * f).reshape(k + 1, f)
+    spectra = np.fft.rfft(stack.reshape(k, block), nfft, out=rows[:k])
+    np.conjugate(spectra, out=spectra)
+    spectra *= y.spectra
+    np.fft.irfft(np.sum(spectra, axis=0, out=rows[k]), nfft, out=cross)
     sxy = np.concatenate((cross[nfft - max_lag :], cross[: max_lag + 1]))
 
     lags = np.arange(-max_lag, max_lag + 1)
     j = max_lag - np.abs(lags)
     m = n - np.abs(lags)
     ahead = lags >= 0  # a's window is a prefix and b's a suffix
-    sx = np.where(ahead, x.pre[j], x.suf[j])
+    pre, suf, sq_pre, sq_suf = _window_sums(c, max_lag)
+    sx = np.where(ahead, pre[j], suf[j])
     sy = np.where(ahead, y.suf[j], y.pre[j])
-    sxx = np.where(ahead, x.sq_pre[j], x.sq_suf[j])
+    sxx = np.where(ahead, sq_pre[j], sq_suf[j])
     syy = np.where(ahead, y.sq_suf[j], y.sq_pre[j])
 
     vx = sxx - sx * sx / m
@@ -683,8 +734,18 @@ def peak_cross_correlation(
     roundoff = m * np.finfo(float).eps
     defined = (m >= 2) & (vx > roundoff * sxx) & (vy > roundoff * syy)
     r = np.full(lags.size, -np.inf)
-    r[defined] = (sxy - sx * sy / m)[defined] / np.sqrt(vx[defined] * vy[defined])
-    k = int(np.argmax(r))
-    if not np.isfinite(r[k]):
+
+    def pearson(at):
+        return (sxy[at] - sx[at] * sy[at] / m[at]) / np.sqrt(vx[at] * vy[at])
+
+    r[defined] = pearson(defined)
+    peak = r.max()
+    if not np.isfinite(peak):
         raise NumericError("no lag produced a defined correlation")
-    return float(r[k]), int(lags[k])
+    near = np.flatnonzero(r >= peak - _NEAR_PEAK)
+    for i, lag in zip(near, lags[near]):
+        lo, hi = max(lag, 0), n + min(lag, 0)  # b's window
+        sxy[i] = c[lo - lag : hi - lag] @ y.centred[lo:hi]
+    r[near] = pearson(near)
+    best = int(np.argmax(r))
+    return float(r[best]), int(lags[best])

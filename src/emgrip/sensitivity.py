@@ -477,9 +477,9 @@ def objective(dataset, dv: DecisionVector) -> float:
     garbage-collected, and reused while it holds the same two series, whose
     arrays are read-only.  So results are those of ``process_recording``
     and ``envelope_grip_xcorr`` on the raw series.  What does depend on the
-    candidate (the masked ``irfft``, smoothing, the envelope's ``rfft`` and
-    the cross ``irfft``) runs in one ``Workspace`` per thread, sized to the
-    largest recording it has seen.
+    candidate (the masked ``irfft``, smoothing, the ``rfft``s of the
+    envelope's blocks and the one short cross ``irfft``) runs in one
+    ``Workspace`` per thread, sized to the largest recording it has seen.
     """
     work = getattr(_SCRATCH, "work", None)
     if work is None:

@@ -1,8 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from emgrip import processing
 from emgrip.calibration import prepare_grip
 from emgrip.errors import ConfigError, DataError, NumericError
 from emgrip.io import read_series, write_series
@@ -12,7 +14,7 @@ from emgrip.processing import (
     SpectralMask,
     TimestampedSeries,
     Workspace,
-    _fast_len,
+    _blocks,
     apply_spectral_mask,
     batch_spectra,
     default_optimal_mask,
@@ -408,31 +410,42 @@ def _scan_oracle(a, b, max_lag):
     return best, best_lag
 
 
+def _fft_peak(a, b, max_lag):
+    """The peak from the blocked FFT's cross sums alone, with no lag near
+    the peak summed again directly."""
+    with mock.patch.object(processing, "_NEAR_PEAK", -np.inf):
+        return peak_cross_correlation(a, b, max_lag)[0]
+
+
 def _assert_matches_scan(a, b, max_lag):
     """Check the array call against the scan oracle, and the call given
-    ``b``'s prepared ``xcorr_side`` against the array call, bit for bit."""
+    ``b``'s prepared ``xcorr_side`` against the array call, bit for bit.
+    The blocked FFT's own peak must match the oracle's too."""
     peak, lag = peak_cross_correlation(a, b, max_lag)
     assert peak_cross_correlation(a, xcorr_side(b, max_lag), max_lag) == (peak, lag)
     want_peak, want_lag = _scan_oracle(a, b, max_lag)
     assert peak == pytest.approx(want_peak, abs=1e-12)
     assert lag == want_lag
+    assert _fft_peak(a, b, max_lag) == pytest.approx(want_peak, abs=1e-12)
     return peak, lag
 
 
-class TestFastLen:
-    def test_matches_scipy_next_fast_len(self):
-        from scipy.fft import next_fast_len
-
-        large = np.random.default_rng(5).integers(5001, 10**9, 2000)
-        for n in [*range(1, 5001), *map(int, large)]:
-            assert _fast_len(n) == next_fast_len(n, real=True), n
+def _delayed_pair(n, delay=7):
+    """``a`` and a copy delayed by ``delay`` behind zeros, built so that the
+    delay is the one peak even at ``max_lag = n - 1``, where every 2-sample
+    window has ``|r| = 1``: b's zero prefix skips the negative end, and a's
+    first step opposes b's last."""
+    a = _rng().standard_normal(n)
+    a[1] = a[0] - np.sign(a[-delay - 1] - a[-delay - 2])  # b's last two samples
+    return a, np.concatenate([np.zeros(delay), a[:-delay]])
 
 
 class TestPeakCrossCorrelation:
     @pytest.mark.parametrize("n, max_lag", [(1009, 22), (1031, 50), (2000, 97)])
     def test_padded_lengths_match_exhaustive_scan(self, n, max_lag):
-        # n + max_lag is not 5-smooth, so the FFT zero-pads past it
-        assert _fast_len(n + max_lag) > n + max_lag
+        # n is not a multiple of the block, so the last block is zero-padded
+        k, block, _ = _blocks(n, max_lag)
+        assert k > 1 and n % block != 0
         rng = np.random.default_rng(n)
         a = rng.standard_normal(n)
         b = np.roll(a, 7) + 0.5 * rng.standard_normal(n)
@@ -504,15 +517,8 @@ class TestPeakCrossCorrelation:
     def test_full_max_lag_matches_scan(self):
         # max_lag = n - 1 reaches 1- and 2-sample windows.  Every 2-sample
         # window has |r| = 1, so two of them at +1 tie and round-off picks
-        # the lag in either code.  Here b's zero prefix skips the negative
-        # end and a's first step opposes b's last, so the delayed copy at
-        # lag 7 is the one peak.
-        rng = _rng()
-        n = 80
-        a = rng.standard_normal(n)
-        a[1] = a[0] - np.sign(a[-8] - a[-9])  # b[-2:] is a[-9:-7]
-        b = np.concatenate([np.zeros(7), a[:-7]])
-        _, lag = _assert_matches_scan(a, b, n - 1)
+        # the lag in either code; _delayed_pair leaves lag 7 the one peak.
+        _, lag = _assert_matches_scan(*_delayed_pair(80), 79)
         assert lag == 7
 
     @pytest.mark.filterwarnings("error")
@@ -526,8 +532,9 @@ class TestPeakCrossCorrelation:
         "n, max_lag", [(1001, 30), (998, 11)], ids=["odd_n", "even_n"]
     )
     def test_prime_padding_target_matches_scan(self, n, max_lag):
-        # n + max_lag is prime (1031, 1009): the FFT length is the next
-        # fast size above it, and the extreme lags must not wrap around
+        # n + max_lag is prime (1031, 1009); 1001 samples split into two
+        # blocks and 998 fill one block short of its end, and the extreme
+        # lags must not wrap around in either
         rng = _rng()
         a = np.cumsum(rng.standard_normal(n))
         b = np.roll(a, max_lag - 1) + rng.standard_normal(n)
@@ -552,6 +559,54 @@ class TestPeakCrossCorrelation:
             assert peak_cross_correlation(a, side, 40, work) == want
             # a larger call in between grows the buffers; later ones reuse them
             peak_cross_correlation(rng.standard_normal(size), rng.standard_normal(size), 40, work)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_lag", [0, 1, 159])
+    @pytest.mark.parametrize(
+        "whole, extra, blocks",
+        [(1, -1, 1), (1, 0, 1), (1, 1, 2), (3, 0, 3), (3, 1, 4)],
+        ids=["B-1", "B", "B+1", "K*B", "K*B+1"],
+    )
+    def test_block_edges_match_scan(self, max_lag, whole, extra, blocks):
+        _, block, _ = _blocks(10**6, max_lag)  # the block of a long series
+        n = whole * block + extra
+        assert _blocks(n, max_lag)[0] == blocks
+        rng = np.random.default_rng(n + max_lag)
+        a = np.cumsum(rng.standard_normal(n))
+        b = np.roll(a, 5) + rng.standard_normal(n)
+        _assert_matches_scan(a, b, max_lag)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [342, 343, 683])
+    def test_full_max_lag_block_edges_match_scan(self, n):
+        # at max_lag = n - 1 a series is always one block, L the power of two
+        # at or above 3n - 2: at 342 the block is exactly n (L = 1024), at
+        # 343 L doubles, and at 683 the block is n + 1 (L = 2048)
+        k, block, nfft = _blocks(n, n - 1)
+        assert k == 1 and block == nfft - 2 * (n - 1) >= n
+        _, lag = _assert_matches_scan(*_delayed_pair(n), n - 1)
+        assert lag == 7
+
+    def test_side_arrays_read_only(self):
+        n, max_lag = 5000, 159
+        side = xcorr_side(_rng().standard_normal(n), max_lag)
+        k, _, nfft = _blocks(n, max_lag)
+        assert side.spectra.shape == (k, nfft // 2 + 1)
+        for arr in (side.centred, side.spectra, side.pre, side.suf, side.sq_pre, side.sq_suf):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_workspace_bit_equal_across_block_counts(self):
+        # one workspace through calls of 1, 4, 2 and 1 blocks, against a
+        # fresh call for each: buffers grown by a larger call and left with
+        # its bits must not leak into a smaller one
+        rng, max_lag, work = _rng(), 20, Workspace()
+        sizes = (700, 3000, 1500, 700, 3000)
+        assert [_blocks(n, max_lag)[0] for n in sizes] == [1, 4, 2, 1, 4]
+        for n in sizes:
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            want = peak_cross_correlation(a, b, max_lag)
+            assert peak_cross_correlation(a, xcorr_side(b, max_lag), max_lag, work) == want
 
     def test_side_for_other_length_or_lag_rejected(self):
         rng = _rng()
@@ -578,20 +633,23 @@ class TestPeakCrossCorrelation:
 
     @pytest.mark.filterwarnings("error")
     def test_sa_recording_matches_scan(self):
-        # one candidate of the seed-42 RBD-FAST bench study on its first
-        # recording: 29,293 envelope samples, lags within +-159
-        rec = synth_recording(seed=44)
-        row = rbdfast_sample(default_decision_bounds(), 64, seed=46)[0]
-        dv = DecisionVector.from_array(row)
-        rate = rec.emg.rate
-        env = process_recording(rec.emg, dv.to_mask(rate / N), dv.smoothing())
-        peak, lag = envelope_grip_xcorr(env, rec.emg, rec.grip)
-        grip = resample_linear(rec.grip, rec.emg.times[: env.size]).values
-        max_lag = int(round(DEFAULT_MAX_LAG_S * rate))
-        assert (env.size, max_lag) == (29293, 159)
-        want_peak, want_lag = _scan_oracle(env, grip, max_lag)
-        assert peak == pytest.approx(want_peak, abs=1e-12)
-        assert lag == want_lag
+        # all 64 candidates of the seed-42 RBD-FAST bench study on both its
+        # recordings: 29,293 envelope samples, lags within +-159, 17 blocks
+        rows = rbdfast_sample(default_decision_bounds(), 64, seed=46)
+        for seed in (44, 45):
+            rec = synth_recording(seed=seed)
+            rate = rec.emg.rate
+            max_lag = int(round(DEFAULT_MAX_LAG_S * rate))
+            for row in rows:
+                dv = DecisionVector.from_array(row)
+                env = process_recording(rec.emg, dv.to_mask(rate / N), dv.smoothing())
+                peak, lag = envelope_grip_xcorr(env, rec.emg, rec.grip)
+                grip = resample_linear(rec.grip, rec.emg.times[: env.size]).values
+                assert (env.size, max_lag, _blocks(env.size, max_lag)[0]) == (29293, 159, 17)
+                want_peak, want_lag = _scan_oracle(env, grip, max_lag)
+                assert peak == pytest.approx(want_peak, abs=1e-12)
+                assert lag == want_lag
+                assert _fft_peak(env, grip, max_lag) == pytest.approx(want_peak, abs=1e-12)
 
 
 class TestTypes:
@@ -612,6 +670,22 @@ class TestTypes:
         t.flags.writeable = v.flags.writeable = False
         s = TimestampedSeries(t, v)
         assert s.times is t and s.values is v
+
+    def test_series_copies_a_read_only_view_of_a_writeable_base(self):
+        base = np.arange(4.0)
+        v = base.view()
+        v.flags.writeable = False
+        s = TimestampedSeries(np.arange(4.0), v)
+        assert not np.shares_memory(s.values, base)
+        base[0] = 9.0  # the base stays the caller's to change
+        assert s.values[0] == 0.0
+
+    def test_series_keeps_a_slice_of_a_frozen_series(self):
+        # fit_estimator and _grip_side resample onto emg.times[:n]
+        rec = synth_recording(seed=3)
+        head = rec.emg.times[:100]
+        assert TimestampedSeries(head, np.ones(100)).times is head
+        assert np.shares_memory(resample_linear(rec.grip, head).times, rec.emg.times)
 
     @pytest.mark.parametrize(
         "producer", ["constructor", "synth_recording", "read_series", "resample_linear", "prepare_grip"]
