@@ -2,27 +2,27 @@
 
 A calibration recording fits the lifted linear operator (Hankel delays plus
 gridded indicator observables); a second recording from the same "subject"
-is then estimated in streaming windows and scored against its true force.
+is then streamed through the estimator in 0.5 s batches, as the simulator
+runs it, and scored against its true force.
 """
+import time
+
 import numpy as np
 
 from emgrip import (
     SmoothingParams,
     default_optimal_mask,
-    estimate_batch,
+    estimation_wmape,
     fit_estimator,
-    process_recording,
     resample_linear,
+    stream_simulate,
     synth_recording,
-    wmape,
 )
 
 calibration = synth_recording(seed=42)
 test = synth_recording(seed=43)
 mask = default_optimal_mask()
 smoothing = SmoothingParams(300, 0.0)
-
-import time
 
 start = time.perf_counter()
 model = fit_estimator(calibration.emg, calibration.grip, mask, smoothing)
@@ -31,23 +31,12 @@ print(f"trained in {time.perf_counter() - start:.2f} s: "
       f"({model.hankel.delays + 1} delays + {model.kept.size} grid cells kept "
       f"of {model.grid.divisions ** 3})")
 
-envelope = process_recording(test.emg, mask, smoothing)
+result = stream_simulate(test, model, mask, smoothing)
+estimates, times = result.estimates, result.estimate_times
+truth = resample_linear(test.grip, times).values
 step = model.hankel.downsample
-window = (model.hankel.delays + 62) * step  # one batch plus the delay depth
-
-estimates, times = [], []
-for end in range(window, envelope.size, 62 * step):
-    est = estimate_batch(model, envelope[end - window : end])
-    keep = min(62, est.size)
-    estimates.extend(est[-keep:])
-    # estimate k of the window aligns with decimated position start + k
-    first = (end - window) // step + est.size - keep
-    times.extend(test.emg.times[(first + np.arange(keep)) * step])
-
-estimates = np.array(estimates)
-truth = resample_linear(test.grip, np.array(times)).values
 print(f"{estimates.size} estimates at {1 / (step / test.emg.rate):.1f} Hz")
-print(f"estimation wMAPE vs measured grip: {wmape(truth, estimates):.2f}%")
+print(f"estimation wMAPE vs measured grip: {estimation_wmape(test.grip, result):.2f}%")
 
 print("\nsample of the trace (t, measured N, estimated N):")
 for i in np.linspace(0, estimates.size - 1, 8, dtype=int):

@@ -47,7 +47,6 @@ from .processing import (
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
-    Workspace,
     apply_spectral_mask,
     batch_spectra,
     default_optimal_mask,

@@ -143,12 +143,20 @@ def _dense_cells(flat: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
     return np.flatnonzero(counts >= grid.min_density * flat.size)
 
 
+def _cell_positions(flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Position in the ascending ``kept`` of each column's cell ``flat[n]``;
+    -1 for a column outside every kept cell."""
+    if not kept.size:
+        return np.full(flat.size, -1)
+    pos = np.searchsorted(kept, flat)
+    return np.where(kept.take(pos, mode="clip") == flat, pos, -1)
+
+
 def _mark_cells(rows: np.ndarray, flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Set the zeroed ``rows[r, n]`` to 1 where column n lies in cell kept[r]."""
-    if kept.size:
-        pos = np.searchsorted(kept, flat)
-        hit = np.flatnonzero(kept.take(pos, mode="clip") == flat)
-        rows[pos[hit], hit] = 1.0
+    cells = _cell_positions(flat, kept)
+    hit = np.flatnonzero(cells >= 0)
+    rows[cells[hit], hit] = 1.0
     return rows
 
 
@@ -234,11 +242,7 @@ def build_lifted_matrices(
     he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
     flat = _flat_cells(he, grid)
     kept = _dense_cells(flat, grid)
-    cells = np.full(flat.size, -1)
-    if kept.size:
-        pos = np.searchsorted(kept, flat)
-        hit = np.flatnonzero(kept.take(pos, mode="clip") == flat)
-        cells[hit] = pos[hit]
+    cells = _cell_positions(flat, kept)
     hg = _hankel_view(grip_scaler.apply(grip_ds), params.delays)
     return LiftedMatrix(he, cells, kept.size), hg, kept
 

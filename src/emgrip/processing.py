@@ -149,47 +149,11 @@ class TimestampedSeries:
         return (len(self) - 1) / self.span
 
 
-class Workspace:
-    """Reusable buffers for repeated ``process_recording`` and
-    ``peak_cross_correlation`` calls.
-
-    Given as ``work``, those calls and the ``apply_spectral_mask`` and
-    ``smooth_ema`` calls they make write their large temporaries here rather
-    than allocate them, and return the same bits.  Each named buffer grows
-    to the largest call and is then reused by every later one:
-
-    - ``spectrum`` (complex) holds a masked spectrum, then a correlation's
-      ``(K + 1, L // 2 + 1)`` rows: the ``rfft``s of the first series' K
-      blocks, their products with the second series' segment spectra, and
-      the sum of those products;
-    - ``signal`` holds the rectified signal behind its smoothing tail, then
-      the first series of a correlation, centred and laid out as a
-      zero-padded ``(K, B)`` stack of blocks, followed by the L cross sums;
-    - ``envelope`` holds what ``process_recording`` returns, which its next
-      call with this workspace overwrites.
-
-    One workspace serves one thread at a time.
-    """
-
-    _DTYPES = {"spectrum": complex, "signal": float, "envelope": float}
-
-    def __init__(self):
-        self._buffers = {name: np.empty(0, dtype) for name, dtype in self._DTYPES.items()}
-
-    def take(self, name: str, size: int) -> np.ndarray:
-        """The first ``size`` entries of buffer ``name``, grown if shorter."""
-        buf = self._buffers[name]
-        if buf.size < size:
-            buf = self._buffers[name] = np.empty(size, buf.dtype)
-        return buf[:size]
-
-
 def apply_spectral_mask(
     x: np.ndarray,
     mask: SpectralMask,
     n: int | None = None,
     out: np.ndarray | None = None,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """Multiply the batch spectrum bin-wise by the mask gains.
 
@@ -202,8 +166,7 @@ def apply_spectral_mask(
     ``BatchSpectra`` holds, with ``n`` the batch length (``2 * (bins - 1)``
     when None, as for ``np.fft.irfft``).  The forward FFT is then skipped
     and the result is bit-identical.  The result is written into ``out``
-    when given, and the masked spectrum into ``work``'s ``spectrum`` buffer
-    when that is given.
+    when given.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
@@ -222,8 +185,7 @@ def apply_spectral_mask(
         )
     if spectrum is None:
         spectrum = np.fft.rfft(x)
-    product = None if work is None else work.take("spectrum", spectrum.size).reshape(spectrum.shape)
-    return np.fft.irfft(np.multiply(spectrum, mask.gains, out=product), n=n, out=out)
+    return np.fft.irfft(spectrum * mask.gains, n=n, out=out)
 
 
 # smooth_ema restarts its recursion from a direct window sum at most this
@@ -299,8 +261,6 @@ def smooth_ema(
     prev_tail: np.ndarray,
     params: SmoothingParams,
     batch_size: int | None = None,
-    out: np.ndarray | None = None,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """Windowed exponential moving average with carry-over from ``prev_tail``.
 
@@ -322,11 +282,6 @@ def smooth_ema(
     k up to, not including, the first restart after k + w - 1.  Round-off
     is that of at most L recursion steps: a few ulp of the window's
     weighted magnitude.
-
-    The result is written into ``out`` when given.  With ``work``, the
-    window buffer (the last ``window_size - 1`` samples of ``prev_tail``,
-    then ``x``) is built in its ``signal`` buffer, where ``x`` and the tail
-    may already sit: ``process_recording`` rectifies into that place.
     """
     if batch_size is not None and batch_size < 1:
         raise ConfigError("batch size must be >= 1")
@@ -337,15 +292,8 @@ def smooth_ema(
         raise DataError(f"previous tail has {tail.size} samples, window {w} needs {w - 1}")
     x = np.asarray(x, dtype=float)
     n = x.size
-    if work is None:
-        ext = np.concatenate([tail[tail.size - (w - 1) :], x])
-    else:
-        # numpy skips the copy of a slice onto the same memory
-        ext = work.take("signal", n + w - 1)
-        ext[: w - 1] = tail[tail.size - (w - 1) :]
-        ext[w - 1 :] = x
-    if out is None:
-        out = np.empty(n)
+    ext = np.concatenate([tail[tail.size - (w - 1) :], x])
+    out = np.empty(n)
     if n == 0:
         return out
     # the recursion inputs; the first of every batch becomes a direct sum,
@@ -383,6 +331,14 @@ def process_batch(
     return smoothed, tail_src[tail_src.size - keep :]
 
 
+def _batch_split(n: int, batch_size: int) -> tuple[int, int]:
+    """The number of full ``batch_size`` batches in ``n`` samples, and the
+    length of the trailing short batch: it keeps its natural length, and a
+    1-sample remainder is dropped, so that length is 0 or >= 2."""
+    n_full, rest = divmod(n, batch_size)
+    return n_full, rest if rest >= 2 else 0
+
+
 def envelope_batches(
     emg: TimestampedSeries,
     mask: SpectralMask,
@@ -398,8 +354,8 @@ def envelope_batches(
     x = emg.values
     fs = emg.rate
     tail = np.zeros(params.window_size - 1)
-    # every start leaves at least 2 samples, so a 1-sample remainder is dropped
-    for start in range(0, x.size - 1, batch_size):
+    n_full, tail_size = _batch_split(x.size, batch_size)
+    for start in range(0, n_full * batch_size + tail_size, batch_size):
         chunk = x[start : start + batch_size]
         out, tail = process_batch(chunk, mask.for_batch(chunk.size, fs), params, tail)
         yield out
@@ -434,10 +390,8 @@ def batch_spectra(emg: TimestampedSeries, batch_size: int = DEFAULT_BATCH_SIZE) 
     each, so that a recording processed with many masks is transformed once."""
     x = emg.values
     rate = emg.rate
-    n_full = x.size // batch_size
+    n_full, tail_size = _batch_split(x.size, batch_size)
     split = n_full * batch_size
-    # a short final batch keeps its natural length; a 1-sample remainder is dropped
-    tail_size = x.size - split if x.size - split >= 2 else 0
     full = np.fft.rfft(x[:split].reshape(n_full, batch_size))
     tail = np.fft.rfft(x[split:]) if tail_size else np.empty(0, complex)
     for arr in (full, tail):
@@ -450,7 +404,6 @@ def process_recording(
     mask: SpectralMask,
     params: SmoothingParams,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """Envelope of a whole recording, bit-identical to the concatenated
     ``envelope_batches``.
@@ -468,33 +421,22 @@ def process_recording(
 
     ``emg`` may also be the recording's ``batch_spectra``, so that a
     recording processed many times is transformed once; one built for
-    another batch size is a ``ConfigError``.  With ``work``, every
-    temporary lives in its buffers, and the envelope returned is its
-    ``envelope`` buffer, which the next call with it overwrites.
+    another batch size is a ``ConfigError``.
     """
     spectra = emg if isinstance(emg, BatchSpectra) else batch_spectra(emg, batch_size)
     if spectra.batch_size != batch_size:
         raise ConfigError(f"spectra were built for batch size {spectra.batch_size}, not {batch_size}")
-    if work is None:
-        work = Workspace()
-    w = params.window_size
     n = spectra.size
     split = n - spectra.tail_size
-    # the rectified signal goes behind the zero tail that smooth_ema reads
-    # before it, so that the window buffer needs no copy
-    ext = work.take("signal", w - 1 + n)
-    ext[: w - 1] = 0.0
-    rectified = ext[w - 1 :]
+    # both calls write into one array, so the two parts need no concatenation
+    rectified = np.empty(n)
     full_mask = mask.for_batch(batch_size, spectra.rate)
-    apply_spectral_mask(
-        spectra.full, full_mask, batch_size, rectified[:split].reshape(-1, batch_size), work
-    )
+    apply_spectral_mask(spectra.full, full_mask, batch_size, rectified[:split].reshape(-1, batch_size))
     if spectra.tail_size:
         tail_mask = mask.for_batch(spectra.tail_size, spectra.rate)
-        apply_spectral_mask(spectra.tail, tail_mask, spectra.tail_size, rectified[split:], work)
+        apply_spectral_mask(spectra.tail, tail_mask, spectra.tail_size, rectified[split:])
     np.abs(rectified, out=rectified)
-    envelope = work.take("envelope", n)
-    return smooth_ema(rectified, ext[: w - 1], params, batch_size, envelope, work)
+    return smooth_ema(rectified, np.zeros(params.window_size - 1), params, batch_size)
 
 
 def default_optimal_mask(
@@ -644,7 +586,6 @@ def peak_cross_correlation(
     a: np.ndarray,
     b: np.ndarray | XcorrSide,
     max_lag_samples: int,
-    work: Workspace | None = None,
 ) -> tuple[float, int]:
     """Maximum lagged Pearson correlation between two aligned series.
 
@@ -658,9 +599,7 @@ def peak_cross_correlation(
     correlated with many others is checked and transformed once; the result
     is bit-identical to passing the array.  A side built for another length
     is a ``DataError``, and one built for another ``max_lag`` a
-    ``ConfigError``.  With ``work``, a's blocks, their spectra and the
-    cross sums are built in its ``signal`` and ``spectrum`` buffers, which
-    ``a`` must not share.
+    ``ConfigError``.
 
     Method: both series are mean-centred over their whole length, and the
     lagged cross sums ``sum(a[i] * b[i + l])`` of every lag come from
@@ -701,22 +640,15 @@ def peak_cross_correlation(
     if prepared and b.max_lag != max_lag:
         raise ConfigError(f"side was built for max lag {b.max_lag}, not {max_lag}")
     k, block, nfft = _blocks(n, max_lag)
-    f = nfft // 2 + 1
-    if work is None:
-        work = Workspace()
-    # a's blocks, one a row of a zero-padded (K, B) stack, then the cross sums
-    signal = work.take("signal", k * block + nfft)
-    stack, cross = signal[: k * block], signal[k * block :]
+    # a's blocks, one a row of a zero-padded (K, B) stack
+    stack = np.zeros(k * block)
     c = _centre(a, stack[:n])
-    stack[n:] = 0.0
     y = b if prepared else xcorr_side(b, max_lag)
 
-    # K rows for a's block spectra, which take the product, and one for its sum
-    rows = work.take("spectrum", (k + 1) * f).reshape(k + 1, f)
-    spectra = np.fft.rfft(stack.reshape(k, block), nfft, out=rows[:k])
+    spectra = np.fft.rfft(stack.reshape(k, block), nfft)
     np.conjugate(spectra, out=spectra)
     spectra *= y.spectra
-    np.fft.irfft(np.sum(spectra, axis=0, out=rows[k]), nfft, out=cross)
+    cross = np.fft.irfft(spectra.sum(axis=0), nfft)
     sxy = np.concatenate((cross[nfft - max_lag :], cross[: max_lag + 1]))
 
     lags = np.arange(-max_lag, max_lag + 1)

@@ -16,7 +16,6 @@ judgement itself stays manual).
 """
 from __future__ import annotations
 
-import threading
 import warnings
 import weakref
 from dataclasses import dataclass, replace
@@ -31,7 +30,6 @@ from .processing import (
     BatchSpectra,
     SmoothingParams,
     SpectralMask,
-    Workspace,
     XcorrSide,
     batch_spectra,
     peak_cross_correlation,
@@ -440,9 +438,6 @@ def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
 # side, max_lag); a weakref.finalize drops the entry with its recording
 _RECORDING_SIDES: dict[int, tuple] = {}
 
-# one Workspace per thread, shared by every recording it processes
-_SCRATCH = threading.local()
-
 
 def _recording_sides(rec) -> tuple[BatchSpectra, XcorrSide, int]:
     """A recording's ``batch_spectra`` and ``_grip_side``, reused while it
@@ -478,19 +473,16 @@ def objective(dataset, dv: DecisionVector) -> float:
     arrays are read-only.  So results are those of ``process_recording``
     and ``envelope_grip_xcorr`` on the raw series.  What does depend on the
     candidate (the masked ``irfft``, smoothing, the ``rfft``s of the
-    envelope's blocks and the one short cross ``irfft``) runs in one
-    ``Workspace`` per thread, sized to the largest recording it has seen.
+    envelope's blocks and the one short cross ``irfft``) allocates its own
+    temporaries, a few envelopes' worth at the peak, and keeps none of them.
     """
-    work = getattr(_SCRATCH, "work", None)
-    if work is None:
-        work = _SCRATCH.work = Workspace()
     smoothing = dv.smoothing()
     peaks = []
     for rec in dataset:
         spectra, side, max_lag = _recording_sides(rec)
         mask = dv.to_mask(spectra.rate / DEFAULT_BATCH_SIZE)
-        envelope = process_recording(spectra, mask, smoothing, DEFAULT_BATCH_SIZE, work)
-        peaks.append(peak_cross_correlation(envelope, side, max_lag, work)[0])
+        envelope = process_recording(spectra, mask, smoothing, DEFAULT_BATCH_SIZE)
+        peaks.append(peak_cross_correlation(envelope, side, max_lag)[0])
     if not peaks:
         raise DataError("empty dataset")
     return 1.0 - float(np.mean(peaks))

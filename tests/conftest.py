@@ -1,3 +1,12 @@
+import os
+
+# one BLAS thread, as bench/run.py pins for its workers: OpenBLAS's spinning
+# threads otherwise contend for the cores with any other busy process, and
+# the scan-oracle tests slow ~20x.  Set before numpy loads BLAS; the demo and
+# import subprocesses inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

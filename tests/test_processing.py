@@ -13,7 +13,6 @@ from emgrip.processing import (
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
-    Workspace,
     _blocks,
     apply_spectral_mask,
     batch_spectra,
@@ -95,7 +94,7 @@ class TestSpectralMask:
             assert np.array_equal(y[i, j], apply_spectral_mask(x[i, j], mask))
         # a ready spectrum skips the forward FFT and keeps the bits
         out = np.empty_like(x)
-        assert apply_spectral_mask(np.fft.rfft(x), mask, out=out, work=Workspace()) is out
+        assert apply_spectral_mask(np.fft.rfft(x), mask, out=out) is out
         assert np.array_equal(out, y)
 
     @pytest.mark.parametrize("n", [2, 3, 331, 332])
@@ -313,7 +312,6 @@ class TestProcessRecording:
         series = TimestampedSeries(np.arange(n) / FS, sig)
         # a mask built for 600-sample batches is interpolated onto full batches too
         masks = (mask, default_optimal_mask(600))
-        work = Workspace()  # reused by every call, across batch sizes and windows
         for m, w, decay, batch_size in itertools.product(
             masks, (2, 300, 495), (0.0, 0.049), (N, 248)
         ):
@@ -322,7 +320,7 @@ class TestProcessRecording:
             assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
             spectra = batch_spectra(series, batch_size)
             assert spectra.size == streamed.size
-            assert np.array_equal(process_recording(spectra, m, params, batch_size, work), streamed)
+            assert np.array_equal(process_recording(spectra, m, params, batch_size), streamed)
 
     def test_spectra_are_read_only_and_bound_to_their_batch_size(self, mask):
         series = TimestampedSeries(np.arange(3 * N + 7) / FS, _rng().standard_normal(3 * N + 7))
@@ -342,12 +340,11 @@ class TestProcessRecording:
             sig = _rng().standard_normal(n)
             series = TimestampedSeries(np.arange(n) / FS, sig)
             spectra = batch_spectra(series, batch_size)
-            work = Workspace()
             for w, decay in itertools.product((2, 61, 62, 63, 300, 495), (0.0, 0.049, 0.9, 0.999999)):
                 params = SmoothingParams(w, decay)
                 streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
                 assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
-                assert np.array_equal(process_recording(spectra, m, params, batch_size, work), streamed)
+                assert np.array_equal(process_recording(spectra, m, params, batch_size), streamed)
 
     def test_bit_identical_on_sa_study(self):
         # all 64 candidates of the seed-42 RBD-FAST bench study on its first recording
@@ -551,14 +548,9 @@ class TestPeakCrossCorrelation:
         rng = _rng()
         b = rng.standard_normal(400)
         side = xcorr_side(b, 40)
-        work = Workspace()
-        for size in (400, 400, 1000, 400):
+        for _ in range(4):
             a = np.roll(b, 9) + rng.standard_normal(400)
-            want = peak_cross_correlation(a, b, 40)
-            assert peak_cross_correlation(a, side, 40) == want
-            assert peak_cross_correlation(a, side, 40, work) == want
-            # a larger call in between grows the buffers; later ones reuse them
-            peak_cross_correlation(rng.standard_normal(size), rng.standard_normal(size), 40, work)
+            assert peak_cross_correlation(a, side, 40) == peak_cross_correlation(a, b, 40)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("max_lag", [0, 1, 159])
@@ -595,18 +587,6 @@ class TestPeakCrossCorrelation:
         for arr in (side.centred, side.spectra, side.pre, side.suf, side.sq_pre, side.sq_suf):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-
-    def test_workspace_bit_equal_across_block_counts(self):
-        # one workspace through calls of 1, 4, 2 and 1 blocks, against a
-        # fresh call for each: buffers grown by a larger call and left with
-        # its bits must not leak into a smaller one
-        rng, max_lag, work = _rng(), 20, Workspace()
-        sizes = (700, 3000, 1500, 700, 3000)
-        assert [_blocks(n, max_lag)[0] for n in sizes] == [1, 4, 2, 1, 4]
-        for n in sizes:
-            a, b = rng.standard_normal(n), rng.standard_normal(n)
-            want = peak_cross_correlation(a, b, max_lag)
-            assert peak_cross_correlation(a, xcorr_side(b, max_lag), max_lag, work) == want
 
     def test_side_for_other_length_or_lag_rejected(self):
         rng = _rng()

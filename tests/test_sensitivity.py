@@ -547,7 +547,7 @@ class TestObjectiveGripMemo:
 
     def test_failed_candidate_leaves_no_trace(self):
         # gains that overflow give a non-finite envelope, which raises after
-        # the candidate has written its scratch; the next one must not read it
+        # the memo is warm; the next candidate must come out as without it
         rec = _small_recording(37)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
             objective([rec], DecisionVector(np.full(248, 1e308), 400, 0.0))
@@ -556,7 +556,7 @@ class TestObjectiveGripMemo:
 
     def test_threads_share_a_corpus(self):
         # the seed-42 sa_rbdfast study, on a corpus whose memo starts cold,
-        # from more threads than cores, each with its own scratch
+        # from more threads than cores
         x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
         serial = map_objective([synth_recording(seed=s) for s in (44, 45)], x)
         corpus = [synth_recording(seed=s) for s in (44, 45)]
@@ -579,24 +579,30 @@ class TestObjectiveGripMemo:
         assert sorted(results) == [0, 1, 2]
         assert all(np.array_equal(y, serial) for y in results.values())
 
-    def test_warm_candidate_allocates_no_envelope(self):
+    def test_warm_candidate_memory_bounded(self):
         # each envelope-sized array of the seed-42 study is ~0.23 MB; a warm
-        # candidate writes all of them into the per-thread scratch
+        # candidate's temporaries stay within a few of them, and none of
+        # them outlives the call
         corpus = [synth_recording(seed=s) for s in (44, 45)]
         x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
         map_objective(corpus, x[:1])
-        rises = []
+        rises, kept = [], []
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
             for row in x:
                 dv = DecisionVector.from_array(row)
                 tracemalloc.reset_peak()
                 entry = tracemalloc.get_traced_memory()[0]
                 objective(corpus, dv)
-                rises.append(tracemalloc.get_traced_memory()[1] - entry)
+                current, peak = tracemalloc.get_traced_memory()
+                rises.append(peak - entry)
+                kept.append(current - entry)
+            drift = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert max(rises) <= 0.5e6
+        assert max(rises) <= 2e6
+        assert max(kept) <= 16e3 and drift <= 0.1e6
 
     @pytest.mark.parametrize(
         "envelope, grip",
