@@ -7,6 +7,7 @@ zeroes everything from 204 Hz up.
 import numpy as np
 
 from emgrip import apply_spectral_mask, default_optimal_mask
+from emgrip.processing import DEFAULT_BATCH_SIZE, NOMINAL_EMG_FS
 
 mask = default_optimal_mask()
 print(f"{len(mask)} bins at {mask.bin_resolution:.4f} Hz per bin\n")
@@ -16,8 +17,7 @@ for hz in (0, 2, 10, 18, 32, 42, 50, 52, 80, 110, 150, 202, 204, 300):
     k = int(round(hz / mask.bin_resolution))
     print(f"  {hz:4d} Hz -> gain {mask.gains[k]:.3f}")
 
-fs, n = 992.97, 496
-t = np.arange(n) / fs
+t = np.arange(DEFAULT_BATCH_SIZE) / NOMINAL_EMG_FS
 print("\nsingle-tone batches through the mask (output rms / input rms):")
 for hz in (10, 37, 50, 80, 150, 250):
     tone = np.sin(2 * np.pi * hz * t)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -315,7 +316,8 @@ class EstimatorModel:
     """Fitted static operator plus everything needed to replay it.
 
     ``mask`` and ``smoothing`` are the signal chain the operator was fitted
-    on; it is only valid for envelopes processed the same way.
+    on; it is only valid for envelopes processed the same way, in
+    ``batch_size`` batches, which is always ``DEFAULT_BATCH_SIZE``.
     """
 
     k: np.ndarray
@@ -326,8 +328,8 @@ class EstimatorModel:
     kept: np.ndarray
     mask: SpectralMask
     smoothing: SmoothingParams
-    batch_size: int = DEFAULT_BATCH_SIZE
     fs: float = NOMINAL_EMG_FS
+    batch_size: ClassVar[int] = DEFAULT_BATCH_SIZE
 
     def __post_init__(self):
         want = (self.hankel.delays + 1, self.lifted_dim)
@@ -357,18 +359,18 @@ def fit_estimator(
     smoothing: SmoothingParams,
     hankel: HankelParams = HankelParams(),
     grid: IndicatorGrid = IndicatorGrid(),
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EstimatorModel:
     """Train the static estimator on one calibration recording.
 
-    The EMG stream is processed in batches with the given mask/smoothing,
+    The EMG is processed in ``DEFAULT_BATCH_SIZE`` batches with the given
+    mask/smoothing (``process_recording``, bit-identical to the stream),
     grip is resampled onto the EMG clock, both are decimated and min-max
     scaled on this recording, and the lifted matrices are solved in one
     shot.
     """
     if grid.tau2 > hankel.delays - 1:
         raise ConfigError("tau2 must be at most delays - 1")
-    processed = process_recording(emg, mask, smoothing, batch_size)
+    processed = process_recording(emg, mask, smoothing)
     grip_on_emg = resample_linear(grip, emg.times[: processed.size]).values
     step = hankel.downsample
     emg_ds = processed[::step]
@@ -382,8 +384,7 @@ def fit_estimator(
     )
     k = fit_static_koopman(e, g)
     return EstimatorModel(
-        k, emg_scaler, grip_scaler, hankel, grid, kept, mask, smoothing,
-        batch_size, fs=emg.rate,
+        k, emg_scaler, grip_scaler, hankel, grid, kept, mask, smoothing, fs=emg.rate
     )
 
 

@@ -81,45 +81,29 @@ def _lowess_weights(n: int, window: int):
     h = np.partition(dist, window - 1, axis=1)[:, window - 1]
     u = np.clip(dist / h[:, None], 0.0, 1.0)
     w = (1.0 - u**3) ** 3
-    sw, swx, denom = _weighted_moments(w, x)
+    # row sums, first moments and the zero-guarded 2x2 determinant
+    sw = w.sum(axis=1)
+    swx = w @ x
+    swxx = w @ (x * x)
+    denom = sw * swxx - swx**2
+    denom = np.where(denom == 0, 1.0, denom)
     for arr in (x, w, sw, swx, denom):
         arr.flags.writeable = False
     return x, w, sw, swx, denom
 
 
-def _weighted_moments(weights: np.ndarray, x: np.ndarray):
-    """Row sums, first moments and the zero-guarded 2x2 determinant."""
-    sw = weights.sum(axis=1)
-    swx = weights @ x
-    swxx = weights @ (x * x)
-    denom = sw * swxx - swx**2
-    denom = np.where(denom == 0, 1.0, denom)
-    return sw, swx, denom
-
-
-def _local_lines(x, y, weights, sw, swx, denom) -> np.ndarray:
-    """Evaluate each row's weighted least-squares line at its own index."""
-    swy = weights @ y
-    swxy = weights @ (x * y)
-    slope = (sw * swxy - swx * swy) / denom
-    intercept = (swy - slope * swx) / sw
-    return intercept + slope * x
-
-
-def lowess_smooth(values: np.ndarray, window: int, iterations: int = 0) -> np.ndarray:
+def lowess_smooth(values: np.ndarray, window: int) -> np.ndarray:
     """Locally weighted linear smoothing on a uniformly indexed series.
 
     Each point is replaced by a tricube-weighted linear fit over its
-    ``window`` nearest neighbours.  ``iterations`` > 0 adds bisquare
-    robustness reweighting; the streaming pipeline runs with 0.  Series
-    shorter than the window degrade to a single global linear fit.
+    ``window`` nearest neighbours, evaluated at its own index, in a single
+    pass with no robustness reweighting.  Series no longer than the window
+    degrade to a single global linear fit.
     """
     y = np.asarray(values, dtype=float)
     n = y.size
     if window < 3:
         raise ConfigError("window must be >= 3 points")
-    if iterations < 0:
-        raise ConfigError("robustness iterations must be >= 0")
     if n <= window:
         if n < 2:
             return y.copy()
@@ -128,16 +112,11 @@ def lowess_smooth(values: np.ndarray, window: int, iterations: int = 0) -> np.nd
         return np.polyval(coeffs, x)
 
     x, w, sw, swx, denom = _lowess_weights(n, window)
-    fitted = _local_lines(x, y, w, sw, swx, denom)
-    for _ in range(iterations):
-        resid = y - fitted
-        s = np.median(np.abs(resid))
-        if s == 0:
-            return fitted
-        robust = np.clip(resid / (6.0 * s), -1.0, 1.0)
-        weights = w * ((1.0 - robust**2) ** 2)[None, :]
-        fitted = _local_lines(x, y, weights, *_weighted_moments(weights, x))
-    return fitted
+    swy = w @ y
+    swxy = w @ (x * y)
+    slope = (sw * swxy - swx * swy) / denom
+    intercept = (swy - slope * swx) / sw
+    return intercept + slope * x
 
 
 def _check_log_shift(values: np.ndarray) -> None:

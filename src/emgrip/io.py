@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import MinMaxScaler
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EmgripError
 from .estimation import EstimatorModel, HankelParams, IndicatorGrid
-from .processing import SmoothingParams, SpectralMask, TimestampedSeries
+from .processing import DEFAULT_BATCH_SIZE, SmoothingParams, SpectralMask, TimestampedSeries
 
 ENV_OUT_DIR = "EMGRIP_OUT_DIR"
 
@@ -197,7 +197,8 @@ def write_model(path, model: EstimatorModel) -> Path:
 
     The header carries the signal chain the operator was fitted on (mask
     gains and bin resolution, smoothing window and decay), so a stream is
-    replayed through the same chain.
+    replayed through the same chain.  Its ``batch_size`` line always reads
+    ``DEFAULT_BATCH_SIZE``.
     """
     path = Path(path)
     lines = [
@@ -226,6 +227,8 @@ def write_model(path, model: EstimatorModel) -> Path:
 
 
 def read_model(path) -> EstimatorModel:
+    """Any defect, including a ``batch_size`` other than ``DEFAULT_BATCH_SIZE``
+    or a value the model's parts reject, is a ``DataError`` naming the file."""
     path = Path(path)
     lines = [l for l in _read_text(path).splitlines() if l.strip()]
     fields: dict[str, str] = {}
@@ -253,6 +256,8 @@ def read_model(path) -> EstimatorModel:
             float(fields["mask_resolution"]),
         )
         smoothing = SmoothingParams(int(fields["window_size"]), float(fields["decay"]))
+        if int(fields["batch_size"]) != DEFAULT_BATCH_SIZE:
+            raise DataError(f"batch_size is {fields['batch_size']}, not {DEFAULT_BATCH_SIZE}")
         model = EstimatorModel(
             k=k,
             emg_scaler=MinMaxScaler(emg_lo, emg_hi),
@@ -268,10 +273,9 @@ def read_model(path) -> EstimatorModel:
             kept=kept,
             mask=mask,
             smoothing=smoothing,
-            batch_size=int(fields["batch_size"]),
             fs=float(fields["fs"]),
         )
-    except (KeyError, ValueError, TypeError, DataError) as exc:
+    except (KeyError, ValueError, TypeError, EmgripError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     return model
 

@@ -33,8 +33,8 @@ class SpectralMask:
     """Per-frequency-bin gain vector applied between forward and inverse FFT.
 
     ``gains[k]`` multiplies the bin centred at ``k * bin_resolution`` Hz;
-    entry 0 is the DC bin.  Length must equal ``batch_size // 2 + 1`` of the
-    batches it is applied to.
+    entry 0 is the DC bin.  Length must equal ``n // 2 + 1`` for the
+    ``n``-sample batches it is applied to.  Gains are finite and non-negative.
     """
 
     gains: np.ndarray
@@ -45,8 +45,9 @@ class SpectralMask:
         object.__setattr__(self, "gains", gains)
         if gains.ndim != 1 or gains.size < 2:
             raise ConfigError("mask needs a 1-d gain vector with >= 2 bins")
-        if gains.min() < 0:
-            raise ConfigError("mask gains must be non-negative")
+        # min and max carry a NaN, so these two reductions catch NaN and inf
+        if not (gains.min() >= 0 and np.isfinite(gains.max())):
+            raise ConfigError("mask gains must be finite and non-negative")
         if not self.bin_resolution > 0:
             raise ConfigError("bin resolution must be positive")
 
@@ -331,11 +332,11 @@ def process_batch(
     return smoothed, tail_src[tail_src.size - keep :]
 
 
-def _batch_split(n: int, batch_size: int) -> tuple[int, int]:
-    """The number of full ``batch_size`` batches in ``n`` samples, and the
-    length of the trailing short batch: it keeps its natural length, and a
-    1-sample remainder is dropped, so that length is 0 or >= 2."""
-    n_full, rest = divmod(n, batch_size)
+def _batch_split(n: int) -> tuple[int, int]:
+    """The number of full ``DEFAULT_BATCH_SIZE`` batches in ``n`` samples, and
+    the length of the trailing short batch: it keeps its natural length, and
+    a 1-sample remainder is dropped, so that length is 0 or >= 2."""
+    n_full, rest = divmod(n, DEFAULT_BATCH_SIZE)
     return n_full, rest if rest >= 2 else 0
 
 
@@ -343,9 +344,9 @@ def envelope_batches(
     emg: TimestampedSeries,
     mask: SpectralMask,
     params: SmoothingParams,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Iterator[np.ndarray]:
-    """Yield the envelope of each ``batch_size`` batch of ``emg`` in order.
+    """Yield the envelope of each ``DEFAULT_BATCH_SIZE`` batch of ``emg`` in
+    order, one ``process_batch`` call a batch, as the stream runs them.
 
     The smoothing tail is carried from batch to batch.  The trailing short
     batch is transformed at its natural length; a 1-sample remainder is
@@ -354,9 +355,10 @@ def envelope_batches(
     x = emg.values
     fs = emg.rate
     tail = np.zeros(params.window_size - 1)
-    n_full, tail_size = _batch_split(x.size, batch_size)
-    for start in range(0, n_full * batch_size + tail_size, batch_size):
-        chunk = x[start : start + batch_size]
+    n_full, tail_size = _batch_split(x.size)
+    m = DEFAULT_BATCH_SIZE
+    for start in range(0, n_full * m + tail_size, m):
+        chunk = x[start : start + m]
         out, tail = process_batch(chunk, mask.for_batch(chunk.size, fs), params, tail)
         yield out
 
@@ -364,17 +366,16 @@ def envelope_batches(
 @dataclass(frozen=True)
 class BatchSpectra:
     """The raw-EMG half of ``process_recording``, built by ``batch_spectra``
-    for one recording and batch size.
+    for one recording.
 
-    ``full`` is the ``rfft`` of the ``(n_batches, batch_size)`` stack of
-    full batches.  ``tail`` is the ``rfft`` of the trailing short batch at
+    ``full`` is the ``rfft`` of the ``(n_batches, DEFAULT_BATCH_SIZE)`` stack
+    of full batches.  ``tail`` is the ``rfft`` of the trailing short batch at
     its natural length of ``tail_size`` samples; a 1-sample remainder is
     dropped, and then ``tail_size`` is 0 and ``tail`` empty.  ``rate`` is
     the recording's sampling rate, which places the short batch's bins.
     """
 
     rate: float
-    batch_size: int
     full: np.ndarray
     tail: np.ndarray
     tail_size: int
@@ -382,78 +383,72 @@ class BatchSpectra:
     @property
     def size(self) -> int:
         """Samples the envelope covers."""
-        return self.full.shape[0] * self.batch_size + self.tail_size
+        return self.full.shape[0] * DEFAULT_BATCH_SIZE + self.tail_size
 
 
-def batch_spectra(emg: TimestampedSeries, batch_size: int = DEFAULT_BATCH_SIZE) -> BatchSpectra:
+def batch_spectra(emg: TimestampedSeries) -> BatchSpectra:
     """Split ``emg`` into batches as ``envelope_batches`` does and transform
     each, so that a recording processed with many masks is transformed once."""
     x = emg.values
     rate = emg.rate
-    n_full, tail_size = _batch_split(x.size, batch_size)
-    split = n_full * batch_size
-    full = np.fft.rfft(x[:split].reshape(n_full, batch_size))
+    n_full, tail_size = _batch_split(x.size)
+    split = n_full * DEFAULT_BATCH_SIZE
+    full = np.fft.rfft(x[:split].reshape(n_full, DEFAULT_BATCH_SIZE))
     tail = np.fft.rfft(x[split:]) if tail_size else np.empty(0, complex)
     for arr in (full, tail):
         arr.flags.writeable = False  # may be shared by many calls
-    return BatchSpectra(rate, batch_size, full, tail, tail_size)
+    return BatchSpectra(rate, full, tail, tail_size)
 
 
 def process_recording(
     emg: TimestampedSeries | BatchSpectra,
     mask: SpectralMask,
     params: SmoothingParams,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> np.ndarray:
-    """Envelope of a whole recording, bit-identical to the concatenated
-    ``envelope_batches``.
+    """Envelope of a whole recording in ``DEFAULT_BATCH_SIZE`` batches,
+    bit-identical to the concatenated ``envelope_batches``.
 
     Aligned with ``emg.times`` minus any dropped 1-sample remainder.  It runs
     batch-major.  One ``apply_spectral_mask`` call masks every full batch on
-    the ``(n_batches, batch_size)`` reshape, and another masks the trailing
-    short batch at its natural length.  Then one ``smooth_ema`` call, given
-    ``batch_size``, smooths the rectified signal from a zero tail.  The bits
-    match the stream's for two reasons.  The FFT runs the same transform on
-    each row as on a lone batch.  And ``smooth_ema`` restarts at the same
+    the ``(n_batches, DEFAULT_BATCH_SIZE)`` reshape, and another masks the
+    trailing short batch at its natural length.  Then one ``smooth_ema``
+    call, given the batch size, smooths the rectified signal from a zero
+    tail.  The bits match the stream's for two reasons.  The FFT runs the
+    same transform on each row as on a lone batch.  And ``smooth_ema`` restarts at the same
     samples and runs the same arithmetic on each batch, whether it smooths
     one batch or all of them; the tail the stream carries is exactly the
     preceding slice of the rectified signal.
 
     ``emg`` may also be the recording's ``batch_spectra``, so that a
-    recording processed many times is transformed once; one built for
-    another batch size is a ``ConfigError``.
+    recording processed many times is transformed once.
     """
-    spectra = emg if isinstance(emg, BatchSpectra) else batch_spectra(emg, batch_size)
-    if spectra.batch_size != batch_size:
-        raise ConfigError(f"spectra were built for batch size {spectra.batch_size}, not {batch_size}")
+    spectra = emg if isinstance(emg, BatchSpectra) else batch_spectra(emg)
+    m = DEFAULT_BATCH_SIZE
     n = spectra.size
     split = n - spectra.tail_size
     # both calls write into one array, so the two parts need no concatenation
     rectified = np.empty(n)
-    full_mask = mask.for_batch(batch_size, spectra.rate)
-    apply_spectral_mask(spectra.full, full_mask, batch_size, rectified[:split].reshape(-1, batch_size))
+    full_mask = mask.for_batch(m, spectra.rate)
+    apply_spectral_mask(spectra.full, full_mask, m, rectified[:split].reshape(-1, m))
     if spectra.tail_size:
         tail_mask = mask.for_batch(spectra.tail_size, spectra.rate)
         apply_spectral_mask(spectra.tail, tail_mask, spectra.tail_size, rectified[split:])
     np.abs(rectified, out=rectified)
-    return smooth_ema(rectified, np.zeros(params.window_size - 1), params, batch_size)
+    return smooth_ema(rectified, np.zeros(params.window_size - 1), params, m)
 
 
-def default_optimal_mask(
-    batch_size: int = DEFAULT_BATCH_SIZE, fs: float = NOMINAL_EMG_FS
-) -> SpectralMask:
-    """Built-in grip-force mask for ~0.5 s batches of forearm EMG.
+def default_optimal_mask() -> SpectralMask:
+    """Built-in grip-force mask for ``DEFAULT_BATCH_SIZE`` batches of forearm
+    EMG at ``NOMINAL_EMG_FS``, ~0.5 s each.
 
     Gain profile over the bin's nominal frequency (bins labelled on the
-    2 Hz grid of the default batch length): DC and 2 Hz removed, linear
-    rise to unity at 18 Hz, an inverted-U boost peaking at 1.5 over
-    32-42 Hz, mains at 50 Hz held at 0.375, a linear 0.5 -> 4.5 ramp from
-    52 to 110 Hz, a 4.375 plateau up to 202 Hz, and zero from 204 Hz up.
+    2 Hz grid): DC and 2 Hz removed, linear rise to unity at 18 Hz, an
+    inverted-U boost peaking at 1.5 over 32-42 Hz, mains at 50 Hz held at
+    0.375, a linear 0.5 -> 4.5 ramp from 52 to 110 Hz, a 4.375 plateau up
+    to 202 Hz, and zero from 204 Hz up.
     """
-    if batch_size % 2:
-        raise ConfigError("batch size must be even")
-    res = fs / batch_size
-    f = np.arange(batch_size // 2 + 1) * res
+    res = NOMINAL_EMG_FS / DEFAULT_BATCH_SIZE
+    f = np.arange(DEFAULT_BATCH_SIZE // 2 + 1) * res
     lab = 2.0 * np.round(f / 2.0)
     gains = np.zeros_like(f)
 

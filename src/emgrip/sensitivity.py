@@ -88,22 +88,20 @@ class Bounds:
         return tuple(f"x{i}" for i in range(self.dim))
 
 
-def default_decision_bounds(
-    mask_hi: float = 5.0,
-    window: tuple[float, float] = (2, 495),
-    decay: tuple[float, float] = (0.0, 0.05),
-    bin_resolution: float = NOMINAL_EMG_FS / DEFAULT_BATCH_SIZE,
-) -> Bounds:
+def default_decision_bounds() -> Bounds:
     """Initial search box for the 250-variable decision vector.
 
-    Mask gains range over [0, mask_hi] per non-DC bin; variables are named
-    by their nominal bin frequency.  Group labels support the coarse
+    Mask gains range over [0, 5] per non-DC bin, the window size over [2,
+    DEFAULT_BATCH_SIZE - 1] and the decay over [0, 0.05].  Mask variables
+    are named by their nominal bin frequency in ``DEFAULT_BATCH_SIZE``
+    batches at ``NOMINAL_EMG_FS``.  Group labels support the coarse
     three-group analysis (mask / window / decay).
     """
-    lower = np.concatenate([np.zeros(N_MASK_VARS), [window[0]], [decay[0]]])
-    upper = np.concatenate([np.full(N_MASK_VARS, mask_hi), [window[1]], [decay[1]]])
+    lower = np.concatenate([np.zeros(N_MASK_VARS), [2, 0.0]])
+    upper = np.concatenate([np.full(N_MASK_VARS, 5.0), [DEFAULT_BATCH_SIZE - 1, 0.05]])
+    res = NOMINAL_EMG_FS / DEFAULT_BATCH_SIZE
     names = tuple(
-        f"mask_{2 * round((k + 1) * bin_resolution / 2):d}hz" for k in range(N_MASK_VARS)
+        f"mask_{2 * round((k + 1) * res / 2):d}hz" for k in range(N_MASK_VARS)
     ) + ("window_size", "decay")
     groups = ("mask",) * N_MASK_VARS + ("window_size", "decay")
     return Bounds(lower, upper, names, groups)
@@ -131,9 +129,7 @@ class DecisionVector:
             raise ConfigError("decision vector needs at least 3 entries")
         return cls(x[:-2], int(round(x[-2])), float(x[-1]))
 
-    def to_mask(
-        self, bin_resolution: float = NOMINAL_EMG_FS / DEFAULT_BATCH_SIZE
-    ) -> SpectralMask:
+    def to_mask(self, bin_resolution: float) -> SpectralMask:
         """Spectral mask with the DC gain pinned to zero."""
         return SpectralMask(np.concatenate([[0.0], self.mask_gains]), bin_resolution)
 
@@ -447,7 +443,7 @@ def _recording_sides(rec) -> tuple[BatchSpectra, XcorrSide, int]:
     entry = _RECORDING_SIDES.get(key)
     if entry is not None and entry[0] is emg and entry[1] is grip:
         return entry[2:]
-    spectra = batch_spectra(emg, DEFAULT_BATCH_SIZE)
+    spectra = batch_spectra(emg)
     side, max_lag = _grip_side(emg, grip, spectra.size)
     if entry is None:
         try:
@@ -481,7 +477,7 @@ def objective(dataset, dv: DecisionVector) -> float:
     for rec in dataset:
         spectra, side, max_lag = _recording_sides(rec)
         mask = dv.to_mask(spectra.rate / DEFAULT_BATCH_SIZE)
-        envelope = process_recording(spectra, mask, smoothing, DEFAULT_BATCH_SIZE)
+        envelope = process_recording(spectra, mask, smoothing)
         peaks.append(peak_cross_correlation(envelope, side, max_lag)[0])
     if not peaks:
         raise DataError("empty dataset")

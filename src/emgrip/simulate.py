@@ -19,6 +19,7 @@ from .forecasting import ForecastHyperparams, predict_batch
 from .io import Recording
 from .metrics import wmape
 from .processing import (
+    DEFAULT_BATCH_SIZE,
     SmoothingParams,
     SpectralMask,
     TimestampedSeries,
@@ -113,10 +114,9 @@ def stream_simulate(
         raise ConfigError(
             f"recording rate {fs:.2f} Hz does not match model rate {model.fs:.2f} Hz"
         )
-    batch_size = model.batch_size
     step = model.hankel.downsample
     delays = model.hankel.delays
-    batch_ds = batch_size // step
+    batch_ds = DEFAULT_BATCH_SIZE // step
 
     # histories filled in place: ``seen`` envelope samples, ``n_est`` estimates
     n_total = emg.values.size
@@ -129,12 +129,12 @@ def stream_simulate(
     lat_estimate: list[float] = []
     lat_predict: list[float] = []
 
-    cadence = batch_size / fs
+    cadence = DEFAULT_BATCH_SIZE / fs
     wall_start = time.perf_counter()
     # the process timer runs from the end of the previous batch, so it
     # covers the generator's work of producing the next envelope
     tic = wall_start
-    for b, out in enumerate(envelope_batches(emg, mask, smoothing, batch_size)):
+    for b, out in enumerate(envelope_batches(emg, mask, smoothing)):
         processed[seen : seen + out.size] = out
         seen += out.size
         lat_process.append((time.perf_counter() - tic) * 1e3)

@@ -49,6 +49,14 @@ def stream_result(test_recording, model, mask, smoothing):
     return stream_simulate(test_recording, model, mask, smoothing)
 
 
+# header lines that read_model must reject: defect -> (key, value)
+_BAD_HEADER = {
+    "batch_size_248": ("batch_size", "248"),
+    "degenerate_emg_scaler": ("emg_scaler", "1.0 1.0"),
+    "window_size_1": ("window_size", "1"),
+}
+
+
 def _break_model(text: str, defect: str) -> str:
     lines = text.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("K "))
@@ -79,6 +87,10 @@ def _break_model(text: str, defect: str) -> str:
         lines[at] = f"K {cols}"
     elif defect == "non_numeric_k":
         lines[at + 1] = "abc " + lines[at + 1].partition(" ")[2]
+    elif defect in _BAD_HEADER:
+        key, value = _BAD_HEADER[defect]
+        i = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[i] = f"{key} {value}"
     return "\n".join(lines) + "\n"
 
 
@@ -92,6 +104,7 @@ def _break_model(text: str, defect: str) -> str:
         "kept_out_of_range",
         "short_k_header",
         "non_numeric_k",
+        *_BAD_HEADER,
     ]
 )
 def model_defect(request):

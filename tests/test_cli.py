@@ -154,6 +154,7 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: malformed model file") and len(err.strip().splitlines()) == 1
+        assert str(tmp_path / "bad_model.txt") in err
         if name == "old_square_k":
             assert "refit with `fit`" in err
 
@@ -216,6 +217,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: argument {flag}") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "tuning.tsv").exists()
+
+    def test_non_finite_mask_gain_is_input_error(self, workspace, tmp_path, capsys):
+        _, data = workspace
+        assert main(["--out", str(tmp_path), "mask", "default"]) == 0
+        lines = (tmp_path / "mask.tsv").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("20."))
+        lines[at] = lines[at].split("\t")[0] + "\tnan"
+        (tmp_path / "mask.tsv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "--out", str(tmp_path), "process",
+            "--mask", str(tmp_path / "mask.tsv"), "--emg", str(data / "s01_p1_r1_emg.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: mask gains must be finite") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "s01_p1_r1_emg_processed.csv").exists()
 
     def test_non_utf8_data_file_is_input_error(self, tmp_path, capsys):
         (tmp_path / "bad_emg.csv").write_bytes(b"\xff\xfe" + bytes(range(256)) * 8)

@@ -542,7 +542,7 @@ def _linear_coupling_model():
     k = fit_static_koopman(e, g)
     mask = SpectralMask(np.ones(51), bin_resolution=1.0)  # 100-sample batches at 100 Hz
     model = EstimatorModel(
-        k, es, gs, params, grid, kept, mask, SmoothingParams(10, 0.0), batch_size=100, fs=100.0
+        k, es, gs, params, grid, kept, mask, SmoothingParams(10, 0.0), fs=100.0
     )
     return model, emg, grip
 

@@ -35,7 +35,7 @@ def two_sinusoid_snapshots(n=80, delays=7):
     return hankel_lift(x, delays)
 
 
-def dense_lowess(values, window, iterations=0):
+def dense_lowess(values, window):
     """The original LOWESS: weights rebuilt from the distance matrix per call."""
     y = np.asarray(values, dtype=float)
     n = y.size
@@ -48,28 +48,16 @@ def dense_lowess(values, window, iterations=0):
     h = np.partition(dist, window - 1, axis=1)[:, window - 1]
     u = np.clip(dist / h[:, None], 0.0, 1.0)
     w = (1.0 - u**3) ** 3
-    robust = np.ones(n)
-    for _ in range(max(1, iterations + 1)):
-        weights = w * robust[None, :]
-        sw = weights.sum(axis=1)
-        swx = weights @ x
-        swy = weights @ y
-        swxx = weights @ (x * x)
-        swxy = weights @ (x * y)
-        denom = sw * swxx - swx**2
-        denom = np.where(denom == 0, 1.0, denom)
-        slope = (sw * swxy - swx * swy) / denom
-        intercept = (swy - slope * swx) / sw
-        fitted = intercept + slope * x
-        if iterations == 0:
-            return fitted
-        resid = y - fitted
-        s = np.median(np.abs(resid))
-        if s == 0:
-            return fitted
-        robust = np.clip(resid / (6.0 * s), -1.0, 1.0)
-        robust = (1.0 - robust**2) ** 2
-    return fitted
+    sw = w.sum(axis=1)
+    swx = w @ x
+    swy = w @ y
+    swxx = w @ (x * x)
+    swxy = w @ (x * y)
+    denom = sw * swxx - swx**2
+    denom = np.where(denom == 0, 1.0, denom)
+    slope = (sw * swxy - swx * swy) / denom
+    intercept = (swy - slope * swx) / sw
+    return intercept + slope * x
 
 
 def per_eigenvalue_refinement(snapshots):
@@ -221,21 +209,16 @@ class TestLowess:
         with pytest.raises(ConfigError):
             lowess_smooth(np.zeros(10), 2)
 
-    def test_negative_iterations_rejected(self):
-        with pytest.raises(ConfigError):
-            lowess_smooth(np.zeros(20), 5, iterations=-3)
-
-    @pytest.mark.parametrize("iterations", [0, 2])
-    def test_bit_identical_to_dense_oracle(self, iterations):
+    def test_bit_identical_to_dense_oracle(self):
         rng = np.random.default_rng(8)
         # alternate sizes so cached weights of one shape never serve another;
         # (4, 9) and (9, 9) take the n <= window polyfit fallback
         sizes = [(149, 68), (40, 9), (149, 68), (4, 9), (9, 9), (10, 9), (40, 9), (149, 68)]
         for n, window in sizes:
             y = np.sin(np.arange(n) * 0.13) + 0.2 * rng.standard_normal(n)
-            y[n // 3] += 3.0  # an outlier for the robust reweighting to act on
-            out = lowess_smooth(y, window, iterations)
-            assert np.array_equal(out, dense_lowess(y, window, iterations)), (n, window)
+            y[n // 3] += 3.0  # an outlier
+            out = lowess_smooth(y, window)
+            assert np.array_equal(out, dense_lowess(y, window)), (n, window)
 
     def test_cached_weights_read_only(self):
         lowess_smooth(np.arange(30.0), 7)

@@ -113,6 +113,11 @@ class TestSpectralMask:
         with pytest.raises(ConfigError):
             SpectralMask(np.array([1.0, -0.1, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            SpectralMask(np.array([1.0, bad, 1.0]))
+
     def test_for_batch_interpolates_short_final_batch(self):
         mask = default_optimal_mask()
         short = mask.for_batch(100, FS)
@@ -140,10 +145,6 @@ class TestDefaultMask:
         assert mask.gains[round(202 / res)] == pytest.approx(4.375)
         assert np.all(mask.gains[round(204 / res):] == 0.0)
         assert np.all(mask.gains[round(300 / res)] == 0.0)
-
-    def test_odd_batch_size_rejected(self):
-        with pytest.raises(ConfigError):
-            default_optimal_mask(batch_size=495)
 
 
 class TestSmoothEma:
@@ -311,40 +312,37 @@ class TestProcessRecording:
         sig = _rng().standard_normal(n)
         series = TimestampedSeries(np.arange(n) / FS, sig)
         # a mask built for 600-sample batches is interpolated onto full batches too
-        masks = (mask, default_optimal_mask(600))
-        for m, w, decay, batch_size in itertools.product(
-            masks, (2, 300, 495), (0.0, 0.049), (N, 248)
-        ):
+        masks = (mask, SpectralMask(_rng().uniform(0.0, 5.0, 301), FS / 600))
+        for m, w, decay in itertools.product(masks, (2, 300, 495), (0.0, 0.049)):
             params = SmoothingParams(w, decay)
-            streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
-            assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
-            spectra = batch_spectra(series, batch_size)
+            streamed = np.concatenate(list(envelope_batches(series, m, params)))
+            assert np.array_equal(process_recording(series, m, params), streamed)
+            spectra = batch_spectra(series)
             assert spectra.size == streamed.size
-            assert np.array_equal(process_recording(spectra, m, params, batch_size), streamed)
+            assert np.array_equal(process_recording(spectra, m, params), streamed)
 
     def test_spectra_are_read_only_and_bound_to_their_batch_size(self, mask):
         series = TimestampedSeries(np.arange(3 * N + 7) / FS, _rng().standard_normal(3 * N + 7))
         spectra = batch_spectra(series)
         assert not spectra.full.flags.writeable and not spectra.tail.flags.writeable
         assert (spectra.full.shape, spectra.tail_size) == ((3, N // 2 + 1), 7)
-        with pytest.raises(ConfigError, match="batch size 496, not 248"):
-            process_recording(spectra, mask, SmoothingParams(), 248)
 
-    @pytest.mark.parametrize("batch_size", [500, 330])
-    def test_bit_identical_at_batch_sizes_off_the_restart_grid(self, batch_size):
-        # 62 divides neither size, so restarts counted from the start of the
-        # recording would miss the batch starts; smoothing keeps the stream's
-        # bits only by counting them from each batch's first sample
-        m = default_optimal_mask(batch_size)
-        for n in (2, batch_size - 1, batch_size, batch_size + 1, batch_size + 2, 3 * batch_size + 7):
+    @pytest.mark.parametrize("decay", [0.9, 0.99])
+    def test_bit_identical_at_batch_sizes_off_the_restart_grid(self, decay, mask):
+        # at these decays the restart spacing (20, 10) does not divide the
+        # batch, so restarts counted from the start of the recording would
+        # miss the batch starts; smoothing keeps the stream's bits only by
+        # counting them from each batch's first sample
+        assert N % SmoothingParams(2, decay)._ema_plan.span != 0
+        for n in (2, N - 1, N, N + 1, N + 2, 3 * N + 7):
             sig = _rng().standard_normal(n)
             series = TimestampedSeries(np.arange(n) / FS, sig)
-            spectra = batch_spectra(series, batch_size)
-            for w, decay in itertools.product((2, 61, 62, 63, 300, 495), (0.0, 0.049, 0.9, 0.999999)):
+            spectra = batch_spectra(series)
+            for w in (2, 61, 62, 63, 300, 495):
                 params = SmoothingParams(w, decay)
-                streamed = np.concatenate(list(envelope_batches(series, m, params, batch_size)))
-                assert np.array_equal(process_recording(series, m, params, batch_size), streamed)
-                assert np.array_equal(process_recording(spectra, m, params, batch_size), streamed)
+                streamed = np.concatenate(list(envelope_batches(series, mask, params)))
+                assert np.array_equal(process_recording(series, mask, params), streamed)
+                assert np.array_equal(process_recording(spectra, mask, params), streamed)
 
     def test_bit_identical_on_sa_study(self):
         # all 64 candidates of the seed-42 RBD-FAST bench study on its first recording

@@ -451,12 +451,12 @@ class TestObjective:
         assert np.array_equal(map_objective(small_corpus, samples), rows)
 
 
-def _objective_without_memo(dataset, dv, batch_size=496):
+def _objective_without_memo(dataset, dv):
     """``objective`` as one-shot calls: resample, then correlate arrays."""
     peaks = []
     for rec in dataset:
         emg = rec.emg
-        env = process_recording(emg, dv.to_mask(emg.rate / batch_size), dv.smoothing(), batch_size)
+        env = process_recording(emg, dv.to_mask(emg.rate / 496), dv.smoothing())
         grip = resample_linear(rec.grip, emg.times[: env.size]).values
         max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
         peaks.append(peak_cross_correlation(env, grip, max_lag)[0])
