@@ -327,17 +327,18 @@ class TestProcessRecording:
         assert not spectra.full.flags.writeable and not spectra.tail.flags.writeable
         assert (spectra.full.shape, spectra.tail_size) == ((3, N // 2 + 1), 7)
 
-    @pytest.mark.parametrize("decay", [0.9, 0.99])
-    def test_bit_identical_at_batch_sizes_off_the_restart_grid(self, decay, mask):
-        # at these decays the restart spacing (20, 10) does not divide the
-        # batch, so restarts counted from the start of the recording would
-        # miss the batch starts; smoothing keeps the stream's bits only by
+    @pytest.mark.parametrize("n", [2, 330, N - 1, N, N + 1, N + 2, 500, 3 * N + 7])
+    def test_bit_identical_at_batch_sizes_off_the_restart_grid(self, n, mask):
+        # at these decays the restart spacing (20, 10) divides neither the
+        # 496-sample batch nor most of the recording's short final batches,
+        # so restarts counted from the start of the recording would miss
+        # the batch starts; smoothing keeps the stream's bits only by
         # counting them from each batch's first sample
-        assert N % SmoothingParams(2, decay)._ema_plan.span != 0
-        for n in (2, N - 1, N, N + 1, N + 2, 3 * N + 7):
-            sig = _rng().standard_normal(n)
-            series = TimestampedSeries(np.arange(n) / FS, sig)
-            spectra = batch_spectra(series)
+        sig = _rng().standard_normal(n)
+        series = TimestampedSeries(np.arange(n) / FS, sig)
+        spectra = batch_spectra(series)
+        for decay in (0.9, 0.99):
+            assert N % SmoothingParams(2, decay)._ema_plan.span != 0
             for w in (2, 61, 62, 63, 300, 495):
                 params = SmoothingParams(w, decay)
                 streamed = np.concatenate(list(envelope_batches(series, mask, params)))
