@@ -182,14 +182,19 @@ def write_mask(path, mask: SpectralMask) -> Path:
 
 
 def read_mask(path) -> SpectralMask:
-    """The bin resolution is f1 - f0; every frequency must be k times it."""
+    """The bin resolution is f1 - f0; every frequency must be k times it.
+    Gains or a resolution ``SpectralMask`` rejects are a ``DataError`` naming
+    the file."""
     (freqs, gains), _ = _read_rows(path, _MASK)
     if len(freqs) < 2:
         raise DataError(f"mask file {path} needs at least 2 bins")
     resolution = freqs[1] - freqs[0]
     if not np.allclose(freqs, np.arange(len(freqs)) * resolution, rtol=1e-9, atol=0):
         raise DataError(f"mask file {path}: frequencies are not k * {resolution!r} Hz from 0")
-    return SpectralMask(np.array(gains), resolution)
+    try:
+        return SpectralMask(np.array(gains), resolution)
+    except ConfigError as exc:
+        raise DataError(f"malformed mask file {path}: {exc}") from exc
 
 
 def write_model(path, model: EstimatorModel) -> Path:

@@ -304,6 +304,8 @@ def sobol_indices(
     g = len(group_cols)
     if samples.shape[0] != outputs.size or outputs.size % (g + 2):
         raise DataError("outputs do not match the sampler layout")
+    if not (np.isfinite(samples).all() and np.isfinite(outputs).all()):
+        raise DataError("samples and outputs must be finite")
     n = outputs.size // (g + 2)
     fa = outputs[:n]
     fb = outputs[n : 2 * n]
@@ -349,14 +351,30 @@ def rbdfast_sample(bounds: Bounds, n: int, seed=None) -> np.ndarray:
     return bounds.scale(unit)
 
 
-def _rbdfast_point_estimate(x, y, harmonics):
-    """Bias-corrected first-order index of every column of the (n, d)
-    sample matrix ``x`` for the outputs ``y``; zero for every column when
-    the outputs are all equal, as in ``_sobol_point_estimate``."""
-    order = np.argsort(x, axis=0, kind="stable")
+def _rank_keys(x):
+    """(d, n) keys of the (n, d) design ``x``: each value's dense rank in its
+    column shifted left by ``(n - 1).bit_length()``, in the least int dtype."""
+    n = x.shape[0]
+    bits = (n - 1).bit_length()
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n << bits <= np.iinfo(t).max)
+    order = np.argsort(x.T, axis=1)
+    xs = np.take_along_axis(x.T, order, axis=1)
+    dense = np.zeros(order.shape, dtype=dtype)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
+    return np.take_along_axis(dense << bits, np.argsort(order, axis=1), axis=1)
+
+
+def _rbdfast_point_estimate(keys, y, idx, harmonics):
+    """Bias-corrected first-order index of every column of the design with
+    ``_rank_keys`` ``keys`` and outputs ``y``, on its rows ``idx``; zero for
+    every column when those outputs are all equal, as in ``_sobol_point_estimate``."""
+    n = idx.size
+    packed = keys[:, idx] | np.arange(n, dtype=keys.dtype)
+    packed.sort(axis=1)
+    order = (packed & ((1 << (n - 1).bit_length()) - 1)).T
     ordered = np.concatenate([order[0::2], order[1::2][::-1]], axis=0)
+    y = y[idx]
     yp = y[ordered]
-    n = yp.shape[0]
     var = yp.var(axis=0)
     zero = np.ptp(y) == 0
     spectrum = np.abs(np.fft.rfft(yp, axis=0)) ** 2 / (n * n)
@@ -379,25 +397,33 @@ def rbdfast_indices(
     the bias-corrected share of spectral power in the first ``harmonics``
     frequencies.  Bootstrap resamples points (keeping x/y rows paired)
     for percentile 95% CIs.
+
+    Each column is ranked once; a draw's path is one integer sort of the
+    distinct keys ``rank << bits | position`` of its rows, which order as a
+    stable sort of the drawn values does, so every number is bit for bit a
+    float argsort's.  NaN has no rank: non-finite input is a ``DataError``.
     """
     samples = np.asarray(samples, dtype=float)
     outputs = np.asarray(outputs, dtype=float).ravel()
     n, d = samples.shape
     if outputs.size != n:
         raise DataError("one output per sample row required")
+    if not (np.isfinite(samples).all() and np.isfinite(outputs).all()):
+        raise DataError("samples and outputs must be finite")
     if harmonics < 1 or harmonics >= n // 2:
         raise ConfigError("harmonics must satisfy 1 <= M < n/2")
     if n_boot < 0:
         raise ConfigError("n_boot must be >= 0")
 
-    s1 = _rbdfast_point_estimate(samples, outputs, harmonics)
+    keys = _rank_keys(samples)
+    s1 = _rbdfast_point_estimate(keys, outputs, np.arange(n), harmonics)
     first_ci = None
     if n_boot > 0:
         rng = np.random.default_rng(seed)
         boot = np.empty((n_boot, d))
         for k in range(n_boot):
             idx = rng.integers(0, n, size=n)
-            boot[k] = _rbdfast_point_estimate(samples[idx], outputs[idx], harmonics)
+            boot[k] = _rbdfast_point_estimate(keys, outputs, idx, harmonics)
         first_ci = _contain(np.percentile(boot, [2.5, 97.5], axis=0).T, s1)
 
     return SensitivityResult(

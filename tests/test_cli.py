@@ -232,7 +232,8 @@ class TestExitCodes:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error: mask gains must be finite") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"input error: malformed mask file {tmp_path / 'mask.tsv'}: mask gains must be finite")
+        assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "s01_p1_r1_emg_processed.csv").exists()
 
     def test_non_utf8_data_file_is_input_error(self, tmp_path, capsys):
@@ -482,6 +483,16 @@ class TestPipelineCommands:
         ])
         assert code == 0
         assert len((tmp_path / "sa_rbdfast.tsv").read_text().splitlines()) == 251
+        code = main([
+            "--seed", "1", "--out", str(tmp_path),
+            "sa", "rbdfast", "--data", str(data), "--samples", "24", "--harmonics", "4", "--boot", "50",
+        ])
+        assert code == 0
+        lines = (tmp_path / "sa_rbdfast.tsv").read_text().splitlines()
+        assert lines[0] == "variable\tS1\tS1_lo\tS1_hi" and len(lines) == 251
+        for line in lines[1:]:
+            s1, lo, hi = (float(v) for v in line.split("\t")[1:])
+            assert lo <= s1 <= hi
 
     def test_sa_sobol_ungrouped_over_narrowed_bounds(self, workspace, tmp_path):
         # a 3-variable bounds file keeps the ungrouped radial design small

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,18 @@ class TestMaskFile:
         p = tmp_path / "m.tsv"
         p.write_text("".join(f"{f!r}\t1.0\n" for f in freqs))
         with pytest.raises(DataError, match="frequencies are not k"):
+            read_mask(p)
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [("0.0\t1.0\n2.0\tnan\n", "finite"), ("0.0\t1.0\n2.0\t-0.5\n", "non-negative"),
+         ("0.0\t1.0\n-2.0\t1.0\n", "resolution")],
+        ids=["nan", "negative", "descending"],
+    )
+    def test_rejected_gains_name_the_file(self, tmp_path, rows, reason):
+        p = tmp_path / "m.tsv"
+        p.write_text(rows)
+        with pytest.raises(DataError, match=f"malformed mask file {re.escape(str(p))}: .*{reason}"):
             read_mask(p)
 
 

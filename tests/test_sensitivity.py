@@ -32,7 +32,7 @@ from emgrip.sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-from emgrip.sensitivity import _sobol_point_estimate
+from emgrip.sensitivity import _rank_keys, _sobol_point_estimate
 from emgrip.synth import SynthProfile, synth_recording
 
 ISHIGAMI_S1 = 0.3139
@@ -194,6 +194,17 @@ class TestSobolIndices:
         with pytest.raises(DataError):
             sobol_indices(s, np.zeros(s.shape[0] - 1))
 
+    @pytest.mark.parametrize("where", ["output", "sample"])
+    def test_non_finite_input_rejected(self, where):
+        s = saltelli_sample(unit_bounds(3), 8, seed=0)
+        y = s[:, 0].copy()
+        if where == "output":
+            y[3] = np.nan
+        else:
+            s[3, 1] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            sobol_indices(s, y, n_boot=10, seed=0)
+
     def test_negative_bootstrap_count_rejected(self):
         s = saltelli_sample(unit_bounds(3), 8, seed=0)
         with pytest.raises(ConfigError, match="n_boot"):
@@ -274,13 +285,45 @@ def _rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):
     return s1, np.column_stack([np.minimum(ci[:, 0], s1), np.maximum(ci[:, 1], s1)])
 
 
-def _exact_zero_rbdfast_point_estimate(x, y, harmonics):
-    """The vectorised RBD-FAST estimate as it was when only an exactly zero
-    variance counted as a constant output."""
-    order = np.argsort(x, axis=0, kind="stable")
+def _per_replica_rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):
+    """(first order, CI) from one stable float argsort of the whole design
+    per bootstrap replica, as ``rbdfast_indices`` computed them before it
+    sorted rank keys."""
+
+    def point(x, y):
+        order = np.argsort(x, axis=0, kind="stable")
+        ordered = np.concatenate([order[0::2], order[1::2][::-1]], axis=0)
+        yp = y[ordered]
+        n = yp.shape[0]
+        var = yp.var(axis=0)
+        zero = np.ptp(y) == 0
+        spectrum = np.abs(np.fft.rfft(yp, axis=0)) ** 2 / (n * n)
+        s1 = 2.0 * spectrum[1 : harmonics + 1].sum(axis=0) / np.where(zero, 1.0, var)
+        lam = 2.0 * harmonics / n  # small-sample bias correction
+        return np.where(zero, 0.0, s1 - lam / (1.0 - lam) * (1.0 - s1))
+
+    n, d = samples.shape
+    s1 = point(samples, outputs)
+    if n_boot == 0:
+        return s1, None
+    rng = np.random.default_rng(seed)
+    boot = np.empty((n_boot, d))
+    for k in range(n_boot):
+        idx = rng.integers(0, n, size=n)
+        boot[k] = point(samples[idx], outputs[idx])
+    ci = np.percentile(boot, [2.5, 97.5], axis=0).T
+    return s1, np.column_stack([np.minimum(ci[:, 0], s1), np.maximum(ci[:, 1], s1)])
+
+
+def _exact_zero_rbdfast_point_estimate(keys, y, idx, harmonics):
+    """The rank-key RBD-FAST estimate with the rule of when only an exactly
+    zero variance counted as a constant output."""
+    n = idx.size
+    packed = keys[:, idx] | np.arange(n, dtype=keys.dtype)
+    packed.sort(axis=1)
+    order = (packed & ((1 << (n - 1).bit_length()) - 1)).T
     ordered = np.concatenate([order[0::2], order[1::2][::-1]], axis=0)
-    yp = y[ordered]
-    n = yp.shape[0]
+    yp = y[idx][ordered]
     var = yp.var(axis=0)
     spectrum = np.abs(np.fft.rfft(yp, axis=0)) ** 2 / (n * n)
     s1 = 2.0 * spectrum[1 : harmonics + 1].sum(axis=0) / np.where(var == 0, 1.0, var)
@@ -293,6 +336,20 @@ def _bench_design():
     # gains and the window so the indices are not all noise
     x = rbdfast_sample(default_decision_bounds(), 64, seed=46)
     return x, np.sin(x[:, 3]) + x[:, 40] ** 2 + x[:, -2] / 500.0
+
+
+def _oracle_design(name):
+    """(samples, outputs) of the designs the rank keys are checked on."""
+    if name == "bench":
+        return _bench_design()
+    if name == "ishigami":
+        x = rbdfast_sample(pi_bounds(), 1024, seed=3)
+        return x, ishigami(x)
+    n, d = {"rounded": (50, 7), "n200": (200, 5), "tiny": (7, 4)}[name]
+    x = rbdfast_sample(unit_bounds(d), n, seed=n)
+    if name == "rounded":
+        x = np.round(x, 1)
+    return x, np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.5 * x[:, 2] * x[:, 3]
 
 
 class TestRbdFast:
@@ -356,6 +413,49 @@ class TestRbdFast:
         want = rbdfast_indices(x, y, n_boot=100, seed=46)
         assert np.array_equal(got.first_order, want.first_order)
         assert np.array_equal(got.first_ci, want.first_ci)
+
+    @pytest.mark.parametrize(
+        "design, n_boot, harmonics, dtype",
+        [
+            ("bench", 100, 10, np.int16),
+            ("ishigami", 40, 10, np.int32),
+            ("rounded", 30, 10, np.int16),
+            ("n200", 20, 10, np.int32),
+            ("tiny", 9, 2, np.int8),
+        ],
+    )
+    def test_rank_keys_match_per_replica_argsort(self, design, n_boot, harmonics, dtype):
+        # the bench and rounded designs tie values within every column,
+        # where only a stable order gives the argsort's bits
+        x, y = _oracle_design(design)
+        if design in ("bench", "rounded"):
+            assert all(np.unique(col).size < col.size for col in x.T)
+        assert _rank_keys(x).dtype == dtype
+        res = rbdfast_indices(x, y, harmonics=harmonics, n_boot=n_boot, seed=46)
+        want_s1, want_ci = _per_replica_rbdfast_oracle(x, y, harmonics, n_boot, seed=46)
+        assert np.array_equal(res.first_order, want_s1)
+        assert np.array_equal(res.first_ci, want_ci)
+
+    def test_bootstrap_peak_memory(self):
+        x, y = _bench_design()
+        rbdfast_indices(x, y, n_boot=100, seed=46)
+        tracemalloc.start()
+        try:
+            rbdfast_indices(x, y, n_boot=100, seed=46)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
+
+    @pytest.mark.parametrize("where", ["output", "sample", "inf sample"])
+    def test_non_finite_input_rejected(self, where):
+        x, y = _bench_design()
+        if where == "output":
+            y[5] = np.nan
+        else:
+            x[5, 7] = np.nan if where == "sample" else np.inf
+        with pytest.raises(DataError, match="finite"):
+            rbdfast_indices(x, y, n_boot=10, seed=0)
 
     def test_negative_bootstrap_count_rejected(self):
         x, y = _bench_design()
