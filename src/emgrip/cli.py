@@ -1,8 +1,8 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: synth, mask, process, xcorr, sa, fit, estimate, predict, tune,
-evaluate, simulate.  Global flags: --seed, --config, --out.  Option
-precedence is flag > config file > built-in default.  Exit codes: 0 ok,
+evaluate, simulate.  Global flags: --seed, --out.  Every option has one
+source, its flag, whose default is the built-in value.  Exit codes: 0 ok,
 1 usage, 2 input/format error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-from .simulate import estimation_wmape, prediction_wmape, stream_simulate
+from .simulate import estimation_wmape, evaluate_run, prediction_wmape, stream_simulate
 from .synth import synth_corpus
 
 USAGE_EXIT, INPUT_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -85,14 +85,17 @@ def _count(text: str) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="emgrip", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--config", type=str, default=None, help="INI config file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     signal = argparse.ArgumentParser(add_help=False)
     signal.add_argument("--mask", default=None, help="mask file (default: built-in)")
-    signal.add_argument("--window", type=int, default=None, help="smoothing window (samples)")
-    signal.add_argument("--decay", type=float, default=None, help="smoothing decay in [0, 1)")
+    signal.add_argument(
+        "--window", type=int, default=SmoothingParams.window_size, help="smoothing window (samples)"
+    )
+    signal.add_argument(
+        "--decay", type=float, default=SmoothingParams.decay, help="smoothing decay in [0, 1)"
+    )
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--model", required=True)
     stream.add_argument("--emg", required=True)
@@ -124,7 +127,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", parents=[signal], help="train the estimator on a calibration recording")
     p.add_argument("--emg", required=True)
     p.add_argument("--grip", required=True)
-    p.add_argument("--delays", type=int, default=None)
+    p.add_argument("--delays", type=int, default=HankelParams.delays)
     p.add_argument("--raw-grip", action="store_true", help="zero + calibrate the grip stream")
     p.add_argument("--model", default=None, help="output model path")
 
@@ -154,18 +157,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_config(args):
-    return eio.read_config(args.config) if args.config else None
-
-
-def _smoothing(args, config) -> SmoothingParams:
-    window = eio.resolve_option(args.window, config, "signal", "window_size", 300, int)
-    decay = eio.resolve_option(args.decay, config, "signal", "decay", 0.0, float)
-    return SmoothingParams(int(window), float(decay))
-
-
-def _mask(args, config):
-    path = eio.resolve_option(args.mask, config, "signal", "mask_file", None, str)
+def _mask(path):
     return eio.read_mask(path) if path else default_optimal_mask()
 
 
@@ -190,7 +182,7 @@ def _grip_series(args, path):
     return series
 
 
-def _cmd_synth(args, config):
+def _cmd_synth(args):
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     calibs, runs = synth_corpus(
@@ -202,8 +194,8 @@ def _cmd_synth(args, config):
     return 0
 
 
-def _cmd_mask(args, config):
-    mask = eio.read_mask(args.file) if args.file else default_optimal_mask()
+def _cmd_mask(args):
+    mask = _mask(args.file)
     if args.action == "default":
         path = _out_dir(args) / "mask.tsv"
         eio.write_mask(path, mask)
@@ -214,9 +206,10 @@ def _cmd_mask(args, config):
     return 0
 
 
-def _cmd_process(args, config):
+def _cmd_process(args):
     emg, meta = eio.read_series(args.emg)
-    processed = process_recording(emg, _mask(args, config), _smoothing(args, config))
+    smoothing = SmoothingParams(args.window, args.decay)
+    processed = process_recording(emg, _mask(args.mask), smoothing)
     out = _out_dir(args) / (Path(args.emg).stem + "_processed.csv")
     eio.write_series(
         out,
@@ -227,9 +220,9 @@ def _cmd_process(args, config):
     return 0
 
 
-def _cmd_xcorr(args, config):
-    mask = _mask(args, config)
-    smoothing = _smoothing(args, config)
+def _cmd_xcorr(args):
+    mask = _mask(args.mask)
+    smoothing = SmoothingParams(args.window, args.decay)
     peaks, lags_ms = [], []
     for rec in _load_corpus(args.data):
         processed = process_recording(rec.emg, mask, smoothing)
@@ -249,7 +242,7 @@ def _cmd_xcorr(args, config):
     return 0
 
 
-def _cmd_sa(args, config):
+def _cmd_sa(args):
     # checked before the study: rbdfast_indices would only reject it after
     # every candidate had been evaluated
     if args.method == "rbdfast" and not 1 <= args.harmonics < args.samples // 2:
@@ -307,13 +300,12 @@ def _cmd_sa(args, config):
     return 0
 
 
-def _cmd_fit(args, config):
+def _cmd_fit(args):
     emg, _ = eio.read_series(args.emg)
     grip = _grip_series(args, args.grip)
-    delays = eio.resolve_option(args.delays, config, "estimator", "delays", 60, int)
     model = fit_estimator(
-        emg, grip, _mask(args, config), _smoothing(args, config),
-        HankelParams(delays=int(delays)), IndicatorGrid(),
+        emg, grip, _mask(args.mask), SmoothingParams(args.window, args.decay),
+        HankelParams(args.delays), IndicatorGrid(),
     )
     path = Path(args.model) if args.model else _out_dir(args) / "model.txt"
     eio.write_model(path, model)
@@ -322,16 +314,16 @@ def _cmd_fit(args, config):
 
 
 def _run_stream(args):
+    """(model, recording, result).  The grip stream is only read by the
+    metrics; without ``--grip`` the recording reuses the EMG in its place."""
     model = eio.read_model(args.model)
     emg, _ = eio.read_series(args.emg)
-    grip = _grip_series(args, args.grip) if args.grip else None
-    # grip stream is only needed for metrics; reuse EMG as a placeholder
-    rec = eio.Recording(emg, grip if grip is not None else emg)
+    rec = eio.Recording(emg, _grip_series(args, args.grip) if args.grip else emg)
     result = stream_simulate(
         rec, model, model.mask, model.smoothing,
         real_time=getattr(args, "realtime", False),
     )
-    return emg, grip, result
+    return model, rec, result
 
 
 def _write_estimates(path, result):
@@ -342,33 +334,33 @@ def _write_estimates(path, result):
     )
 
 
-def _cmd_estimate(args, config):
+def _cmd_estimate(args):
     import time
 
     start = time.perf_counter()
-    _, grip, result = _run_stream(args)
+    _, rec, result = _run_stream(args)
     elapsed = time.perf_counter() - start
     out_dir = _out_dir(args)
     out = out_dir / "estimates.csv"
     _write_estimates(out, result)
     print(f"wrote {out}")
     rows = [("n_estimates", float(result.estimates.size)), ("runtime_s", elapsed)]
-    if grip is not None:
-        err = estimation_wmape(grip, result)
+    if args.grip:
+        err = estimation_wmape(rec.grip, result)
         rows.insert(0, ("wmape_pct", err))
         print(f"estimation wMAPE: {err:.3f}%")
     eio.write_table(out_dir / "estimate_report.tsv", ["metric", "value"], rows)
     return 0
 
 
-def _cmd_predict(args, config):
-    _, grip, result = _run_stream(args)
+def _cmd_predict(args):
+    _, rec, result = _run_stream(args)
     out = _out_dir(args) / "forecasts.csv"
     eio.write_forecasts(out, result.forecast_rows())
     print(f"wrote {out}")
     report = [("n_forecasts", float(sum(b.values.size for b in result.forecasts)))]
-    if grip is not None:
-        err = prediction_wmape(grip, result)
+    if args.grip:
+        err = prediction_wmape(rec.grip, result)
         if not np.isnan(err):
             report.insert(0, ("wmape_pct", err))
             print(f"prediction wMAPE: {err:.3f}%")
@@ -376,7 +368,7 @@ def _cmd_predict(args, config):
     return 0
 
 
-def _cmd_tune(args, config):
+def _cmd_tune(args):
     corpus = _load_corpus(args.data)
     model = eio.read_model(args.model)
 
@@ -417,7 +409,7 @@ def _cmd_tune(args, config):
     return 0
 
 
-def _cmd_evaluate(args, config):
+def _cmd_evaluate(args):
     records = eio.read_runs(args.runs)
     table = anova_rbd(records)
     out = _out_dir(args)
@@ -447,8 +439,8 @@ def _cmd_evaluate(args, config):
     return 0
 
 
-def _cmd_simulate(args, config):
-    emg, grip, result = _run_stream(args)
+def _cmd_simulate(args):
+    model, rec, result = _run_stream(args)
     out = _out_dir(args)
     # forecasts first: a stream too short to forecast then leaves no file
     eio.write_forecasts(out / "forecasts.csv", result.forecast_rows())
@@ -461,11 +453,11 @@ def _cmd_simulate(args, config):
     )
     print(f"wrote estimates, forecasts, latency to {out}")
     print(f"median per-batch total: {pct['total']['p50']:.2f} ms")
-    if grip is not None:
-        peak, _ = envelope_grip_xcorr(result.processed, emg, grip)
+    if args.grip:
+        run = evaluate_run(rec, model, model.mask, model.smoothing, result=result)
         print(
-            f"peak xcorr {peak:.3f}, estimation wMAPE {estimation_wmape(grip, result):.2f}%, "
-            f"prediction wMAPE {prediction_wmape(grip, result):.2f}%"
+            f"peak xcorr {run.peak_xcorr:.3f}, estimation wMAPE {run.estimation_wmape:.2f}%, "
+            f"prediction wMAPE {run.prediction_wmape:.2f}%"
         )
     return 0
 
@@ -488,8 +480,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _load_config(args)
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

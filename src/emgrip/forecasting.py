@@ -387,7 +387,9 @@ def grid_search(
     caller (the streaming simulator provides one).  Ties in the score break
     lexicographically on the hyperparameter tuple, so the ranking is total
     and deterministic.  Returns rows of
-    (hyper, mean_wmape, median_wmape, score) sorted best first.
+    (hyper, mean_wmape, median_wmape, score) sorted best first.  A NaN or
+    infinite wMAPE (say, a recording too short to forecast) has no rank: it
+    is a ``DataError`` naming the first combination that returned one.
     """
     combos = [
         ForecastHyperparams(wm, sm, ts, d, nm)
@@ -402,6 +404,8 @@ def grid_search(
     rows = []
     for hyper in combos:
         wmapes = np.asarray(evaluate(hyper), dtype=float)
+        if not np.isfinite(wmapes).all():
+            raise DataError(f"non-finite wMAPE for {hyper}")
         mean = float(wmapes.mean())
         median = float(np.median(wmapes))
         rows.append((hyper, mean, median, mean + median))

@@ -1,4 +1,4 @@
-"""Plain-text file formats and configuration handling.
+"""Plain-text file formats.
 
 Every format is line-oriented and byte-stable: floats are written with
 ``repr`` (shortest round-trip form), so write -> read -> write reproduces
@@ -6,7 +6,6 @@ the file exactly.
 """
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -317,27 +316,3 @@ def write_table(path, header: list[str], rows) -> Path:
     path.write_text("\n".join(lines) + "\n")
     return path
 
-
-def read_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(Path(path))
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        first_line = str(exc).splitlines()[0]
-        raise DataError(f"malformed config file {path}: {first_line}") from exc
-    if not read:
-        raise DataError(f"config file not found: {path}")
-    return parser
-
-
-def resolve_option(cli_value, config, section: str, key: str, default, cast=float):
-    """Option precedence: command-line flag > config file > built-in default."""
-    if cli_value is not None:
-        return cli_value
-    if config is not None and config.has_option(section, key):
-        value = config.get(section, key)
-        try:
-            return cast(value)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
-    return default

@@ -62,6 +62,7 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["mask", "default", "--nope"]) == 1
+        assert main(["--config", "x.ini", "mask", "show"]) == 1
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["estimate", "--model", str(tmp_path / "no.txt"), "--emg", str(tmp_path / "no.csv")]) == 2
@@ -168,23 +169,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: malformed header") and len(err.strip().splitlines()) == 1
 
-    def test_malformed_config_is_input_error(self, workspace, tmp_path, capsys):
-        _, data = workspace
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("window_size = 150\n")  # no section header
-        code = main(["--config", str(cfg), "--out", str(tmp_path), "process", "--emg", str(data / "s01_p1_r1_emg.csv")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
-
-    def test_non_numeric_config_value_is_input_error(self, workspace, tmp_path, capsys):
-        _, data = workspace
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[signal]\nwindow_size = abc\n")
-        code = main(["--config", str(cfg), "--out", str(tmp_path), "process", "--emg", str(data / "s01_p1_r1_emg.csv")])
-        assert code == 2
-        assert "window_size" in capsys.readouterr().err
-
     def test_unwritable_output_is_input_error(self, workspace, tmp_path, capsys):
         _, data = workspace
         code = main([
@@ -218,6 +202,25 @@ class TestExitCodes:
         assert err.startswith(f"usage error: argument {flag}") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "tuning.tsv").exists()
 
+    def test_tune_on_recording_too_short_to_forecast_is_input_error(self, workspace, tmp_path, capsys):
+        root, data = workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for stem in ("s01_p0_r0", "s01_p1_r1"):  # seeds 50 and 51
+            for stream in ("emg", "grip"):
+                name = f"{stem}_{stream}.csv"
+                (corpus / name).write_bytes((data / name).read_bytes())
+        short = SynthProfile(levels=(1.0,), plateau_s=0.3, ramp_s=0.3, lead_s=0.2)  # 0.8 s
+        write_recording(corpus, synth_recording(short, seed=52, subject="s01", position=2, replication=1))
+        code = main([
+            "--out", str(tmp_path), "tune", "--data", str(corpus), "--model", str(root / "model.txt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: non-finite wMAPE for ForecastHyperparams(window_modifier=1.2,")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "tuning.tsv").exists()
+
     def test_non_finite_mask_gain_is_input_error(self, workspace, tmp_path, capsys):
         _, data = workspace
         assert main(["--out", str(tmp_path), "mask", "default"]) == 0
@@ -242,15 +245,6 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and len(err.strip().splitlines()) == 1
-
-    def test_non_utf8_config_is_input_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_bytes(b"\xff\xfe[signal]\nwindow_size = 150\n")
-        code = main(["--config", str(cfg), "mask", "show"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
-
 
     def test_malformed_runs_file_is_input_error(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
@@ -611,22 +605,18 @@ class TestEvaluateCommand:
 
 class TestConfigPrecedence:
     def test_three_way_override(self, workspace, tmp_path):
+        """A flag overrides its built-in default, which is what no flag gives."""
         root, data = workspace
         emg = data / "s01_p1_r1_emg.csv"
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[signal]\nwindow_size = 150\n")
 
         def run(outdir, *extra):
-            assert main(["--out", str(outdir), *extra, "process", "--emg", str(emg)] + (
-                ["--window", "80"] if outdir.name == "flag" else []
-            )) == 0
+            assert main(["--out", str(outdir), "process", "--emg", str(emg), *extra]) == 0
             s, _ = read_series(outdir / "s01_p1_r1_emg_processed.csv")
             return s.values
 
         v_default = run(tmp_path / "default")
-        v_config = run(tmp_path / "config", "--config", str(cfg))
-        v_flag = run(tmp_path / "flag", "--config", str(cfg))
-        # all three layers produce distinct envelopes
-        assert not np.array_equal(v_default, v_config)
-        assert not np.array_equal(v_config, v_flag)
+        v_flag = run(tmp_path / "flag", "--window", "80")
         assert not np.array_equal(v_default, v_flag)
+        ts, _ = read_series(emg)
+        built_in = process_recording(ts, default_optimal_mask(), SmoothingParams())
+        assert np.array_equal(v_default, built_in)

@@ -583,3 +583,18 @@ class TestGridSearch:
         )
         scores = [r[3] for r in rows]
         assert scores[0] <= np.median(scores)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_wmape_names_the_combination(self, bad):
+        def evaluate(h):
+            return [20.0, bad if h.window_modifier == 1.3 else 21.0]
+
+        with pytest.raises(DataError, match=r"non-finite wMAPE for .*window_modifier=1\.3,"):
+            grid_search(
+                evaluate,
+                window_modifiers=(1.2, 1.3, 1.4),
+                smooth_modifiers=(1.1,),
+                thin_steps=(7,),
+                delay_counts=(8,),
+                mode_counts=(4,),
+            )

@@ -6,14 +6,12 @@ import pytest
 from emgrip.errors import ConfigError, DataError
 from emgrip.io import (
     Recording,
-    read_config,
     read_forecasts,
     read_mask,
     read_model,
     read_recording,
     read_runs,
     read_series,
-    resolve_option,
     write_forecasts,
     write_mask,
     write_model,
@@ -270,23 +268,6 @@ class TestTabularFiles:
         match = "expected" if defect == "field_count" else "cannot read"
         with pytest.raises(DataError, match=rf"t\.txt:{line}: {match}"):
             read(p)
-
-
-class TestResolveOption:
-    def test_precedence_chain(self, tmp_path):
-        import configparser
-
-        cfg = configparser.ConfigParser()
-        cfg.read_string("[signal]\nwindow_size = 250\n")
-        assert resolve_option(200, cfg, "signal", "window_size", 300, int) == 200
-        assert resolve_option(None, cfg, "signal", "window_size", 300, int) == 250
-        assert resolve_option(None, None, "signal", "window_size", 300, int) == 300
-
-    def test_non_utf8_config_rejected(self, tmp_path):
-        p = tmp_path / "cfg.ini"
-        p.write_bytes(b"\xff\xfe[signal]\nwindow_size = 250\n")
-        with pytest.raises(DataError, match="malformed config file"):
-            read_config(p)
 
 
 def _grip_profile_loop(profile, t):
