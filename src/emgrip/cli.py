@@ -54,6 +54,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse usage errors onto exit code 1
         raise _UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes the token after an unknown flag for the subcommand
+        # and reports that; name the flag instead
+        args = sys.argv[1:] if args is None else list(args)
+        for token in (tokens := iter(args)):
+            if not token.startswith("-") or token == "--":
+                break
+            action = self._option_string_actions.get(token.split("=", 1)[0])
+            if action is None:
+                self.error(f"unrecognized arguments: {token}")
+            if action.nargs is None and "=" not in token:
+                next(tokens, None)  # its value
+        return super().parse_known_args(args, namespace)
+
 
 def _comma_list(cast, what: str):
     """argparse ``type=`` for a comma-separated list; a bad item is a usage error."""
@@ -84,7 +98,7 @@ def _count(text: str) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="emgrip", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -184,9 +198,8 @@ def _grip_series(args, path):
 
 def _cmd_synth(args):
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
     calibs, runs = synth_corpus(
-        seed=seed, subjects=args.subjects, replications=args.replications
+        seed=args.seed, subjects=args.subjects, replications=args.replications
     )
     for rec in calibs + runs:
         eio.write_recording(out, rec)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -18,6 +19,7 @@ from .calibration import MinMaxScaler
 from .errors import ConfigError, DataError, EmgripError
 from .estimation import EstimatorModel, HankelParams, IndicatorGrid
 from .processing import DEFAULT_BATCH_SIZE, SmoothingParams, SpectralMask, TimestampedSeries
+from .sensitivity import recording_sides
 
 ENV_OUT_DIR = "EMGRIP_OUT_DIR"
 
@@ -112,7 +114,9 @@ def _read_rows(path, table: _Table) -> tuple[list[list], dict[str, str]]:
 
 @dataclass(frozen=True)
 class Recording:
-    """Paired EMG and grip-force streams for one experiment run."""
+    """Paired EMG and grip-force streams for one experiment run.  Frozen,
+    with read-only series, so what the SA objective derives from them alone
+    is cached on it (``sa_sides``); ``dataclasses.replace`` starts afresh."""
 
     emg: TimestampedSeries
     grip: TimestampedSeries
@@ -129,6 +133,11 @@ class Recording:
     @property
     def stem(self) -> str:
         return f"{self.subject}_p{self.position}_r{self.replication}"
+
+    @cached_property
+    def sa_sides(self):
+        # the candidate-independent half of the SA objective, built once
+        return recording_sides(self.emg, self.grip)
 
 
 def write_series(path, series: TimestampedSeries, meta: dict | None = None) -> Path:

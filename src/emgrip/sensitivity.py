@@ -3,10 +3,9 @@
 The tunable space has 250 dimensions: 248 spectral-mask gains (DC excluded),
 the smoothing window size, and the smoothing decay factor.  The objective is
 1 minus the mean peak cross-correlation between processed EMG and grip force
-over a set of recordings, so lower is better.  The spectra of each
+over a set of ``Recording``s, so lower is better.  The spectra of each
 recording's raw EMG batches and the grip side of its correlation do not
-depend on the candidate, so the objective builds them once per recording and
-keeps them with the recording and its two immutable series.
+depend on the candidate, so each frozen ``Recording`` caches them once.
 
 Provided machinery: Latin hypercube and Saltelli/radial samplers, grouped
 Sobol first/total-order estimators with bootstrap confidence intervals, the
@@ -17,7 +16,6 @@ judgement itself stays manual).
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -431,16 +429,11 @@ def rbdfast_indices(
     )
 
 
-def _max_lag(emg) -> int:
-    """``DEFAULT_MAX_LAG_S`` in samples of ``emg``."""
-    return int(round(DEFAULT_MAX_LAG_S * emg.rate))
-
-
 def _grip_side(emg, grip, n: int) -> tuple[XcorrSide, int]:
     """``grip`` on the first ``n`` EMG timestamps as an ``xcorr_side``, and
-    the max lag it was built for."""
+    the max lag it was built for: ``DEFAULT_MAX_LAG_S`` in EMG samples."""
     grip_on_emg = resample_linear(grip, emg.times[:n]).values
-    max_lag = _max_lag(emg)
+    max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
     return xcorr_side(grip_on_emg, max_lag), max_lag
 
 
@@ -450,38 +443,22 @@ def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
     ``grip`` is resampled onto the first ``envelope.size`` EMG timestamps
     and lags are searched within +-``DEFAULT_MAX_LAG_S``.  Returns (peak,
     lag in EMG samples) as ``peak_cross_correlation`` does.  Nothing is
-    kept between calls; ``objective`` reuses each recording's grip side.
+    kept between calls; ``objective`` reuses each ``Recording``'s cached side.
     """
     side, max_lag = _grip_side(emg, grip, envelope.size)
     return peak_cross_correlation(envelope, side, max_lag)
 
 
-# id(recording) -> (its emg and grip series, the EMG batch spectra, the grip
-# side, max_lag); a weakref.finalize drops the entry with its recording
-_RECORDING_SIDES: dict[int, tuple] = {}
-
-
-def _recording_sides(rec) -> tuple[BatchSpectra, XcorrSide, int]:
-    """A recording's ``batch_spectra`` and ``_grip_side``, reused while it
-    holds the same two series (whose arrays are read-only)."""
-    emg, grip = rec.emg, rec.grip
-    key = id(rec)
-    entry = _RECORDING_SIDES.get(key)
-    if entry is not None and entry[0] is emg and entry[1] is grip:
-        return entry[2:]
+def recording_sides(emg, grip) -> tuple[BatchSpectra, XcorrSide, int]:
+    """What ``objective`` needs of one recording whatever the candidate: the
+    ``batch_spectra`` of ``emg``, the ``_grip_side`` of ``grip`` and the max
+    lag.  ``Recording.sa_sides`` keeps the result with the recording."""
     spectra = batch_spectra(emg)
-    side, max_lag = _grip_side(emg, grip, spectra.size)
-    if entry is None:
-        try:
-            weakref.finalize(rec, _RECORDING_SIDES.pop, key, None)
-        except TypeError:  # no weak references to it, so nothing to key on
-            return spectra, side, max_lag
-    _RECORDING_SIDES[key] = (emg, grip, spectra, side, max_lag)
-    return spectra, side, max_lag
+    return (spectra, *_grip_side(emg, grip, spectra.size))
 
 
 def objective(dataset, dv: DecisionVector) -> float:
-    """1 minus the mean peak cross-correlation over a set of recordings.
+    """1 minus the mean peak cross-correlation over a set of ``Recording``s.
 
     Each recording's EMG is processed in ``DEFAULT_BATCH_SIZE`` batches with
     the candidate mask and smoothing, then correlated with its grip force
@@ -490,9 +467,9 @@ def objective(dataset, dv: DecisionVector) -> float:
     Two parts of that work depend on the recording alone: the ``rfft`` of
     its raw EMG batches (``batch_spectra``) and the grip side of the
     correlation (grip resampled onto the EMG clock, checked, centred and
-    transformed).  Both are built once per recording, kept until it is
-    garbage-collected, and reused while it holds the same two series, whose
-    arrays are read-only.  So results are those of ``process_recording``
+    transformed).  Both are built once, by ``recording_sides``, and cached
+    on the frozen ``Recording`` (``sa_sides``) with its read-only series.
+    So they never go stale, and results are those of ``process_recording``
     and ``envelope_grip_xcorr`` on the raw series.  What does depend on the
     candidate (the masked ``irfft``, smoothing, the ``rfft``s of the
     envelope's blocks and the one short cross ``irfft``) allocates its own
@@ -501,7 +478,7 @@ def objective(dataset, dv: DecisionVector) -> float:
     smoothing = dv.smoothing()
     peaks = []
     for rec in dataset:
-        spectra, side, max_lag = _recording_sides(rec)
+        spectra, side, max_lag = rec.sa_sides
         mask = dv.to_mask(spectra.rate / DEFAULT_BATCH_SIZE)
         envelope = process_recording(spectra, mask, smoothing)
         peaks.append(peak_cross_correlation(envelope, side, max_lag)[0])

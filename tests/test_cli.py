@@ -60,9 +60,12 @@ class TestExitCodes:
         assert main(["bogus"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_unknown_flag_is_usage_error(self):
+    def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["mask", "default", "--nope"]) == 1
+        assert "--nope" in capsys.readouterr().err
         assert main(["--config", "x.ini", "mask", "show"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --config" in err and "invalid choice" not in err
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["estimate", "--model", str(tmp_path / "no.txt"), "--emg", str(tmp_path / "no.csv")]) == 2
@@ -342,6 +345,14 @@ class TestSynthCommand:
         for f in a.glob("*.csv"):
             assert f.read_bytes() == (b / f.name).read_bytes()
 
+    def test_default_seed_is_zero(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(["--out", str(a), "synth"])
+        main(["--seed", "0", "--out", str(b), "synth"])
+        files = sorted(f.name for f in a.glob("*.csv"))
+        assert files and files == sorted(f.name for f in b.glob("*.csv"))
+        assert all((a / name).read_bytes() == (b / name).read_bytes() for name in files)
+
 
 class TestPipelineCommands:
     def test_process_writes_envelope(self, workspace, tmp_path):
@@ -487,6 +498,17 @@ class TestPipelineCommands:
         for line in lines[1:]:
             s1, lo, hi = (float(v) for v in line.split("\t")[1:])
             assert lo <= s1 <= hi
+
+    def test_unseeded_sa_reproducible(self, workspace, tmp_path):
+        root, data = workspace
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            code = main([
+                "--out", str(out),
+                "sa", "rbdfast", "--data", str(data), "--samples", "16", "--harmonics", "4",
+            ])
+            assert code == 0
+        assert (a / "sa_rbdfast.tsv").read_bytes() == (b / "sa_rbdfast.tsv").read_bytes()
 
     def test_sa_sobol_ungrouped_over_narrowed_bounds(self, workspace, tmp_path):
         # a 3-variable bounds file keeps the ungrouped radial design small

@@ -1,4 +1,4 @@
-import collections
+import dataclasses
 import gc
 import sys
 import threading
@@ -575,7 +575,7 @@ class TestObjectiveGripMemo:
         got = map_objective(corpus, x)
         want = [_objective_without_memo(corpus, DecisionVector.from_array(row)) for row in x]
         assert np.array_equal(got, want)
-        assert all(id(rec) in emgrip.sensitivity._RECORDING_SIDES for rec in corpus)
+        assert all("sa_sides" in rec.__dict__ for rec in corpus)
 
     @pytest.mark.parametrize("field", ["grip_values", "emg_times", "emg_values"])
     def test_in_place_edit_raises(self, field):
@@ -602,48 +602,29 @@ class TestObjectiveGripMemo:
         assert after == _objective_without_memo([rec], dv)
         assert after != before
 
-    @pytest.mark.parametrize("attr", ["emg", "grip"])
-    def test_reassigned_series_recomputed(self, attr):
-        # a duck-typed recording whose attributes can be reassigned: the
-        # entry must not outlive the series it was built from
-        class Mutable:
-            pass
-
+    def test_replaced_recording_gets_its_own_sides(self):
         rec = _small_recording(38)
-        duck = Mutable()
-        duck.emg, duck.grip = rec.emg, rec.grip
         dv = DecisionVector(np.ones(248), 120, 0.01)
-        before = objective([duck], dv)
-        assert id(duck) in emgrip.sensitivity._RECORDING_SIDES
-        old = getattr(rec, attr)
-        setattr(duck, attr, TimestampedSeries(old.times, old.values[::-1]))
-        after = objective([duck], dv)
-        assert after == _objective_without_memo([duck], dv)
+        before = objective([rec], dv)
+        other = dataclasses.replace(rec, grip=TimestampedSeries(rec.grip.times, rec.grip.values[::-1]))
+        assert "sa_sides" not in other.__dict__
+        after = objective([other], dv)
+        assert after == _objective_without_memo([other], dv)
         assert after != before
+        assert other.sa_sides[0] is not rec.sa_sides[0]
+        assert other.sa_sides[1] is not rec.sa_sides[1]
+        assert objective([rec], dv) == before
 
     def test_entry_dropped_with_its_recording(self):
         rec = _small_recording(34)
         objective([rec], DecisionVector(np.ones(248), 120, 0.0))
-        key = id(rec)
-        assert key in emgrip.sensitivity._RECORDING_SIDES
-        # both halves of the entry: the EMG batch spectra and the grip side
-        spectra, side, _ = emgrip.sensitivity._recording_sides(rec)
+        # both cached halves: the EMG batch spectra and the grip side
+        spectra, side, _ = rec.__dict__["sa_sides"]
+        assert rec.sa_sides[0] is spectra and rec.sa_sides[1] is side
         kept = [weakref.ref(spectra), weakref.ref(side)]
         del rec, spectra, side
         gc.collect()
-        assert key not in emgrip.sensitivity._RECORDING_SIDES
         assert [ref() for ref in kept] == [None, None]
-
-    def test_recording_without_weak_references_not_kept(self):
-        rec = _small_recording(36)
-        plain = collections.namedtuple("Plain", "emg grip")(rec.emg, rec.grip)
-        dv = DecisionVector(np.ones(248), 120, 0.0)
-        assert objective([plain], dv) == objective([rec], dv)
-        assert id(plain) not in emgrip.sensitivity._RECORDING_SIDES
-        assert id(rec) in emgrip.sensitivity._RECORDING_SIDES
-        sides = emgrip.sensitivity._recording_sides
-        assert sides(rec)[0] is sides(rec)[0]
-        assert sides(plain)[0] is not sides(plain)[0]
 
     def test_failed_candidate_leaves_no_trace(self):
         # gains that overflow give a non-finite envelope, which raises after
@@ -724,8 +705,8 @@ class TestObjectiveGripMemo:
         rec = Recording(emg, TimestampedSeries(rec.grip.times, values))
         with pytest.raises(NumericError):
             objective([rec], DecisionVector(gains, 120, 0.0))
-        if grip != "ok":
-            assert id(rec) not in emgrip.sensitivity._RECORDING_SIDES
+        # a recording's sides are cached only when building them succeeds
+        assert ("sa_sides" in rec.__dict__) == (grip == "ok")
 
 
 class TestProjectionSummary:
