@@ -1,14 +1,16 @@
 """Command-line surface tying the pipeline together.
 
-Subcommands: synth, mask, process, xcorr, sa, fit, estimate, predict, tune,
-evaluate, simulate.  Global flags: --seed, --out.  Every option has one
-source, its flag, whose default is the built-in value.  Exit codes: 0 ok,
-1 usage, 2 input/format error, 3 numeric failure.
+Subcommands: synth, mask, process, xcorr, sa, fit, tune, evaluate, simulate.
+``simulate`` is the one streaming command: it writes the estimates, the
+forecasts, the latency table and one report.  Global flags: --seed, --out.
+Every option has one source, its flag, whose default is the built-in value.
+Exit codes: 0 ok, 1 usage, 2 input/format error, 3 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-from .simulate import estimation_wmape, evaluate_run, prediction_wmape, stream_simulate
+from .simulate import evaluate_run, prediction_wmape, stream_simulate
 from .synth import synth_corpus
 
 USAGE_EXIT, INPUT_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -110,10 +112,6 @@ def _build_parser() -> _Parser:
     signal.add_argument(
         "--decay", type=float, default=SmoothingParams.decay, help="smoothing decay in [0, 1)"
     )
-    stream = argparse.ArgumentParser(add_help=False)
-    stream.add_argument("--model", required=True)
-    stream.add_argument("--emg", required=True)
-    stream.add_argument("--grip", default=None, help="measured grip for wMAPE")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--subjects", type=int, default=1)
@@ -145,9 +143,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--raw-grip", action="store_true", help="zero + calibrate the grip stream")
     p.add_argument("--model", default=None, help="output model path")
 
-    sub.add_parser("estimate", parents=[stream], help="estimate grip force for a recording")
-    sub.add_parser("predict", parents=[stream], help="forecast grip force for a recording")
-
     p = sub.add_parser("tune", help="hyperparameter grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
@@ -160,7 +155,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="effects + ANOVA from per-run metrics")
     p.add_argument("--runs", required=True, help="CSV of subject,position,replication,wmape")
 
-    p = sub.add_parser("simulate", parents=[stream], help="stream a recording through the pipeline")
+    p = sub.add_parser("simulate", help="estimate and forecast grip force for a recording")
+    p.add_argument("--model", required=True)
+    p.add_argument("--emg", required=True)
+    p.add_argument("--grip", default=None, help="measured grip for xcorr and wMAPE")
     p.add_argument("--realtime", action="store_true")
     return parser
 
@@ -187,13 +185,6 @@ def _load_corpus(data_dir: str):
             raise DataError(f"missing grip stream for {emg_path}")
         recs.append(eio.read_recording(emg_path, grip_path))
     return recs
-
-
-def _grip_series(args, path):
-    series, _ = eio.read_series(path)
-    if getattr(args, "raw_grip", False):
-        series = prepare_grip(series)
-    return series
 
 
 def _cmd_synth(args):
@@ -263,21 +254,21 @@ def _cmd_sa(args):
             f"argument --harmonics: expected 1 <= harmonics < samples // 2 "
             f"= {args.samples // 2}, got {args.harmonics}"
         )
-    corpus = _load_corpus(args.data)
-    out = _out_dir(args)
-    seed = args.seed
     if args.bounds_file:
         from .sensitivity import NarrowingRecord
 
         text = eio._read_text(Path(args.bounds_file))
         try:
             bounds = NarrowingRecord.from_text(text).current
-        except DataError as exc:
+        except (DataError, ConfigError) as exc:
             raise DataError(f"{args.bounds_file}: {exc}") from exc
     else:
         bounds = default_decision_bounds()
     if args.method == "sobol" and args.groups == "coarse" and bounds.groups is None:
         raise ConfigError("the bounds box has no group labels; pass --groups none")
+    corpus = _load_corpus(args.data)
+    out = _out_dir(args)
+    seed = args.seed
     # "none" analyses every variable separately; unique names act as groups
     groups = bounds.groups if args.groups == "coarse" else bounds.variable_names()
 
@@ -315,7 +306,9 @@ def _cmd_sa(args):
 
 def _cmd_fit(args):
     emg, _ = eio.read_series(args.emg)
-    grip = _grip_series(args, args.grip)
+    grip, _ = eio.read_series(args.grip)
+    if args.raw_grip:
+        grip = prepare_grip(grip)
     model = fit_estimator(
         emg, grip, _mask(args.mask), SmoothingParams(args.window, args.decay),
         HankelParams(args.delays), IndicatorGrid(),
@@ -323,61 +316,6 @@ def _cmd_fit(args):
     path = Path(args.model) if args.model else _out_dir(args) / "model.txt"
     eio.write_model(path, model)
     print(f"wrote {path} (lifted dim {model.lifted_dim}, kept {model.kept.size} cells)")
-    return 0
-
-
-def _run_stream(args):
-    """(model, recording, result).  The grip stream is only read by the
-    metrics; without ``--grip`` the recording reuses the EMG in its place."""
-    model = eio.read_model(args.model)
-    emg, _ = eio.read_series(args.emg)
-    rec = eio.Recording(emg, _grip_series(args, args.grip) if args.grip else emg)
-    result = stream_simulate(
-        rec, model, model.mask, model.smoothing,
-        real_time=getattr(args, "realtime", False),
-    )
-    return model, rec, result
-
-
-def _write_estimates(path, result):
-    eio.write_series(
-        path,
-        TimestampedSeries(result.estimate_times, result.estimates),
-        {"stream": "grip_estimate_N"},
-    )
-
-
-def _cmd_estimate(args):
-    import time
-
-    start = time.perf_counter()
-    _, rec, result = _run_stream(args)
-    elapsed = time.perf_counter() - start
-    out_dir = _out_dir(args)
-    out = out_dir / "estimates.csv"
-    _write_estimates(out, result)
-    print(f"wrote {out}")
-    rows = [("n_estimates", float(result.estimates.size)), ("runtime_s", elapsed)]
-    if args.grip:
-        err = estimation_wmape(rec.grip, result)
-        rows.insert(0, ("wmape_pct", err))
-        print(f"estimation wMAPE: {err:.3f}%")
-    eio.write_table(out_dir / "estimate_report.tsv", ["metric", "value"], rows)
-    return 0
-
-
-def _cmd_predict(args):
-    _, rec, result = _run_stream(args)
-    out = _out_dir(args) / "forecasts.csv"
-    eio.write_forecasts(out, result.forecast_rows())
-    print(f"wrote {out}")
-    report = [("n_forecasts", float(sum(b.values.size for b in result.forecasts)))]
-    if args.grip:
-        err = prediction_wmape(rec.grip, result)
-        if not np.isnan(err):
-            report.insert(0, ("wmape_pct", err))
-            print(f"prediction wMAPE: {err:.3f}%")
-    eio.write_table(_out_dir(args) / "predict_report.tsv", ["metric", "value"], report)
     return 0
 
 
@@ -453,25 +391,53 @@ def _cmd_evaluate(args):
 
 
 def _cmd_simulate(args):
-    model, rec, result = _run_stream(args)
+    start = time.perf_counter()
+    model = eio.read_model(args.model)
+    emg, _ = eio.read_series(args.emg)
+    # the grip stream is only read by the metrics; without --grip the
+    # recording reuses the EMG in its place
+    rec = eio.Recording(emg, eio.read_series(args.grip)[0] if args.grip else emg)
+    result = stream_simulate(rec, model, model.mask, model.smoothing, real_time=args.realtime)
+    elapsed = time.perf_counter() - start
     out = _out_dir(args)
-    # forecasts first: a stream too short to forecast then leaves no file
-    eio.write_forecasts(out / "forecasts.csv", result.forecast_rows())
-    _write_estimates(out / "estimates.csv", result)
+    # estimates first: a stream too short to estimate then leaves no file
+    eio.write_series(
+        out / "estimates.csv",
+        TimestampedSeries(result.estimate_times, result.estimates),
+        {"stream": "grip_estimate_N"},
+    )
+    n_forecasts = sum(b.values.size for b in result.forecasts)
+    # a stream too short to forecast writes no forecasts.csv: a header-only
+    # file would fail read_forecasts
+    if n_forecasts:
+        eio.write_forecasts(out / "forecasts.csv", result.forecast_rows())
     pct = result.latency.percentiles()
     eio.write_table(
         out / "latency.tsv",
         ["stage", "p50_ms", "p90_ms", "p99_ms"],
         [(k, v["p50"], v["p90"], v["p99"]) for k, v in pct.items()],
     )
-    print(f"wrote estimates, forecasts, latency to {out}")
+    print(f"wrote estimates, {'forecasts, ' if n_forecasts else ''}latency to {out}")
     print(f"median per-batch total: {pct['total']['p50']:.2f} ms")
+    rows = [
+        ("n_estimates", float(result.estimates.size)),
+        ("n_forecasts", float(n_forecasts)),
+        ("runtime_s", elapsed),
+    ]
     if args.grip:
         run = evaluate_run(rec, model, model.mask, model.smoothing, result=result)
-        print(
-            f"peak xcorr {run.peak_xcorr:.3f}, estimation wMAPE {run.estimation_wmape:.2f}%, "
-            f"prediction wMAPE {run.prediction_wmape:.2f}%"
-        )
+        terms = []
+        for name, label, value in (
+            ("peak_xcorr", "peak xcorr {:.3f}", run.peak_xcorr),
+            ("estimation_wmape_pct", "estimation wMAPE {:.2f}%", run.estimation_wmape),
+            ("prediction_wmape_pct", "prediction wMAPE {:.2f}%", run.prediction_wmape),
+        ):
+            if not np.isnan(value):  # a stream too short to forecast has no wMAPE
+                rows.append((name, value))
+                terms.append(label.format(value))
+        print(", ".join(terms))
+    report = eio.write_table(out / "simulate_report.tsv", ["metric", "value"], rows)
+    print(f"wrote {report}")
     return 0
 
 
@@ -482,8 +448,6 @@ _HANDLERS = {
     "xcorr": _cmd_xcorr,
     "sa": _cmd_sa,
     "fit": _cmd_fit,
-    "estimate": _cmd_estimate,
-    "predict": _cmd_predict,
     "tune": _cmd_tune,
     "evaluate": _cmd_evaluate,
     "simulate": _cmd_simulate,

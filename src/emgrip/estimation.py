@@ -332,6 +332,9 @@ class EstimatorModel:
     batch_size: ClassVar[int] = DEFAULT_BATCH_SIZE
 
     def __post_init__(self):
+        # the stream checks a recording's rate against fs, a check NaN or inf would pass
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise DataError(f"fs must be finite and positive, got {self.fs!r}")
         want = (self.hankel.delays + 1, self.lifted_dim)
         if np.shape(self.k) != want:
             raise DataError(f"K is {np.shape(self.k)}, expected {want}; refit with `fit`")

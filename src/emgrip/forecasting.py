@@ -42,8 +42,9 @@ class ForecastHyperparams:
     n_modes: int = 4
 
     def __post_init__(self):
-        if self.window_modifier < 1 or self.smooth_modifier < 1:
-            raise ConfigError("window modifiers must be >= 1")
+        modifiers = (self.window_modifier, self.smooth_modifier)
+        if not all(math.isfinite(m) and m >= 1 for m in modifiers):
+            raise ConfigError(f"window modifiers must be finite and >= 1, got {modifiers}")
         if not 3 <= self.thin_step <= 8:
             raise ConfigError("thin step must lie in [3, 8]")
         if not 4 <= self.delays <= 10:

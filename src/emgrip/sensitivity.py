@@ -63,6 +63,12 @@ class Bounds:
                 if len(val) != lower.size:
                     raise ConfigError(f"{attr} length must match dimension")
                 object.__setattr__(self, attr, tuple(val))
+        finite = np.isfinite(lower) & np.isfinite(upper)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ConfigError(
+                f"{self.variable_names()[i]}: bounds must be finite, got [{lower[i]}, {upper[i]}]"
+            )
 
     @property
     def dim(self) -> int:

@@ -54,6 +54,8 @@ _BAD_HEADER = {
     "batch_size_248": ("batch_size", "248"),
     "degenerate_emg_scaler": ("emg_scaler", "1.0 1.0"),
     "window_size_1": ("window_size", "1"),
+    "fs_nan": ("fs", "nan"),
+    "fs_inf": ("fs", "inf"),
 }
 
 

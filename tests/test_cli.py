@@ -3,6 +3,7 @@ import pytest
 
 from emgrip.cli import main
 from emgrip.io import (
+    read_forecasts,
     read_mask,
     read_model,
     read_recording,
@@ -21,6 +22,13 @@ from emgrip.processing import (
 from emgrip.sensitivity import envelope_grip_xcorr
 from emgrip.simulate import evaluate_run
 from emgrip.synth import SynthProfile, synth_recording
+
+
+def _report(out_dir) -> dict[str, float]:
+    """simulate_report.tsv as {metric: value}, in file order."""
+    rows = (out_dir / "simulate_report.tsv").read_text().splitlines()
+    assert rows[0] == "metric\tvalue"
+    return {name: float(value) for name, value in (row.split("\t") for row in rows[1:])}
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +76,18 @@ class TestExitCodes:
         assert "unrecognized arguments: --config" in err and "invalid choice" not in err
 
     def test_missing_file_is_input_error(self, tmp_path):
-        assert main(["estimate", "--model", str(tmp_path / "no.txt"), "--emg", str(tmp_path / "no.csv")]) == 2
+        assert main(["simulate", "--model", str(tmp_path / "no.txt"), "--emg", str(tmp_path / "no.csv")]) == 2
+
+    @pytest.mark.parametrize("cmd", ["estimate", "predict"])
+    def test_removed_stream_commands_are_usage_errors(self, workspace, tmp_path, capsys, cmd):
+        root, data = workspace
+        code = main([
+            "--out", str(tmp_path), cmd,
+            "--model", str(root / "model.txt"), "--emg", str(data / "s01_p1_r1_emg.csv"),
+        ])
+        assert code == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_numeric_failure_exit(self, tmp_path):
         from emgrip.io import write_series
@@ -91,17 +110,16 @@ class TestExitCodes:
         emg[5000] = np.nan
         write_series(tmp_path / "nan_emg.csv", TimestampedSeries(rec.emg.times, emg))
         write_series(tmp_path / "nan_grip.csv", rec.grip)
-        for cmd in ("estimate", "simulate"):
-            code = main([
-                "--out", str(tmp_path), cmd,
-                "--model", str(root / "model.txt"),
-                "--emg", str(tmp_path / "nan_emg.csv"),
-                "--grip", str(tmp_path / "nan_grip.csv"),
-            ])
-            assert code == 3
-            assert "numeric failure" in capsys.readouterr().err
+        code = main([
+            "--out", str(tmp_path), "simulate",
+            "--model", str(root / "model.txt"),
+            "--emg", str(tmp_path / "nan_emg.csv"),
+            "--grip", str(tmp_path / "nan_grip.csv"),
+        ])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd", ["estimate", "predict", "simulate", "tune"])
+    @pytest.mark.parametrize("cmd", ["simulate", "tune"])
     @pytest.mark.parametrize(
         "flag", [("--window", "100"), ("--window", "150"), ("--decay", "0.02"), ("--mask", "flat.tsv")],
         ids=["window100", "window150", "decay", "mask"],
@@ -139,7 +157,7 @@ class TestExitCodes:
         lines.insert(lines.index(next(l for l in lines if l.startswith("K "))), "calibration 0.0 1.0")
         (tmp_path / "old_model.txt").write_text("\n".join(lines) + "\n")
         code = main([
-            "--out", str(tmp_path), "estimate",
+            "--out", str(tmp_path), "simulate",
             "--model", str(tmp_path / "old_model.txt"),
             "--emg", str(data / "s01_p1_r1_emg.csv"),
         ])
@@ -151,7 +169,7 @@ class TestExitCodes:
         name, rewrite = model_defect
         (tmp_path / "bad_model.txt").write_text(rewrite((root / "model.txt").read_text()))
         code = main([
-            "--out", str(tmp_path), "estimate",
+            "--out", str(tmp_path), "simulate",
             "--model", str(tmp_path / "bad_model.txt"),
             "--emg", str(data / "s01_p1_r1_emg.csv"),
         ])
@@ -203,6 +221,20 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: argument {flag}") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "tuning.tsv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--window-mods", "--smooth-mods"])
+    def test_non_finite_tune_modifier_is_input_error(self, workspace, tmp_path, capsys, flag, value):
+        root, data = workspace
+        code = main([
+            "--out", str(tmp_path), "tune",
+            "--data", str(data), "--model", str(root / "model.txt"), flag, value,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: window modifiers must be finite and >= 1")
+        assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "tuning.tsv").exists()
 
     def test_tune_on_recording_too_short_to_forecast_is_input_error(self, workspace, tmp_path, capsys):
@@ -266,10 +298,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text, where",
-        [("== step zero\na\t0.0\t1.0\n", "line 1"), ("== step 0\na 0.0 1.0\n", "line 2")],
-        ids=["step_not_int", "space_separated"],
+        [
+            ("== step zero\na\t0.0\t1.0\n", "line 1"),
+            ("== step 0\na 0.0 1.0\n", "line 2"),
+            ("== step 0\nwindow_size\t2.0\tinf\n", "window_size"),
+            ("== step 0\nmask_2hz\tnan\t5.0\n", "mask_2hz"),
+        ],
+        ids=["step_not_int", "space_separated", "inf_bound", "nan_bound"],
     )
-    def test_malformed_bounds_file_is_input_error(self, workspace, tmp_path, capsys, text, where):
+    def test_malformed_bounds_file_is_input_error(
+        self, workspace, tmp_path, capsys, monkeypatch, text, where
+    ):
+        def never(*_):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("emgrip.cli._load_corpus", never)
         root, data = workspace
         bounds_file = tmp_path / "bounds.txt"
         bounds_file.write_text(text)
@@ -366,22 +409,23 @@ class TestPipelineCommands:
         assert meta["stream"] == "processed_emg"
         assert series.values.min() >= 0.0
 
-    def test_estimate_and_predict(self, workspace, tmp_path, capsys):
+    def test_simulate_report_rows(self, workspace, tmp_path, capsys):
         root, data = workspace
-        for cmd in ("estimate", "predict"):
-            code = main([
-                "--out", str(tmp_path), cmd,
-                "--model", str(root / "model.txt"),
-                "--emg", str(data / "s01_p1_r1_emg.csv"),
-                "--grip", str(data / "s01_p1_r1_grip.csv"),
-            ])
-            assert code == 0
+        stem = data / "s01_p1_r1"
+        argv = ["simulate", "--model", str(root / "model.txt"), "--emg", f"{stem}_emg.csv"]
+        assert main(["--out", str(tmp_path / "bare"), *argv]) == 0
+        assert main(["--out", str(tmp_path / "grip"), *argv, "--grip", f"{stem}_grip.csv"]) == 0
         out = capsys.readouterr().out
-        assert "estimation wMAPE" in out
-        assert "prediction wMAPE" in out
-        est_report = (tmp_path / "estimate_report.tsv").read_text()
-        assert "wmape_pct" in est_report and "runtime_s" in est_report
-        assert "wmape_pct" in (tmp_path / "predict_report.tsv").read_text()
+        assert "peak xcorr" in out and "estimation wMAPE" in out and "prediction wMAPE" in out
+        counts = ["n_estimates", "n_forecasts", "runtime_s"]
+        bare, grip = _report(tmp_path / "bare"), _report(tmp_path / "grip")
+        assert list(bare) == counts
+        assert list(grip) == counts + ["peak_xcorr", "estimation_wmape_pct", "prediction_wmape_pct"]
+        estimates, _ = read_series(tmp_path / "grip" / "estimates.csv")
+        assert grip["n_estimates"] == bare["n_estimates"] == estimates.values.size > 0
+        forecasts = read_forecasts(tmp_path / "grip" / "forecasts.csv")
+        assert grip["n_forecasts"] == bare["n_forecasts"] == len(forecasts) > 0
+        assert grip["runtime_s"] > 0
 
     def test_estimate_on_stream_too_short_to_estimate(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -389,19 +433,33 @@ class TestPipelineCommands:
         n = 400  # shorter than the model's estimation window
         write_series(tmp_path / "short_emg.csv", TimestampedSeries(rec.emg.times[:n], rec.emg.values[:n]))
         write_series(tmp_path / "short_grip.csv", rec.grip)
-        for cmd in ("estimate", "predict", "simulate"):
-            code = main([
-                "--out", str(tmp_path), cmd,
-                "--model", str(root / "model.txt"),
-                "--emg", str(tmp_path / "short_emg.csv"),
-                "--grip", str(tmp_path / "short_grip.csv"),
-            ])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.startswith("input error") and len(err.strip().splitlines()) == 1
-            assert "no data rows to write" in err
+        code = main([
+            "--out", str(tmp_path), "simulate",
+            "--model", str(root / "model.txt"),
+            "--emg", str(tmp_path / "short_emg.csv"),
+            "--grip", str(tmp_path / "short_grip.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+        assert "no data rows to write" in err
         # a header-only output file would fail its reader, so none is written
         assert sorted(p.name for p in tmp_path.iterdir()) == ["short_emg.csv", "short_grip.csv"]
+
+        # 0.8 s: long enough to estimate, too short to forecast
+        short = synth_recording(SynthProfile(levels=(1.0,), plateau_s=0.3, ramp_s=0.3, lead_s=0.2), seed=52)
+        emg_path, grip_path = write_recording(tmp_path, short)
+        out = tmp_path / "out"
+        code = main([
+            "--out", str(out), "simulate",
+            "--model", str(root / "model.txt"), "--emg", str(emg_path), "--grip", str(grip_path),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "latency.tsv", "simulate_report.tsv"]
+        report = _report(out)
+        assert report["n_estimates"] > 0 and report["n_forecasts"] == 0
+        assert "prediction_wmape_pct" not in report and "estimation_wmape_pct" in report
+        assert "prediction wMAPE" not in capsys.readouterr().out
 
     def test_simulate_writes_latency(self, workspace, tmp_path):
         root, data = workspace
@@ -427,25 +485,21 @@ class TestPipelineCommands:
     def test_reports_match_library_metrics(self, workspace, tmp_path):
         root, data = workspace
         stem = data / "s01_p1_r1"
-        for cmd in ("estimate", "predict"):
-            assert main([
-                "--out", str(tmp_path), cmd,
-                "--model", str(root / "model.txt"),
-                "--emg", f"{stem}_emg.csv", "--grip", f"{stem}_grip.csv",
-            ]) == 0
+        assert main([
+            "--out", str(tmp_path), "simulate",
+            "--model", str(root / "model.txt"),
+            "--emg", f"{stem}_emg.csv", "--grip", f"{stem}_grip.csv",
+        ]) == 0
         ev = evaluate_run(
             read_recording(f"{stem}_emg.csv", f"{stem}_grip.csv"),
             read_model(root / "model.txt"),
             default_optimal_mask(),
             SmoothingParams(150, 0.0),
         )
-
-        def reported(name):
-            rows = (tmp_path / name).read_text().splitlines()[1:]
-            return dict(row.split("\t") for row in rows)["wmape_pct"]
-
-        assert float(reported("estimate_report.tsv")) == ev.estimation_wmape
-        assert float(reported("predict_report.tsv")) == ev.prediction_wmape
+        report = _report(tmp_path)
+        assert report["peak_xcorr"] == ev.peak_xcorr
+        assert report["estimation_wmape_pct"] == ev.estimation_wmape
+        assert report["prediction_wmape_pct"] == ev.prediction_wmape
 
     def test_xcorr_summary_matches_library(self, workspace, tmp_path):
         root, data = workspace

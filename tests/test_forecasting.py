@@ -541,6 +541,11 @@ class TestPredictBatch:
             ForecastHyperparams(thin_step=2)
         with pytest.raises(ConfigError):
             ForecastHyperparams(delays=11)
+        for value in (np.nan, np.inf, 0.9):
+            with pytest.raises(ConfigError, match="finite and >= 1"):
+                ForecastHyperparams(window_modifier=value)
+            with pytest.raises(ConfigError, match="finite and >= 1"):
+                ForecastHyperparams(smooth_modifier=value)
 
 
 class TestGridSearch:
