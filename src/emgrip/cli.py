@@ -28,6 +28,7 @@ from .processing import (
     process_recording,
 )
 from .sensitivity import (
+    NarrowingRecord,
     default_decision_bounds,
     envelope_grip_xcorr,
     latin_hypercube,
@@ -230,7 +231,10 @@ def _cmd_xcorr(args):
     peaks, lags_ms = [], []
     for rec in _load_corpus(args.data):
         processed = process_recording(rec.emg, mask, smoothing)
-        peak, lag = envelope_grip_xcorr(processed, rec.emg, rec.grip)
+        try:
+            peak, lag = envelope_grip_xcorr(processed, rec.emg, rec.grip)
+        except (DataError, NumericError) as exc:
+            raise type(exc)(f"{rec.stem}: {exc}") from exc
         peaks.append(peak)
         # positive = envelope trails the measured force
         lags_ms.append(-1e3 * lag / rec.emg.rate)
@@ -255,8 +259,6 @@ def _cmd_sa(args):
             f"= {args.samples // 2}, got {args.harmonics}"
         )
     if args.bounds_file:
-        from .sensitivity import NarrowingRecord
-
         text = eio._read_text(Path(args.bounds_file))
         try:
             bounds = NarrowingRecord.from_text(text).current
@@ -267,6 +269,13 @@ def _cmd_sa(args):
     if args.method == "sobol" and args.groups == "coarse" and bounds.groups is None:
         raise ConfigError("the bounds box has no group labels; pass --groups none")
     corpus = _load_corpus(args.data)
+    # the objective builds each recording's sides at the first candidate;
+    # building them here rejects a recording before any candidate runs
+    for rec in corpus:
+        try:
+            rec.sa_sides
+        except (DataError, NumericError) as exc:
+            raise type(exc)(f"{rec.stem}: {exc}") from exc
     out = _out_dir(args)
     seed = args.seed
     # "none" analyses every variable separately; unique names act as groups
@@ -432,10 +441,12 @@ def _cmd_simulate(args):
             ("estimation_wmape_pct", "estimation wMAPE {:.2f}%", run.estimation_wmape),
             ("prediction_wmape_pct", "prediction wMAPE {:.2f}%", run.prediction_wmape),
         ):
-            if not np.isnan(value):  # a stream too short to forecast has no wMAPE
+            # NaN: a stream too short to forecast, or input that leaves it undefined
+            if not np.isnan(value):
                 rows.append((name, value))
                 terms.append(label.format(value))
-        print(", ".join(terms))
+        if terms:
+            print(", ".join(terms))
     report = eio.write_table(out / "simulate_report.tsv", ["metric", "value"], rows)
     print(f"wrote {report}")
     return 0

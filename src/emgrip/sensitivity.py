@@ -254,37 +254,17 @@ def _sobol_point_estimate(fa, fb, fab):
     return s1, st
 
 
-def _sobol_bootstrap(fa, fb, fab, idx):
-    """``_sobol_point_estimate`` of every bootstrap replica at once: row ``j``
-    of the (c, n) ``idx`` resamples the base points of replica ``j``.
-
-    A replica's sum over its draws is a sum over the base points weighted by
-    how often each was drawn, so the (g, n) blocks meet all replicas in two
-    (c, n) @ (n, g) products rather than a (c, g, n) gather.  The pooled
-    mean and variance are taken on the drawn rows as the point estimate
-    takes them, so a constant replica is exactly the one it would zero.
-    """
-    c, n = idx.shape
-    pooled = np.concatenate([fa[idx], fb[idx]], axis=1)
-    mean = pooled.mean(axis=1, keepdims=True)
-    var = pooled.var(axis=1, keepdims=True)
-    zero = pooled.max(axis=1, keepdims=True) == pooled.min(axis=1, keepdims=True)
-    rows = (idx + n * np.arange(c)[:, None]).ravel()
-    drawn = np.bincount(rows, minlength=c * n).reshape(c, n)
-    fb_c = (pooled[:, n:] - mean).ravel()
-    fb_weight = np.bincount(rows, weights=fb_c, minlength=c * n).reshape(c, n)
-    diff = fab - fa  # fab_c - fa_c: the pooled mean cancels
-    s1 = fb_weight @ diff.T
-    st = 0.5 * (drawn @ (diff * diff).T)
-    scale = n * np.where(zero, 1.0, var)
-    return np.where(zero, 0.0, s1 / scale), np.where(zero, 0.0, st / scale)
-
-
-def _contain(ci: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Widen percentile intervals just enough to contain the point estimate."""
-    ci[:, 0] = np.minimum(ci[:, 0], point)
-    ci[:, 1] = np.maximum(ci[:, 1], point)
-    return ci
+def _bootstrap_ci(point_estimate, point: np.ndarray, n: int, n_boot: int, seed) -> np.ndarray:
+    """Percentile 95% CIs of ``point`` widened just enough to contain it,
+    shaped ``point.shape + (2,)``.  Each of ``n_boot`` replicas draws its
+    ``n`` rows as ``rng.integers(0, n, size=n)``, and ``point_estimate(rows)``
+    gives its estimate; so both estimators see the same draws under a seed."""
+    rng = np.random.default_rng(seed)
+    boot = np.empty((n_boot, *point.shape))
+    for replica in boot:
+        replica[...] = point_estimate(rng.integers(0, n, size=n))
+    lo, hi = np.percentile(boot, [2.5, 97.5], axis=0)
+    return np.stack([np.minimum(lo, point), np.maximum(hi, point)], axis=-1)
 
 
 def sobol_indices(
@@ -298,7 +278,9 @@ def sobol_indices(
     """Grouped Sobol indices from outputs laid out as saltelli_sample rows.
 
     Bootstrap (when ``n_boot`` > 0) resamples base-sample indices, keeping
-    each (A, B, AB_*) row triple paired, and reports percentile 95% CIs.
+    each (A, B, AB_*) row triple paired, and reports percentile 95% CIs:
+    each replica's indices are the point estimate of its drawn rows, and
+    the draws are those ``rbdfast_indices`` makes under the same seed.
     """
     if n_boot < 0:
         raise ConfigError("n_boot must be >= 0")
@@ -318,23 +300,10 @@ def sobol_indices(
     s1, st = _sobol_point_estimate(fa, fb, fab)
     first_ci = total_ci = None
     if n_boot > 0:
-        rng = np.random.default_rng(seed)
-        s1_boot = np.empty((n_boot, g))
-        st_boot = np.empty((n_boot, g))
-        # each (c, n) array of a chunk holds at most 2**19 entries (4 MiB);
-        # successive integers() calls continue one stream, so the draws do
-        # not depend on the chunking
-        chunk = max(1, min(n_boot, 2**19 // max(n, 1)))
-        done = 0
-        while done < n_boot:
-            c = min(chunk, n_boot - done)
-            idx = rng.integers(0, n, size=(c, n))
-            s1_boot[done : done + c], st_boot[done : done + c] = _sobol_bootstrap(fa, fb, fab, idx)
-            done += c
-        first_ci = np.percentile(s1_boot, [2.5, 97.5], axis=0).T
-        total_ci = np.percentile(st_boot, [2.5, 97.5], axis=0).T
-        first_ci = _contain(first_ci, s1)
-        total_ci = _contain(total_ci, st)
+        first_ci, total_ci = _bootstrap_ci(
+            lambda rows: _sobol_point_estimate(fa[rows], fb[rows], fab[:, rows]),
+            np.array([s1, st]), n, n_boot, seed,
+        )
 
     return SensitivityResult(
         names or group_names, s1, st, first_ci, total_ci
@@ -400,7 +369,9 @@ def rbdfast_indices(
     Outputs are reordered per variable onto a periodic path; the index is
     the bias-corrected share of spectral power in the first ``harmonics``
     frequencies.  Bootstrap resamples points (keeping x/y rows paired)
-    for percentile 95% CIs.
+    for percentile 95% CIs: each replica's indices are the point estimate
+    of its drawn rows, and the draws are those ``sobol_indices`` makes
+    under the same seed.
 
     Each column is ranked once; a draw's path is one integer sort of the
     distinct keys ``rank << bits | position`` of its rows, which order as a
@@ -423,12 +394,9 @@ def rbdfast_indices(
     s1 = _rbdfast_point_estimate(keys, outputs, np.arange(n), harmonics)
     first_ci = None
     if n_boot > 0:
-        rng = np.random.default_rng(seed)
-        boot = np.empty((n_boot, d))
-        for k in range(n_boot):
-            idx = rng.integers(0, n, size=n)
-            boot[k] = _rbdfast_point_estimate(keys, outputs, idx, harmonics)
-        first_ci = _contain(np.percentile(boot, [2.5, 97.5], axis=0).T, s1)
+        first_ci = _bootstrap_ci(
+            lambda idx: _rbdfast_point_estimate(keys, outputs, idx, harmonics), s1, n, n_boot, seed
+        )
 
     return SensitivityResult(
         names or tuple(f"x{i}" for i in range(d)), s1, None, first_ci, None
@@ -437,9 +405,15 @@ def rbdfast_indices(
 
 def _grip_side(emg, grip, n: int) -> tuple[XcorrSide, int]:
     """``grip`` on the first ``n`` EMG timestamps as an ``xcorr_side``, and
-    the max lag it was built for: ``DEFAULT_MAX_LAG_S`` in EMG samples."""
-    grip_on_emg = resample_linear(grip, emg.times[:n]).values
+    the max lag it was built for: ``DEFAULT_MAX_LAG_S`` in EMG samples.  An
+    ``n`` that leaves no lag window is a ``DataError`` stating the minimum."""
     max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
+    if n <= max_lag:
+        raise DataError(
+            f"{n} EMG samples, fewer than the {max_lag + 1} that the "
+            f"+-{DEFAULT_MAX_LAG_S} s lag window needs"
+        )
+    grip_on_emg = resample_linear(grip, emg.times[:n]).values
     return xcorr_side(grip_on_emg, max_lag), max_lag
 
 

@@ -180,7 +180,7 @@ def stream_simulate(
 @dataclass(frozen=True)
 class RunEvaluation:
     peak_xcorr: float
-    lag_samples: int
+    lag_samples: int | None
     estimation_wmape: float
     prediction_wmape: float
 
@@ -197,27 +197,42 @@ def evaluate_run(
 
     Composes ``envelope_grip_xcorr``, ``estimation_wmape`` and
     ``prediction_wmape``; the stream is run first unless ``result`` is given.
-    ``mask`` and ``smoothing`` must equal the model's chain.
+    ``mask`` and ``smoothing`` must equal the model's chain.  A metric the
+    input leaves undefined is NaN: the peak xcorr (with ``lag_samples``
+    None) when the envelope or the resampled grip is constant over the
+    envelope's span, and a wMAPE whose grip is all zero.  Non-finite input
+    still raises.
     """
     if result is None:
         result = stream_simulate(recording, model, mask, smoothing, hyper)
     else:
         _check_chain(model, mask, smoothing)
     grip = recording.grip
-    peak, lag = envelope_grip_xcorr(result.processed, recording.emg, grip)
+    envelope = result.processed
+    grip_span = resample_linear(grip, recording.emg.times[: envelope.size]).values
+    # ptp is NaN, not 0, on a NaN, so non-finite input reaches the raise
+    if np.ptp(envelope) == 0 or np.ptp(grip_span) == 0:
+        peak, lag = float("nan"), None
+    else:
+        peak, lag = envelope_grip_xcorr(envelope, recording.emg, grip)
     return RunEvaluation(peak, lag, estimation_wmape(grip, result), prediction_wmape(grip, result))
 
 
 def estimation_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
     """wMAPE of the streamed estimates against grip resampled at their
-    timestamps; NaN if the stream was too short to emit any."""
+    timestamps; NaN if the stream was too short to emit any, or if that
+    grip is all zero."""
     if result.estimates.size == 0:
         return float("nan")
-    return wmape(resample_linear(grip, result.estimate_times).values, result.estimates)
+    actual = resample_linear(grip, result.estimate_times).values
+    if not actual.any():
+        return float("nan")
+    return wmape(actual, result.estimates)
 
 
 def prediction_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
-    """wMAPE of every forecast point up to the last grip sample; NaN if none.
+    """wMAPE of every forecast point up to the last grip sample; NaN if none,
+    or if the grip at those points is all zero.
 
     Points stay in emission order: timestamps repeat across batches, and
     wMAPE does not depend on the order.
@@ -227,6 +242,7 @@ def prediction_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
     times = np.concatenate([b.times for b in result.forecasts])
     values = np.concatenate([b.values for b in result.forecasts])
     kept = times <= grip.times[-1]
-    if not kept.any():
+    actual = np.interp(times[kept], grip.times, grip.values)
+    if not actual.any():
         return float("nan")
-    return wmape(np.interp(times[kept], grip.times, grip.values), values[kept])
+    return wmape(actual, values[kept])

@@ -3,6 +3,7 @@ import pytest
 
 from emgrip.cli import main
 from emgrip.io import (
+    Recording,
     read_forecasts,
     read_mask,
     read_model,
@@ -347,6 +348,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("cmd", [["xcorr"], ["sa", "rbdfast", "--samples", "8", "--harmonics", "2"]])
+    def test_recording_too_short_for_lag_window_is_input_error(
+        self, workspace, tmp_path, capsys, monkeypatch, cmd
+    ):
+        # 150 samples at 992.97 Hz: the +-0.16 s lag window needs 160
+        def never(*_):
+            raise AssertionError("the objective ran")
+
+        monkeypatch.setattr("emgrip.cli.map_objective", never)
+        _, data = workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_recording(corpus, read_recording(data / "s01_p1_r1_emg.csv", data / "s01_p1_r1_grip.csv"))
+        rec = synth_recording(seed=52, subject="s02")
+        emg = TimestampedSeries(rec.emg.times[:150], rec.emg.values[:150])
+        write_recording(corpus, Recording(emg, rec.grip, "s02", 2, 1))
+        code = main(["--out", str(tmp_path / "out"), cmd[0], "--data", str(corpus), *cmd[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: s02_p2_r1: 150 EMG samples")
+        assert "fewer than the 160" in err and len(err.strip().splitlines()) == 1
+
     def test_negative_synth_count_is_input_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "synth", "--subjects", "-1"]) == 2
         err = capsys.readouterr().err
@@ -460,6 +483,32 @@ class TestPipelineCommands:
         assert report["n_estimates"] > 0 and report["n_forecasts"] == 0
         assert "prediction_wmape_pct" not in report and "estimation_wmape_pct" in report
         assert "prediction wMAPE" not in capsys.readouterr().out
+
+    def test_simulate_on_zero_grip_omits_undefined_metrics(self, workspace, tmp_path, capsys):
+        # the first 0.8 s of seed 43, whose grip is 0 N throughout: xcorr
+        # and both wMAPEs are undefined, so the report leaves them out
+        root, _ = workspace
+        rec = synth_recording(seed=43)
+        write_series(tmp_path / "zero_emg.csv", TimestampedSeries(rec.emg.times[:800], rec.emg.values[:800]))
+        write_series(tmp_path / "zero_grip.csv", TimestampedSeries(rec.grip.times[:170], rec.grip.values[:170]))
+        argv = [
+            "simulate", "--model", str(root / "model.txt"),
+            "--emg", str(tmp_path / "zero_emg.csv"), "--grip", str(tmp_path / "zero_grip.csv"),
+        ]
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == 0
+        report = _report(out)
+        assert list(report) == ["n_estimates", "n_forecasts", "runtime_s"]
+        assert report["n_estimates"] > 0
+        captured = capsys.readouterr()
+        assert "peak xcorr" not in captured.out and not captured.err
+
+        # a non-finite grip sample is still a numeric failure
+        grip = rec.grip.values[:170].copy()
+        grip[40] = np.nan
+        write_series(tmp_path / "zero_grip.csv", TimestampedSeries(rec.grip.times[:170], grip))
+        assert main(["--out", str(tmp_path / "nan"), *argv]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_simulate_writes_latency(self, workspace, tmp_path):
         root, data = workspace

@@ -233,15 +233,28 @@ class TestSobolBootstrap:
     @pytest.mark.parametrize(
         "n, n_boot, groups",
         [(2**10, 200, None), (2**8, 1000, ("g", "g", "z")), (5, 60, None), (2**12, 300, None)],
-        ids=["ishigami", "grouped", "tiny", "chunked"],
+        ids=["ishigami", "grouped", "tiny", "large"],
     )
     def test_matches_replica_loop(self, n, n_boot, groups):
         s = saltelli_sample(pi_bounds(), n, groups=groups, seed=8)
         y = ishigami(s)
         res = sobol_indices(s, y, groups=groups, n_boot=n_boot, seed=8)
         first, total = _sobol_ci_oracle(y, len(res.names), n_boot, seed=8)
-        np.testing.assert_allclose(res.first_ci, first, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.total_ci, total, rtol=0, atol=1e-12)
+        assert np.array_equal(res.first_ci, first)
+        assert np.array_equal(res.total_ci, total)
+
+    @pytest.mark.filterwarnings("error")
+    def test_many_groups_small_base_matches_replica_loop(self):
+        # the ungrouped 250-variable box at n = 8: many more groups than
+        # base points, so most replicas repeat a base point several times
+        bounds = default_decision_bounds()
+        s = saltelli_sample(bounds, 8, groups=bounds.variable_names(), seed=5)
+        y = np.sin(s[:, :-2]).sum(axis=1) + s[:, -2] / 100.0
+        res = sobol_indices(s, y, groups=bounds.variable_names(), n_boot=200, seed=5)
+        first, total = _sobol_ci_oracle(y, 250, 200, seed=5)
+        assert res.first_ci.shape == res.total_ci.shape == (250, 2)
+        assert np.array_equal(res.first_ci, first)
+        assert np.array_equal(res.total_ci, total)
 
     @pytest.mark.filterwarnings("error")
     def test_zero_variance_replicas_match_replica_loop(self):
@@ -254,8 +267,8 @@ class TestSobolBootstrap:
         assert 4 <= (draws.max(axis=1) < 2).sum() <= 36
         res = sobol_indices(s, y, n_boot=40, seed=2)
         first, total = _sobol_ci_oracle(y, 3, 40, seed=2)
-        np.testing.assert_allclose(res.first_ci, first, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.total_ci, total, rtol=0, atol=1e-12)
+        assert np.array_equal(res.first_ci, first)
+        assert np.array_equal(res.total_ci, total)
 
 
 def _rbdfast_oracle(samples, outputs, harmonics=10, n_boot=0, seed=None):

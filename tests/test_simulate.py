@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from emgrip.errors import ConfigError
+from emgrip.errors import ConfigError, NumericError
 from emgrip.io import Recording
 from emgrip.processing import SmoothingParams, SpectralMask, TimestampedSeries, process_recording
 from emgrip.simulate import estimation_wmape, evaluate_run, prediction_wmape, stream_simulate
@@ -163,3 +164,50 @@ class TestEvaluateRun:
         a = evaluate_run(test_recording, model, mask, smoothing, result=stream_result)
         b = evaluate_run(test_recording, model, mask, smoothing, result=stream_result)
         assert a == b
+
+    def test_zero_grip_over_short_stream_scores_nan(self, test_recording, model, mask, smoothing):
+        # the first 0.8 s of seed 43, whose grip is 0 N throughout: every
+        # metric is undefined, and none raises
+        emg = test_recording.emg
+        grip = test_recording.grip
+        cut = Recording(
+            TimestampedSeries(emg.times[:800], emg.values[:800]),
+            TimestampedSeries(grip.times[:170], grip.values[:170]),
+        )
+        assert not cut.grip.values.any()
+        result = stream_simulate(cut, model, mask, smoothing)
+        assert result.estimates.size > 0
+        ev = evaluate_run(cut, model, mask, smoothing, result=result)
+        assert np.isnan(ev.peak_xcorr) and ev.lag_samples is None
+        assert np.isnan(ev.estimation_wmape) and np.isnan(ev.prediction_wmape)
+
+    def test_zero_grip_scores_nan_wmape(self, test_recording, model, mask, smoothing, stream_result):
+        grip = test_recording.grip
+        zero = dataclasses.replace(test_recording, grip=TimestampedSeries(grip.times, np.zeros(grip.values.size)))
+        assert stream_result.forecasts
+        assert np.isnan(estimation_wmape(zero.grip, stream_result))
+        assert np.isnan(prediction_wmape(zero.grip, stream_result))
+        ev = evaluate_run(zero, model, mask, smoothing, result=stream_result)
+        assert np.isnan(ev.peak_xcorr) and ev.lag_samples is None
+
+    def test_constant_grip_scores_nan_xcorr_only(self, test_recording, model, mask, smoothing, stream_result):
+        grip = test_recording.grip
+        flat = dataclasses.replace(test_recording, grip=TimestampedSeries(grip.times, np.full(grip.values.size, 2.0)))
+        ev = evaluate_run(flat, model, mask, smoothing, result=stream_result)
+        assert np.isnan(ev.peak_xcorr) and ev.lag_samples is None
+        assert np.isfinite(ev.estimation_wmape) and np.isfinite(ev.prediction_wmape)
+
+    def test_constant_envelope_scores_nan_xcorr(self, test_recording, model, mask, smoothing, stream_result):
+        flat = dataclasses.replace(stream_result, processed=np.full(stream_result.processed.size, 0.5))
+        ev = evaluate_run(test_recording, model, mask, smoothing, result=flat)
+        assert np.isnan(ev.peak_xcorr) and ev.lag_samples is None
+        assert ev.estimation_wmape == evaluate_run(
+            test_recording, model, mask, smoothing, result=stream_result
+        ).estimation_wmape
+
+    def test_non_finite_grip_still_raises(self, test_recording, model, mask, smoothing, stream_result):
+        values = test_recording.grip.values.copy()
+        values[50] = np.nan
+        bad = dataclasses.replace(test_recording, grip=TimestampedSeries(test_recording.grip.times, values))
+        with pytest.raises(NumericError, match="non-finite"):
+            evaluate_run(bad, model, mask, smoothing, result=stream_result)
