@@ -25,7 +25,7 @@ smoothing = SmoothingParams(window_size=300, decay=0.0)
 envelope = process_recording(rec.emg, mask, smoothing)
 print(f"envelope: {envelope.size} samples, all non-negative: {bool(np.all(envelope >= 0))}")
 
-grip_on_emg = resample_linear(rec.grip, rec.emg.times[: envelope.size]).values
+grip_on_emg = resample_linear(rec.grip, rec.emg.times[: envelope.size])
 max_lag = int(round(0.160 * rec.emg.rate))
 peak, lag = peak_cross_correlation(envelope, grip_on_emg, max_lag)
 print(f"peak cross-correlation vs grip force: {peak:.3f} at lag {lag} samples "

@@ -33,7 +33,7 @@ print(f"trained in {time.perf_counter() - start:.2f} s: "
 
 result = stream_simulate(test, model, mask, smoothing)
 estimates, times = result.estimates, result.estimate_times
-truth = resample_linear(test.grip, times).values
+truth = resample_linear(test.grip, times)
 step = model.hankel.downsample
 print(f"{estimates.size} estimates at {1 / (step / test.emg.rate):.1f} Hz")
 print(f"estimation wMAPE vs measured grip: {estimation_wmape(test.grip, result):.2f}%")

@@ -314,12 +314,10 @@ def _cmd_sa(args):
 
 
 def _cmd_fit(args):
-    emg, _ = eio.read_series(args.emg)
-    grip, _ = eio.read_series(args.grip)
-    if args.raw_grip:
-        grip = prepare_grip(grip)
+    rec = eio.read_recording(args.emg, args.grip)
+    grip = prepare_grip(rec.grip) if args.raw_grip else rec.grip
     model = fit_estimator(
-        emg, grip, _mask(args.mask), SmoothingParams(args.window, args.decay),
+        rec.emg, grip, _mask(args.mask), SmoothingParams(args.window, args.decay),
         HankelParams(args.delays), IndicatorGrid(),
     )
     path = Path(args.model) if args.model else _out_dir(args) / "model.txt"
@@ -402,10 +400,13 @@ def _cmd_evaluate(args):
 def _cmd_simulate(args):
     start = time.perf_counter()
     model = eio.read_model(args.model)
-    emg, _ = eio.read_series(args.emg)
     # the grip stream is only read by the metrics; without --grip the
     # recording reuses the EMG in its place
-    rec = eio.Recording(emg, eio.read_series(args.grip)[0] if args.grip else emg)
+    if args.grip:
+        rec = eio.read_recording(args.emg, args.grip)
+    else:
+        emg, _ = eio.read_series(args.emg)
+        rec = eio.Recording(emg, emg)
     result = stream_simulate(rec, model, model.mask, model.smoothing, real_time=args.realtime)
     elapsed = time.perf_counter() - start
     out = _out_dir(args)

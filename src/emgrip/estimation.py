@@ -374,7 +374,7 @@ def fit_estimator(
     if grid.tau2 > hankel.delays - 1:
         raise ConfigError("tau2 must be at most delays - 1")
     processed = process_recording(emg, mask, smoothing)
-    grip_on_emg = resample_linear(grip, emg.times[: processed.size]).values
+    grip_on_emg = resample_linear(grip, emg.times[: processed.size])
     step = hankel.downsample
     emg_ds = processed[::step]
     grip_ds = grip_on_emg[::step]

@@ -7,7 +7,10 @@ DMD.  The lift acts on each column alone, so thinning first gives the same
 snapshots as thinning after it while lifting only the kept columns.  Mode
 amplitudes are refit by least squares and the modes are powered forward to
 cover the next batch.  The model is retrained from scratch every batch so
-it always reflects the latest dynamics.
+it always reflects the latest dynamics.  Each step hands values to the
+next: ``fit_dmd`` returns a frozen ``DmdModel`` that records its snapshot
+count, ``fit_amplitudes`` returns the amplitudes, and ``forecast`` takes
+both.
 """
 from __future__ import annotations
 
@@ -53,15 +56,14 @@ class ForecastHyperparams:
             raise ConfigError("need at least one mode")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DmdModel:
     """Ritz pairs of the one-step propagator on thinned snapshots."""
 
     ritz_values: np.ndarray       # complex, shape (l,)
     ritz_vectors: np.ndarray      # complex, shape (rows, l), unit columns
     residuals: np.ndarray         # per-mode ||A z - lambda z||
-    amplitudes: np.ndarray | None = None
-    n_snapshots: int = 0
+    n_snapshots: int              # snapshots fitted; forecasts start here
 
     @property
     def n_modes(self) -> int:
@@ -162,34 +164,21 @@ def thin(matrix: np.ndarray, step: int) -> np.ndarray:
 
 
 def _conjugate_units(eigvals: np.ndarray) -> list[list[int]]:
-    """Group eigenvalue indices into conjugate pairs (or real singletons)."""
-    # Python scalars: the same IEEE arithmetic as NumPy's, without its
-    # per-scalar dispatch in this quadratic loop
-    vals = np.asarray(eigvals).tolist()
+    """Group eigenvalue indices into conjugate pairs (or real singletons).
+
+    ``np.linalg.eigvals`` of a real matrix is LAPACK ``xGEEV``, which returns
+    real eigenvalues with an imaginary part of exactly 0 and each complex
+    conjugate pair in consecutive entries, positive imaginary part first, as
+    exact conjugates.  The units are read straight from that layout: a
+    positive imaginary part opens a pair with the next entry, and that
+    entry's negative one is then skipped.
+    """
     units: list[list[int]] = []
-    used = [False] * len(vals)
-    for i, lam in enumerate(vals):
-        if used[i]:
-            continue
-        used[i] = True
-        scale = max(1.0, abs(lam))
-        if abs(lam.imag) <= 1e-14 * scale:
+    for i, imag in enumerate(np.asarray(eigvals).imag.tolist()):
+        if imag == 0:
             units.append([i])
-            continue
-        conj = lam.conjugate()
-        partner = None
-        best = math.inf
-        for j in range(i + 1, len(vals)):
-            if used[j]:
-                continue
-            gap = abs(conj - vals[j])
-            if gap < best:
-                best, partner = gap, j
-        if partner is not None and best <= 1e-8 * scale:
-            used[partner] = True
-            units.append([i, partner])
-        else:
-            units.append([i])
+        elif imag > 0:
+            units.append([i, i + 1])
     return units
 
 
@@ -205,6 +194,7 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int) -> DmdModel:
     (pairs or real singletons) have exactly equal residuals are the
     projected energies ||z^H C|| computed, to break that tie in favour of
     the larger; full Ritz vectors are assembled for the kept modes alone.
+    The model records the number of snapshots it was fitted on.
     """
     s = np.asarray(snapshots, dtype=float)
     if s.ndim != 2:
@@ -266,7 +256,7 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int) -> DmdModel:
     z[:, partners] = z[:, partners].conj()
     if q is not None:
         z = q @ z
-    return DmdModel(eigvals[modes], z, sig[lead, -1])
+    return DmdModel(eigvals[modes], z, sig[lead, -1], m)
 
 
 def _projected_energy(units, lead_vectors, c) -> list[float]:
@@ -285,7 +275,8 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
     Solves min_a sum_i ||s_i - Z diag(lambda^(i-1)) a||^2 through the
     Hadamard-structured normal equations; when those are ill-conditioned
     the dense system gets an SVD-based minimum-norm least-squares solve
-    (``np.linalg.lstsq``).
+    (``np.linalg.lstsq``).  ``model`` is only read; the amplitudes are
+    returned for ``forecast``.
     """
     s = np.asarray(snapshots, dtype=float)
     m = s.shape[1]
@@ -308,13 +299,12 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
     else:
         dense = np.vstack([z * vand[i][None, :] for i in range(m)])
         alpha, *_ = np.linalg.lstsq(dense, s.T.reshape(-1), rcond=None)
-    model.amplitudes = alpha
-    model.n_snapshots = m
     return alpha
 
 
 def forecast(
     model: DmdModel,
+    amplitudes: np.ndarray,
     n_ahead: int,
     readout_row: int = 0,
     scaler: MinMaxScaler | None = None,
@@ -322,14 +312,14 @@ def forecast(
 ) -> np.ndarray:
     """Extrapolate the readout row ``n_ahead`` thinned steps past the data.
 
-    Values are the real part of the mode sum; ``clamp`` bounds them (in
+    Powers start at ``model.n_snapshots``, the step after the last snapshot
+    fitted.  Values are the real part of the mode sum weighted by
+    ``amplitudes`` (from ``fit_amplitudes``); ``clamp`` bounds them (in
     pre-scaler units) and ``scaler`` optionally maps them back to newtons.
     """
-    if model.amplitudes is None:
-        raise DataError("fit amplitudes before forecasting")
     steps = np.arange(model.n_snapshots, model.n_snapshots + n_ahead)
     powers = model.ritz_values[None, :] ** steps[:, None]
-    vals = (powers @ (model.ritz_vectors[readout_row] * model.amplitudes)).real
+    vals = (powers @ (model.ritz_vectors[readout_row] * amplitudes)).real
     if clamp is not None:
         vals = np.minimum(np.maximum(vals, clamp[0]), clamp[1])
     if scaler is not None:
@@ -368,26 +358,28 @@ def predict_batch(
     lifted = np.vstack([log_interaction_lift(delay_block), delay_block])
 
     model = fit_dmd(lifted, hyper.n_modes)
-    fit_amplitudes(model, lifted)
+    alpha = fit_amplitudes(model, lifted)
     n_ahead = math.ceil(batch_samples / hyper.thin_step)
     readout = lifted.shape[0] - 1  # newest-sample delay row
-    return forecast(model, n_ahead, readout, scaler=scaler, clamp=(0.0, 1.0))
+    return forecast(model, alpha, n_ahead, readout, scaler=scaler, clamp=(0.0, 1.0))
 
 
 def grid_search(
     evaluate,
-    window_modifiers=(1.2, 1.3, 1.4),
-    smooth_modifiers=(1.1, 1.2),
-    thin_steps=(7, 8),
-    delay_counts=(8,),
-    mode_counts=(4,),
+    *,
+    window_modifiers,
+    smooth_modifiers,
+    thin_steps,
+    delay_counts,
+    mode_counts,
 ):
     """Rank hyperparameter combinations by mean + median wMAPE on a corpus.
 
     ``evaluate(hyper) -> per-recording wMAPE array`` is injected by the
-    caller (the streaming simulator provides one).  Ties in the score break
-    lexicographically on the hyperparameter tuple, so the ranking is total
-    and deterministic.  Returns rows of
+    caller (the streaming simulator provides one); every grid axis is a
+    required keyword, which ``emgrip tune`` fills from its flags.  Ties in
+    the score break lexicographically on the hyperparameter tuple, so the
+    ranking is total and deterministic.  Returns rows of
     (hyper, mean_wmape, median_wmape, score) sorted best first.  A NaN or
     infinite wMAPE (say, a recording too short to forecast) has no rank: it
     is a ``DataError`` naming the first combination that returned one.

@@ -146,8 +146,13 @@ def write_series(path, series: TimestampedSeries, meta: dict | None = None) -> P
 
 
 def read_series(path) -> tuple[TimestampedSeries, dict]:
+    """Times that are not strictly increasing are a ``DataError`` naming
+    the file."""
     (times, values), meta = _read_rows(path, _SERIES)
-    return TimestampedSeries(times, values), meta
+    try:
+        return TimestampedSeries(times, values), meta
+    except DataError as exc:
+        raise DataError(f"malformed series file {path}: {exc}") from exc
 
 
 def recording_paths(out_dir, rec: Recording) -> tuple[Path, Path]:
@@ -168,6 +173,8 @@ def write_recording(out_dir, rec: Recording) -> tuple[Path, Path]:
 
 
 def read_recording(emg_path, grip_path) -> Recording:
+    """Streams that do not overlap in time are a ``DataError`` naming both
+    files."""
     emg, meta = read_series(emg_path)
     grip, _ = read_series(grip_path)
     try:
@@ -175,13 +182,16 @@ def read_recording(emg_path, grip_path) -> Recording:
         replication = int(meta.get("replication", 1))
     except ValueError as exc:
         raise DataError(f"malformed header in {emg_path}: {exc}") from exc
-    return Recording(
-        emg,
-        grip,
-        subject=meta.get("subject", "s01"),
-        position=position,
-        replication=replication,
-    )
+    try:
+        return Recording(
+            emg,
+            grip,
+            subject=meta.get("subject", "s01"),
+            position=position,
+            replication=replication,
+        )
+    except DataError as exc:
+        raise DataError(f"{emg_path} and {grip_path}: {exc}") from exc
 
 
 def write_mask(path, mask: SpectralMask) -> Path:

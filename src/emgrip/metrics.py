@@ -94,9 +94,9 @@ def anova_rbd(records: list[RunRecord]) -> AnovaTable:
             raise DataError(
                 f"run {r.subject}_p{r.position}_r{r.replication} has non-finite metric {r.metric!r}"
             )
-    positions = sorted({r.position for r in records})
-    subjects = sorted({r.subject for r in records})
-    a, b = len(positions), len(subjects)
+    pos = block_effects(records, "position")
+    subj = block_effects(records, "subject")
+    a, b = len(pos.blocks), len(subj.blocks)
     if a < 2 or b < 2:
         raise DataError("both factors need at least 2 levels")
     counts = {}
@@ -111,14 +111,8 @@ def anova_rbd(records: list[RunRecord]) -> AnovaTable:
     y = np.array([r.metric for r in records], dtype=float)
     grand = y.mean()
     ss_total = float(((y - grand) ** 2).sum())
-    ss_pos = sum(
-        b * n_rep * (np.mean([r.metric for r in records if r.position == p]) - grand) ** 2
-        for p in positions
-    )
-    ss_subj = sum(
-        a * n_rep * (np.mean([r.metric for r in records if r.subject == s]) - grand) ** 2
-        for s in subjects
-    )
+    ss_pos = sum(b * n_rep * e**2 for e in pos.effects)
+    ss_subj = sum(a * n_rep * e**2 for e in subj.effects)
     ss_res = ss_total - ss_pos - ss_subj
 
     df_pos, df_subj = a - 1, b - 1

@@ -464,16 +464,15 @@ def default_optimal_mask() -> SpectralMask:
     return SpectralMask(gains, res)
 
 
-def resample_linear(series: TimestampedSeries, target_times: np.ndarray) -> TimestampedSeries:
-    """Piecewise-linear interpolation of the series at ``target_times``.
+def resample_linear(series: TimestampedSeries, target_times: np.ndarray) -> np.ndarray:
+    """Values of the piecewise-linear interpolation of the series at
+    ``target_times``.
 
     Target times outside the source span are clamped to the end values.
     """
     if len(series) < 2:
         raise DataError("resampling needs at least 2 source points")
-    target_times = np.asarray(target_times, dtype=float)
-    values = np.interp(target_times, series.times, series.values)
-    return TimestampedSeries(target_times, values)
+    return np.interp(np.asarray(target_times, dtype=float), series.times, series.values)
 
 
 def _blocks(n: int, max_lag: int) -> tuple[int, int, int]:

@@ -413,7 +413,7 @@ def _grip_side(emg, grip, n: int) -> tuple[XcorrSide, int]:
             f"{n} EMG samples, fewer than the {max_lag + 1} that the "
             f"+-{DEFAULT_MAX_LAG_S} s lag window needs"
         )
-    grip_on_emg = resample_linear(grip, emg.times[:n]).values
+    grip_on_emg = resample_linear(grip, emg.times[:n])
     return xcorr_side(grip_on_emg, max_lag), max_lag
 
 

@@ -209,7 +209,7 @@ def evaluate_run(
         _check_chain(model, mask, smoothing)
     grip = recording.grip
     envelope = result.processed
-    grip_span = resample_linear(grip, recording.emg.times[: envelope.size]).values
+    grip_span = resample_linear(grip, recording.emg.times[: envelope.size])
     # ptp is NaN, not 0, on a NaN, so non-finite input reaches the raise
     if np.ptp(envelope) == 0 or np.ptp(grip_span) == 0:
         peak, lag = float("nan"), None
@@ -224,7 +224,7 @@ def estimation_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
     grip is all zero."""
     if result.estimates.size == 0:
         return float("nan")
-    actual = resample_linear(grip, result.estimate_times).values
+    actual = resample_linear(grip, result.estimate_times)
     if not actual.any():
         return float("nan")
     return wmape(actual, result.estimates)

@@ -370,6 +370,29 @@ class TestExitCodes:
         assert err.startswith("input error: s02_p2_r1: 150 EMG samples")
         assert "fewer than the 160" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("cmd", ["fit", "simulate"])
+    def test_grip_file_not_overlapping_the_emg_is_input_error(self, workspace, tmp_path, capsys, cmd):
+        root, data = workspace
+        emg = data / "s01_p0_r0_emg.csv"
+        grip, _ = read_series(data / "s01_p0_r0_grip.csv")
+        late = write_series(tmp_path / "late_grip.txt", TimestampedSeries(grip.times + 1000.0, grip.values))
+        model = tmp_path / "model.txt" if cmd == "fit" else root / "model.txt"
+        code = main(["--out", str(tmp_path), cmd, "--emg", str(emg), "--grip", str(late), "--model", str(model)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {emg} and {late}: EMG and grip streams do not overlap in time\n"
+        assert not (tmp_path / "model.txt").exists() and not (tmp_path / "estimates.csv").exists()
+
+    def test_duplicated_series_row_is_input_error_naming_the_file(self, workspace, tmp_path, capsys):
+        _, data = workspace
+        lines = (data / "s01_p1_r1_emg.csv").read_text().splitlines()
+        lines.insert(-5, lines[-5])
+        dup = tmp_path / "dup_emg.csv"
+        dup.write_text("\n".join(lines) + "\n")
+        assert main(["--out", str(tmp_path), "process", "--emg", str(dup)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: malformed series file {dup}: times must be strictly increasing\n"
+
     def test_negative_synth_count_is_input_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "synth", "--subjects", "-1"]) == 2
         err = capsys.readouterr().err

@@ -411,7 +411,7 @@ def _calibration_lift_args(recording, mask, smoothing, grid=IndicatorGrid()):
     params = HankelParams()
     processed = process_recording(recording.emg, mask, smoothing)
     grip = resample_linear(recording.grip, recording.emg.times[: processed.size])
-    emg_ds, grip_ds = processed[:: params.downsample], grip.values[:: params.downsample]
+    emg_ds, grip_ds = processed[:: params.downsample], grip[:: params.downsample]
     return emg_ds, grip_ds, MinMaxScaler.fit(emg_ds), MinMaxScaler.fit(grip_ds), params, grid
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,29 @@ class TestFitDmd:
             assert_matches_reference(snapshots, n_modes)
         assert fit_dmd(snapshots, 1).ritz_values.tolist() == [0.0]
 
+    @pytest.mark.parametrize("size", [2, 5, 8, 13, 21])
+    def test_conjugate_units_match_reference_on_random_spectra(self, size):
+        rng = np.random.default_rng(size)
+        complex_spectra = 0
+        for _ in range(20):
+            eigvals = np.linalg.eigvals(rng.standard_normal((size, size)))
+            complex_spectra += np.iscomplexobj(eigvals)
+            assert _conjugate_units(eigvals) == reference_conjugate_units(eigvals)
+        assert complex_spectra > 0
+
+    def test_model_is_frozen_and_records_its_snapshots(self):
+        snaps = two_sinusoid_snapshots()
+        model = fit_dmd(snaps, 4)
+        assert model.n_snapshots == snaps.shape[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.n_snapshots = 0
+        before = dataclasses.astuple(model)
+        fit_amplitudes(model, snaps)
+        after = dataclasses.astuple(model)
+        assert after[3] == before[3]
+        for got, want in zip(after[:3], before[:3]):
+            assert np.array_equal(got, want)
+
     def test_insufficient_snapshots_rejected(self):
         with pytest.raises(DataError):
             fit_dmd(np.zeros((3, 4)), 4)
@@ -423,7 +448,7 @@ class TestFitAmplitudes:
         ).T
         from emgrip.forecasting import DmdModel
 
-        model = DmdModel(lam, z, np.zeros(2))
+        model = DmdModel(lam, z, np.zeros(2), m)
         alpha = fit_amplitudes(model, snaps)
         recon = np.real(
             (lam[None, :] ** np.arange(m)[:, None] * alpha[None, :]) @ z.T
@@ -435,7 +460,7 @@ class TestFitAmplitudes:
 
         z = np.array([[0.6], [0.8]], dtype=complex)
         g = np.array([[1.0], [2.0]])
-        model = DmdModel(np.array([0.9 + 0j]), z, np.zeros(1))
+        model = DmdModel(np.array([0.9 + 0j]), z, np.zeros(1), 1)
         alpha = fit_amplitudes(model, g)
         want = (z[:, 0].conj() @ g[:, 0]) / (z[:, 0].conj() @ z[:, 0])
         assert abs(alpha[0] - want) < 1e-12
@@ -452,7 +477,7 @@ class TestFitAmplitudes:
         snaps = np.real(
             (lam[None, :] ** np.arange(m)[:, None] * np.array([1.0, 0.5])[None, :]) @ z.T
         ).T
-        model = DmdModel(lam, z, np.zeros(2))
+        model = DmdModel(lam, z, np.zeros(2), m)
         alpha = fit_amplitudes(model, snaps)
         recon = np.real(
             (lam[None, :] ** np.arange(m)[:, None] * alpha[None, :]) @ z.T
@@ -472,8 +497,8 @@ class TestForecast:
         m = 20
         s = (0.9 ** (np.arange(m) - (m - 1)))[None, :]  # ends at state 1
         model = fit_dmd(s, 1)
-        fit_amplitudes(model, s)
-        out = forecast(model, 3, 0)
+        alpha = fit_amplitudes(model, s)
+        out = forecast(model, alpha, 3, 0)
         assert np.abs(out - [0.9, 0.81, 0.729]).max() < 1e-10
 
     def test_clamp_bounds_respected(self):
@@ -481,16 +506,16 @@ class TestForecast:
         s = (1.1 ** np.arange(m))[None, :]  # growing: forecasts would exceed 1
         s = s / s.max()
         model = fit_dmd(s, 1)
-        fit_amplitudes(model, s)
-        out = forecast(model, 5, 0, clamp=(0.0, 1.0))
+        alpha = fit_amplitudes(model, s)
+        out = forecast(model, alpha, 5, 0, clamp=(0.0, 1.0))
         assert out.max() <= 1.0
 
     def test_scaler_maps_to_newtons(self):
         m = 15
         s = np.full((1, m), 0.5)
         model = fit_dmd(s, 1)
-        fit_amplitudes(model, s)
-        out = forecast(model, 2, 0, scaler=MinMaxScaler(0.0, 200.0), clamp=(0.0, 1.0))
+        alpha = fit_amplitudes(model, s)
+        out = forecast(model, alpha, 2, 0, scaler=MinMaxScaler(0.0, 200.0), clamp=(0.0, 1.0))
         assert np.allclose(out, 100.0, atol=1e-6)
 
 

@@ -52,6 +52,12 @@ class TestSeriesFiles:
         with pytest.raises(DataError):
             read_series(tmp_path / "nope.csv")
 
+    def test_times_not_increasing_names_the_file(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("t_s,value\n0.0,1.0\n0.5,2.0\n0.5,2.0\n1.0,3.0\n")
+        with pytest.raises(DataError, match=re.escape(f"malformed series file {p}: times must be strictly increasing")):
+            read_series(p)
+
     def test_non_utf8_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_bytes(b"t_s,value\n\xff\xfe1.0,2.0\n")
@@ -77,6 +83,12 @@ class TestRecordingFiles:
         b = TimestampedSeries([5.0, 6.0], [0.0, 1.0])
         with pytest.raises(DataError):
             Recording(a, b)
+
+    def test_non_overlapping_files_name_both(self, tmp_path):
+        a = write_series(tmp_path / "a_emg.csv", TimestampedSeries([0.0, 1.0], [0.0, 1.0]))
+        b = write_series(tmp_path / "a_grip.csv", TimestampedSeries([5.0, 6.0], [0.0, 1.0]))
+        with pytest.raises(DataError, match=re.escape(f"{a} and {b}: EMG and grip streams do not overlap")):
+            read_recording(a, b)
 
 
 class TestMaskFile:

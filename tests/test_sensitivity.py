@@ -570,7 +570,7 @@ def _objective_without_memo(dataset, dv):
     for rec in dataset:
         emg = rec.emg
         env = process_recording(emg, dv.to_mask(emg.rate / 496), dv.smoothing())
-        grip = resample_linear(rec.grip, emg.times[: env.size]).values
+        grip = resample_linear(rec.grip, emg.times[: env.size])
         max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
         peaks.append(peak_cross_correlation(env, grip, max_lag)[0])
     return 1.0 - float(np.mean(peaks))
