@@ -4,8 +4,12 @@ Stage 1 benchmarks the two estimators on the Ishigami function, where the
 true indices are known in closed form.  Stage 2 runs a coarse grouped
 analysis of the real objective (1 - mean peak cross-correlation) on a small
 synthetic corpus, projects the Latin hypercube samples onto the smoothing
-window, and records a bounds-narrowing step.
+window, and records a bounds-narrowing step in the file ``emgrip sa
+--bounds-file`` resumes from.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from emgrip import (
@@ -20,6 +24,7 @@ from emgrip import (
     saltelli_sample,
     sobol_indices,
 )
+from emgrip.io import read_narrowing, write_narrowing
 from emgrip.synth import SynthProfile, synth_recording
 
 
@@ -67,5 +72,9 @@ upper[248] = 400.0   # shrink the window search range
 upper[249] = 0.01    # and the decay range
 step = record.append(Bounds(lower, upper, bounds.names),
                      top=[("window_size", float(result.first_order[1]))])
-print(f"  step {step.step} recorded (no-op: {step.no_op}); "
-      f"serialized record is {len(record.to_text().splitlines())} lines")
+with tempfile.TemporaryDirectory() as tmp:
+    path = write_narrowing(Path(tmp) / "bounds.txt", record)
+    lines = len(path.read_text().splitlines())
+    resumed = read_narrowing(path).current
+print(f"  step {step.step} recorded (no-op: {step.no_op}); the record file is "
+      f"{lines} lines, and resumes at window <= {resumed.upper[248]:.0f}")

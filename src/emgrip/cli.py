@@ -28,7 +28,6 @@ from .processing import (
     process_recording,
 )
 from .sensitivity import (
-    NarrowingRecord,
     default_decision_bounds,
     envelope_grip_xcorr,
     latin_hypercube,
@@ -174,18 +173,14 @@ def _mask(path):
     return eio.read_mask(path) if path else default_optimal_mask()
 
 
-def _load_corpus(data_dir: str):
-    root = Path(data_dir)
-    pairs = sorted(root.glob("*_emg.csv"))
-    if not pairs:
-        raise DataError(f"no *_emg.csv recordings under {root}")
-    recs = []
-    for emg_path in pairs:
-        grip_path = emg_path.with_name(emg_path.name.replace("_emg.csv", "_grip.csv"))
-        if not grip_path.exists():
-            raise DataError(f"missing grip stream for {emg_path}")
-        recs.append(eio.read_recording(emg_path, grip_path))
-    return recs
+def _read_emg(path) -> tuple[eio.Recording, dict]:
+    """The EMG file as a recording that reuses it as its grip, and its
+    metadata; a stream too short for a recording is an error naming it."""
+    emg, meta = eio.read_series(path)
+    try:
+        return eio.Recording(emg, emg), meta
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _cmd_synth(args):
@@ -202,23 +197,19 @@ def _cmd_synth(args):
 def _cmd_mask(args):
     mask = _mask(args.file)
     if args.action == "default":
-        path = _out_dir(args) / "mask.tsv"
-        eio.write_mask(path, mask)
-        print(f"wrote {path}")
+        print(f"wrote {eio.write_mask(_out_dir(args) / 'mask.tsv', mask)}")
     else:
-        for f, g in zip(mask.frequencies, mask.gains):
-            print(f"{f!r}\t{g!r}")
+        print(eio.format_mask(mask), end="")
     return 0
 
 
 def _cmd_process(args):
-    emg, meta = eio.read_series(args.emg)
+    rec, meta = _read_emg(args.emg)
     smoothing = SmoothingParams(args.window, args.decay)
-    processed = process_recording(emg, _mask(args.mask), smoothing)
-    out = _out_dir(args) / (Path(args.emg).stem + "_processed.csv")
-    eio.write_series(
-        out,
-        TimestampedSeries(emg.times[: processed.size], processed),
+    processed = process_recording(rec.emg, _mask(args.mask), smoothing)
+    out = eio.write_series(
+        _out_dir(args) / (Path(args.emg).stem + "_processed.csv"),
+        TimestampedSeries(rec.emg.times[: processed.size], processed),
         {**meta, "stream": "processed_emg"},
     )
     print(f"wrote {out}")
@@ -229,7 +220,7 @@ def _cmd_xcorr(args):
     mask = _mask(args.mask)
     smoothing = SmoothingParams(args.window, args.decay)
     peaks, lags_ms = [], []
-    for rec in _load_corpus(args.data):
+    for rec in eio.read_corpus(args.data):
         processed = process_recording(rec.emg, mask, smoothing)
         try:
             peak, lag = envelope_grip_xcorr(processed, rec.emg, rec.grip)
@@ -242,8 +233,8 @@ def _cmd_xcorr(args):
     for name, vals in (("peak_xcorr", peaks), ("emg_lag_ms", lags_ms)):
         s = summary_stats(vals)
         rows.append((name,) + s.as_tuple())
-    out = _out_dir(args) / "xcorr_summary.tsv"
-    eio.write_table(out, ["metric", "min", "q1", "median", "mean", "q3", "max"], rows)
+    header = ["metric", "min", "q1", "median", "mean", "q3", "max"]
+    out = eio.write_table(_out_dir(args) / "xcorr_summary.tsv", header, rows)
     print(f"wrote {out}")
     for row in rows:
         print("\t".join(str(v) for v in row))
@@ -258,17 +249,11 @@ def _cmd_sa(args):
             f"argument --harmonics: expected 1 <= harmonics < samples // 2 "
             f"= {args.samples // 2}, got {args.harmonics}"
         )
-    if args.bounds_file:
-        text = eio._read_text(Path(args.bounds_file))
-        try:
-            bounds = NarrowingRecord.from_text(text).current
-        except (DataError, ConfigError) as exc:
-            raise DataError(f"{args.bounds_file}: {exc}") from exc
-    else:
-        bounds = default_decision_bounds()
+    f = args.bounds_file
+    bounds = eio.read_narrowing(f).current if f else default_decision_bounds()
     if args.method == "sobol" and args.groups == "coarse" and bounds.groups is None:
         raise ConfigError("the bounds box has no group labels; pass --groups none")
-    corpus = _load_corpus(args.data)
+    corpus = eio.read_corpus(args.data)
     # the objective builds each recording's sides at the first candidate;
     # building them here rejects a recording before any candidate runs
     for rec in corpus:
@@ -285,7 +270,7 @@ def _cmd_sa(args):
         samples = saltelli_sample(bounds, args.samples, groups=groups, seed=seed)
         outputs = map_objective(corpus, samples)
         result = sobol_indices(samples, outputs, groups=groups, n_boot=args.boot, seed=seed)
-        path = out / "sa_sobol.tsv"
+        path = eio.write_indices(out / "sa_sobol.tsv", result)
     elif args.method == "rbdfast":
         samples = rbdfast_sample(bounds, args.samples, seed=seed)
         outputs = map_objective(corpus, samples)
@@ -293,7 +278,7 @@ def _cmd_sa(args):
             samples, outputs, harmonics=args.harmonics,
             n_boot=args.boot, seed=seed, names=bounds.variable_names(),
         )
-        path = out / "sa_rbdfast.tsv"
+        path = eio.write_indices(out / "sa_rbdfast.tsv", result)
     else:
         samples = latin_hypercube(bounds, args.samples, seed=seed)
         outputs = map_objective(corpus, samples)
@@ -304,11 +289,8 @@ def _cmd_sa(args):
             summary = projection_summary(samples, outputs, idx, n_bins=10)
             for c, m, t in zip(summary.centers, summary.bin_means, summary.trend):
                 rows.append((name, float(c), float(m), float(t)))
-        path = out / "sa_lh_projections.tsv"
-        eio.write_table(path, ["variable", "bin_center", "bin_mean", "trend"], rows)
-        print(f"wrote {path}")
-        return 0
-    path.write_text(result.to_text())
+        header = ["variable", "bin_center", "bin_mean", "trend"]
+        path = eio.write_table(out / "sa_lh_projections.tsv", header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -320,14 +302,13 @@ def _cmd_fit(args):
         rec.emg, grip, _mask(args.mask), SmoothingParams(args.window, args.decay),
         HankelParams(args.delays), IndicatorGrid(),
     )
-    path = Path(args.model) if args.model else _out_dir(args) / "model.txt"
-    eio.write_model(path, model)
+    path = eio.write_model(Path(args.model) if args.model else _out_dir(args) / "model.txt", model)
     print(f"wrote {path} (lifted dim {model.lifted_dim}, kept {model.kept.size} cells)")
     return 0
 
 
 def _cmd_tune(args):
-    corpus = _load_corpus(args.data)
+    corpus = eio.read_corpus(args.data)
     model = eio.read_model(args.model)
 
     def evaluate(hyper):
@@ -351,9 +332,8 @@ def _cmd_tune(args):
          mean, median, score)
         for h, mean, median, score in rows
     ]
-    out = _out_dir(args) / "tuning.tsv"
-    eio.write_table(
-        out,
+    out = eio.write_table(
+        _out_dir(args) / "tuning.tsv",
         ["window_mod", "smooth_mod", "thin_step", "delays", "modes",
          "mean_wmape", "median_wmape", "score"],
         table,
@@ -402,11 +382,7 @@ def _cmd_simulate(args):
     model = eio.read_model(args.model)
     # the grip stream is only read by the metrics; without --grip the
     # recording reuses the EMG in its place
-    if args.grip:
-        rec = eio.read_recording(args.emg, args.grip)
-    else:
-        emg, _ = eio.read_series(args.emg)
-        rec = eio.Recording(emg, emg)
+    rec = eio.read_recording(args.emg, args.grip) if args.grip else _read_emg(args.emg)[0]
     result = stream_simulate(rec, model, model.mask, model.smoothing, real_time=args.realtime)
     elapsed = time.perf_counter() - start
     out = _out_dir(args)

@@ -1,4 +1,4 @@
-"""Plain-text file formats.
+"""Every plain-text file format of the package, the SA tables included.
 
 Every format is line-oriented and byte-stable: floats are written with
 ``repr`` (shortest round-trip form), so write -> read -> write reproduces
@@ -19,7 +19,7 @@ from .calibration import MinMaxScaler
 from .errors import ConfigError, DataError, EmgripError
 from .estimation import EstimatorModel, HankelParams, IndicatorGrid
 from .processing import DEFAULT_BATCH_SIZE, SmoothingParams, SpectralMask, TimestampedSeries
-from .sensitivity import recording_sides
+from .sensitivity import Bounds, NarrowingRecord, SensitivityResult, recording_sides
 
 ENV_OUT_DIR = "EMGRIP_OUT_DIR"
 
@@ -56,20 +56,27 @@ _RUNS = _Table(",", "subject,position,replication,wmape", (str, int, int, float)
 _CELL = {float: _fmt, int: lambda v: str(int(v)), str: str}
 
 
-def _write_rows(path, table: _Table, columns, meta: dict | None = None) -> Path:
+def _table_text(table: _Table, columns, meta: dict | None = None) -> str:
     """'# key value' metadata lines, the header, then one line per row of
-    ``columns`` (one sequence per declared column).  No rows is a DataError,
-    raised before the file is opened: ``_read_rows`` would reject the file."""
-    path = Path(path)
+    ``columns`` (one sequence per declared column); empty without rows."""
     cells = [map(_CELL[t], col) for t, col in zip(table.types, columns)]
     rows = list(map(table.sep.join, zip(*cells)))
     if not rows:
-        raise DataError(f"no data rows to write to {path}")
+        return ""
     lines = [f"# {key} {val}" for key, val in (meta or {}).items()]
     if table.header:
         lines.append(table.header)
     lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path, text: str) -> Path:
+    """An empty text (a table without rows) is a DataError, raised before
+    the file is opened: ``_read_rows`` would reject the file."""
+    path = Path(path)
+    if not text:
+        raise DataError(f"no data rows to write to {path}")
+    path.write_text(text)
     return path
 
 
@@ -125,6 +132,9 @@ class Recording:
     replication: int = 1
 
     def __post_init__(self):
+        for name, stream in (("EMG", self.emg), ("grip", self.grip)):
+            if len(stream) < 2:
+                raise DataError(f"{name} stream needs at least 2 samples, got {len(stream)}")
         lo = max(self.emg.times[0], self.grip.times[0])
         hi = min(self.emg.times[-1], self.grip.times[-1])
         if hi <= lo:
@@ -142,7 +152,7 @@ class Recording:
 
 def write_series(path, series: TimestampedSeries, meta: dict | None = None) -> Path:
     """One stream as '# key value' headers plus 't_s,value' rows."""
-    return _write_rows(path, _SERIES, (series.times, series.values), meta)
+    return _write_text(path, _table_text(_SERIES, (series.times, series.values), meta))
 
 
 def read_series(path) -> tuple[TimestampedSeries, dict]:
@@ -155,13 +165,11 @@ def read_series(path) -> tuple[TimestampedSeries, dict]:
         raise DataError(f"malformed series file {path}: {exc}") from exc
 
 
-def recording_paths(out_dir, rec: Recording) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    return out / f"{rec.stem}_emg.csv", out / f"{rec.stem}_grip.csv"
+_STREAM_FILE = "{}_{}.csv"  # a recording's file per stream: <stem>_emg.csv, <stem>_grip.csv
 
 
 def write_recording(out_dir, rec: Recording) -> tuple[Path, Path]:
-    emg_path, grip_path = recording_paths(out_dir, rec)
+    emg_path, grip_path = (Path(out_dir) / _STREAM_FILE.format(rec.stem, s) for s in ("emg", "grip"))
     meta = {
         "subject": rec.subject,
         "position": rec.position,
@@ -194,9 +202,31 @@ def read_recording(emg_path, grip_path) -> Recording:
         raise DataError(f"{emg_path} and {grip_path}: {exc}") from exc
 
 
+def read_corpus(data_dir) -> list[Recording]:
+    """Every '<stem>_emg.csv' in ``data_dir``, in name order, with the '<stem>_grip.csv'
+    beside it; no EMG file, or one without its grip file, is a ``DataError``."""
+    root = Path(data_dir)
+    pattern = _STREAM_FILE.format("*", "emg")
+    emg_paths = sorted(root.glob(pattern))
+    if not emg_paths:
+        raise DataError(f"no {pattern} recordings under {root}")
+    corpus = []
+    for emg_path in emg_paths:
+        stem = emg_path.name.removesuffix(_STREAM_FILE.format("", "emg"))
+        grip_path = emg_path.with_name(_STREAM_FILE.format(stem, "grip"))
+        if not grip_path.exists():
+            raise DataError(f"missing grip stream for {emg_path}")
+        corpus.append(read_recording(emg_path, grip_path))
+    return corpus
+
+
+def format_mask(mask: SpectralMask) -> str:
+    """The text ``write_mask`` writes: one 'frequency_hz<TAB>gain' line per bin."""
+    return _table_text(_MASK, (mask.frequencies, mask.gains))
+
+
 def write_mask(path, mask: SpectralMask) -> Path:
-    """Mask as one 'frequency_hz<TAB>gain' line per bin."""
-    return _write_rows(path, _MASK, (mask.frequencies, mask.gains))
+    return _write_text(path, format_mask(mask))
 
 
 def read_mask(path) -> SpectralMask:
@@ -223,7 +253,6 @@ def write_model(path, model: EstimatorModel) -> Path:
     replayed through the same chain.  Its ``batch_size`` line always reads
     ``DEFAULT_BATCH_SIZE``.
     """
-    path = Path(path)
     lines = [
         f"delays {model.hankel.delays}",
         f"downsample {model.hankel.downsample}",
@@ -245,8 +274,7 @@ def write_model(path, model: EstimatorModel) -> Path:
     ]
     for row in model.k:
         lines.append(" ".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_model(path) -> EstimatorModel:
@@ -305,7 +333,7 @@ def read_model(path) -> EstimatorModel:
 
 def write_forecasts(path, rows) -> Path:
     """Forecast records: 'batch_index,t_forecast_s,grip_forecast_N' rows."""
-    return _write_rows(path, _FORECASTS, zip(*rows))
+    return _write_text(path, _table_text(_FORECASTS, zip(*rows)))
 
 
 def read_forecasts(path):
@@ -316,7 +344,7 @@ def read_forecasts(path):
 def write_runs(path, records) -> Path:
     """Per-run metrics: 'subject,position,replication,wmape' rows."""
     fields = attrgetter("subject", "position", "replication", "metric")
-    return _write_rows(path, _RUNS, zip(*map(fields, records)))
+    return _write_text(path, _table_text(_RUNS, zip(*map(fields, records))))
 
 
 def read_runs(path):
@@ -328,10 +356,89 @@ def read_runs(path):
 
 def write_table(path, header: list[str], rows) -> Path:
     """Generic tab-separated report."""
-    path = Path(path)
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
+
+def write_indices(path, result: SensitivityResult) -> Path:
+    """SA indices table: 'variable' and 'S1' columns, then 'S1_lo'/'S1_hi'
+    when there are CIs, then 'ST' and 'ST_lo'/'ST_hi' when present."""
+    r, columns = result, {"variable": result.names}
+    for name, index, ci in (("S1", r.first_order, r.first_ci), ("ST", r.total_order, r.total_ci)):
+        if index is not None:
+            columns[name] = index
+            if ci is not None:
+                columns[f"{name}_lo"], columns[f"{name}_hi"] = ci.T
+    return write_table(path, list(columns), zip(*columns.values()))
+
+
+def write_narrowing(path, record: NarrowingRecord) -> Path:
+    """'== step <n>[ (no-op)]' sections of 'name<TAB>lower<TAB>upper[<TAB>group]'
+    rows, and a 'top: name=value, ...' line for a step that names any."""
+    lines = []
+    for s in record.steps:
+        lines.append(f"== step {s.step}{' (no-op)' if s.no_op else ''}")
+        b = s.bounds
+        columns = [b.variable_names(), map(_fmt, b.lower), map(_fmt, b.upper)]
+        if b.groups is not None:
+            columns.append(b.groups)
+        lines.extend(map("\t".join, zip(*columns)))
+        if s.top:
+            lines.append("top: " + ", ".join(f"{n}={_fmt(v)}" for n, v in s.top))
+    return _write_text(path, "\n".join(lines) + "\n")
+
+
+def read_narrowing(path) -> NarrowingRecord:
+    """Replays a ``write_narrowing`` file, whose group column may be left out.
+    A malformed line ('line N: ...'), a box ``Bounds`` or the nesting rule
+    rejects, or no step at all, is a ``DataError`` that starts with the path."""
+    text = _read_text(Path(path))
+    record = step_no = None
+    names, lows, highs, groups, tops = [], [], [], [], []
+
+    def flush():
+        nonlocal record
+        if step_no is None:
+            return
+        bounds = Bounds(np.array(lows), np.array(highs), tuple(names), tuple(groups) or None)
+        if record is None:
+            record = NarrowingRecord(bounds)
+        else:
+            record.append(bounds, tops)
+
+    try:
+        for no, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("== step"):
+                    flush()
+                    step_no = int(line.split()[2])
+                    names, lows, highs, groups, tops = [], [], [], [], []
+                elif step_no is None:
+                    raise ValueError("row before the first '== step' line")
+                elif line.startswith("top:"):
+                    if record is None:
+                        raise ValueError("'top:' line in step 0, which records no narrowing decision")
+                    for part in line[4:].split(","):
+                        name, val = part.strip().rsplit("=", 1)
+                        tops.append((name, float(val)))
+                else:
+                    fields = line.split("\t")
+                    if len(fields) not in (3, 4):
+                        raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+                    names.append(fields[0])
+                    lows.append(float(fields[1]))
+                    highs.append(float(fields[2]))
+                    groups.extend(fields[3:])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"line {no}: {exc}: {line!r}") from None
+        flush()
+        if record is None:
+            raise DataError("empty narrowing record")
+    except (DataError, ConfigError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return record

@@ -44,13 +44,14 @@ def block_effects(records: list[RunRecord], block_by: str) -> BlockEffects:
 
     ``block_by`` is a RunRecord field name ('subject' or 'position').
     Effects sum to zero when the blocks are balanced.
+    Blocks sort naturally: positions as integers, subjects as strings.
     """
     if not records:
         raise DataError("no records")
     metrics = np.array([r.metric for r in records], dtype=float)
     labels = [getattr(r, block_by) for r in records]
     grand = metrics.mean()
-    blocks = sorted(set(labels), key=lambda b: str(b))
+    blocks = sorted(set(labels))
     means = np.array([metrics[[l == b for l in labels]].mean() for b in blocks])
     return BlockEffects(float(grand), tuple(blocks), means, means - grand)
 

@@ -11,7 +11,7 @@ Provided machinery: Latin hypercube and Saltelli/radial samplers, grouped
 Sobol first/total-order estimators with bootstrap confidence intervals, the
 cheaper RBD-FAST first-order estimator, per-variable projection summaries,
 and an append-only record of bounds-narrowing decisions (the narrowing
-judgement itself stays manual).
+judgement itself stays manual).  ``emgrip.io`` writes and reads their files.
 """
 from __future__ import annotations
 
@@ -146,7 +146,7 @@ class SensitivityResult:
     """First/total-order indices per variable or group, with optional CIs.
 
     Estimator noise can push indices slightly outside [0, 1]; values are
-    reported as computed, never clipped.
+    reported as computed, never clipped; ``io.write_indices`` writes them.
     """
 
     names: tuple[str, ...]
@@ -154,26 +154,6 @@ class SensitivityResult:
     total_order: np.ndarray | None = None
     first_ci: np.ndarray | None = None  # (G, 2) percentile bounds
     total_ci: np.ndarray | None = None
-
-    def to_text(self) -> str:
-        cols = ["variable", "S1"]
-        if self.first_ci is not None:
-            cols += ["S1_lo", "S1_hi"]
-        if self.total_order is not None:
-            cols += ["ST"]
-            if self.total_ci is not None:
-                cols += ["ST_lo", "ST_hi"]
-        lines = ["\t".join(cols)]
-        for i, name in enumerate(self.names):
-            row = [name, repr(float(self.first_order[i]))]
-            if self.first_ci is not None:
-                row += [repr(float(self.first_ci[i, 0])), repr(float(self.first_ci[i, 1]))]
-            if self.total_order is not None:
-                row += [repr(float(self.total_order[i]))]
-                if self.total_ci is not None:
-                    row += [repr(float(self.total_ci[i, 0])), repr(float(self.total_ci[i, 1]))]
-            lines.append("\t".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def _group_table(dim: int, groups) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -525,6 +505,7 @@ class NarrowingRecord:
     Each appended step must be nested inside the previous bounds; identical
     bounds are accepted but flagged as no-ops.  The judgement of where to
     narrow stays with the analyst; this object only records it.
+    ``io.write_narrowing`` and ``io.read_narrowing`` keep it in a file.
     """
 
     def __init__(self, initial: Bounds):
@@ -549,69 +530,3 @@ class NarrowingRecord:
         step = NarrowingStep(len(self.steps), bounds, tuple((str(n), float(v)) for n, v in top), no_op)
         self.steps.append(step)
         return step
-
-    def to_text(self) -> str:
-        """'== step' sections of 'name<TAB>lower<TAB>upper[<TAB>group]' rows."""
-        lines = []
-        for s in self.steps:
-            lines.append(f"== step {s.step}{' (no-op)' if s.no_op else ''}")
-            names = s.bounds.variable_names()
-            for i in range(s.bounds.dim):
-                row = f"{names[i]}\t{float(s.bounds.lower[i])!r}\t{float(s.bounds.upper[i])!r}"
-                lines.append(row if s.bounds.groups is None else f"{row}\t{s.bounds.groups[i]}")
-            if s.top:
-                lines.append("top: " + ", ".join(f"{n}={v!r}" for n, v in s.top))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "NarrowingRecord":
-        """Parse ``to_text`` output; a malformed line is a DataError naming it."""
-        record = None
-        step_no = None
-        names: list[str] = []
-        lows: list[float] = []
-        highs: list[float] = []
-        groups: list[str] = []
-        tops: list[tuple[str, float]] = []
-
-        def flush():
-            nonlocal record
-            if step_no is None:
-                return
-            bounds = Bounds(np.array(lows), np.array(highs), tuple(names), tuple(groups) or None)
-            if record is None:
-                record = cls(bounds)
-            else:
-                record.append(bounds, tops)
-
-        for no, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("== step"):
-                    flush()
-                    step_no = int(line.split()[2])
-                    names, lows, highs, groups, tops = [], [], [], [], []
-                elif step_no is None:
-                    raise ValueError("row before the first '== step' line")
-                elif line.startswith("top:"):
-                    if record is None:
-                        raise ValueError("'top:' line in step 0, which records no narrowing decision")
-                    for part in line[4:].split(","):
-                        name, val = part.strip().rsplit("=", 1)
-                        tops.append((name, float(val)))
-                else:
-                    fields = line.split("\t")
-                    if len(fields) not in (3, 4):
-                        raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-                    names.append(fields[0])
-                    lows.append(float(fields[1]))
-                    highs.append(float(fields[2]))
-                    groups.extend(fields[3:])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"line {no}: {exc}: {line!r}") from None
-        flush()
-        if record is None:
-            raise DataError("empty narrowing record")
-        return record

@@ -9,6 +9,7 @@ from emgrip.io import (
     read_model,
     read_recording,
     read_series,
+    write_narrowing,
     write_recording,
     write_runs,
     write_series,
@@ -313,7 +314,7 @@ class TestExitCodes:
         def never(*_):
             raise AssertionError("the corpus was read")
 
-        monkeypatch.setattr("emgrip.cli._load_corpus", never)
+        monkeypatch.setattr("emgrip.io.read_corpus", never)
         root, data = workspace
         bounds_file = tmp_path / "bounds.txt"
         bounds_file.write_text(text)
@@ -393,6 +394,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"input error: malformed series file {dup}: times must be strictly increasing\n"
 
+    @pytest.mark.parametrize("cmd", ["process", "simulate", "simulate_grip", "fit", "xcorr"])
+    def test_one_sample_emg_file_is_input_error_naming_it(self, workspace, tmp_path, capsys, cmd):
+        root, data = workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        lines = (data / "s01_p1_r1_emg.csv").read_text().splitlines()
+        emg = corpus / "s01_p1_r1_emg.csv"
+        emg.write_text("\n".join(lines[:6]) + "\n")  # metadata, header, one row
+        grip = corpus / "s01_p1_r1_grip.csv"
+        grip.write_bytes((data / "s01_p1_r1_grip.csv").read_bytes())
+        model = str(root / "model.txt")
+        args = {
+            "process": ["process", "--emg", str(emg)],
+            "simulate": ["simulate", "--model", model, "--emg", str(emg)],
+            "simulate_grip": ["simulate", "--model", model, "--emg", str(emg), "--grip", str(grip)],
+            "fit": ["fit", "--emg", str(emg), "--grip", str(grip), "--model", str(tmp_path / "m.txt")],
+            "xcorr": ["xcorr", "--data", str(corpus)],
+        }[cmd]
+        assert main(["--out", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {emg}") and len(err.splitlines()) == 1
+        assert err.endswith(": EMG stream needs at least 2 samples, got 1\n")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_negative_synth_count_is_input_error(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "synth", "--subjects", "-1"]) == 2
         err = capsys.readouterr().err
@@ -407,10 +432,17 @@ class TestMaskCommand:
         assert np.array_equal(mask.gains, ref.gains)
         assert mask.bin_resolution == ref.bin_resolution
 
-    def test_show_prints_bins(self, capsys):
+    def test_show_prints_bins(self, tmp_path, capsys):
+        # the bytes `mask default` writes, for the built-in mask and a file
         assert main(["mask", "show"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 249
+        shown = capsys.readouterr().out
+        assert main(["--out", str(tmp_path), "mask", "default"]) == 0
+        capsys.readouterr()
+        written = (tmp_path / "mask.tsv").read_text()
+        assert shown == written
+        assert len(shown.splitlines()) == 249
+        assert main(["mask", "show", "--file", str(tmp_path / "mask.tsv")]) == 0
+        assert capsys.readouterr().out == written
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -648,7 +680,7 @@ class TestPipelineCommands:
             ("mask_60hz", "window_size", "decay"),
         )
         bounds_file = tmp_path / "tiny.txt"
-        bounds_file.write_text(NarrowingRecord(tiny).to_text())
+        write_narrowing(bounds_file, NarrowingRecord(tiny))
         code = main([
             "--seed", "4", "--out", str(tmp_path),
             "sa", "sobol", "--data", str(data), "--samples", "4",
@@ -668,7 +700,7 @@ class TestPipelineCommands:
         upper[248] = 330.0
         record.append(Bounds(base.lower, upper, base.names))
         bounds_file = tmp_path / "bounds.txt"
-        bounds_file.write_text(record.to_text())
+        write_narrowing(bounds_file, record)
         code = main([
             "--seed", "4", "--out", str(tmp_path),
             "sa", "sobol", "--data", str(data), "--samples", "2",
@@ -684,7 +716,7 @@ class TestPipelineCommands:
         root, data = workspace
         tiny = Bounds(np.zeros(3), np.ones(3), ("mask_60hz", "window_size", "decay"))
         bounds_file = tmp_path / "tiny.txt"
-        bounds_file.write_text(NarrowingRecord(tiny).to_text())
+        write_narrowing(bounds_file, NarrowingRecord(tiny))
         code = main([
             "--out", str(tmp_path), "sa", "sobol", "--data", str(data), "--samples", "2",
             "--bounds-file", str(bounds_file),
@@ -703,7 +735,7 @@ class TestPipelineCommands:
         upper[248] = 330.0
         record.append(Bounds(base.lower, upper, base.names))
         bounds_file = tmp_path / "bounds.txt"
-        bounds_file.write_text(record.to_text())
+        write_narrowing(bounds_file, record)
         code = main([
             "--seed", "2", "--out", str(tmp_path),
             "sa", "lh", "--data", str(data), "--samples", "4",

@@ -6,15 +6,19 @@ import pytest
 from emgrip.errors import ConfigError, DataError
 from emgrip.io import (
     Recording,
+    read_corpus,
     read_forecasts,
     read_mask,
     read_model,
+    read_narrowing,
     read_recording,
     read_runs,
     read_series,
     write_forecasts,
+    write_indices,
     write_mask,
     write_model,
+    write_narrowing,
     write_recording,
     write_runs,
     write_series,
@@ -27,7 +31,7 @@ from emgrip.processing import (
     default_optimal_mask,
     process_recording,
 )
-from emgrip.sensitivity import envelope_grip_xcorr
+from emgrip.sensitivity import Bounds, NarrowingRecord, SensitivityResult, envelope_grip_xcorr
 from emgrip.simulate import stream_simulate
 from emgrip.synth import SynthProfile, grip_profile, synth_corpus, synth_recording
 
@@ -83,6 +87,22 @@ class TestRecordingFiles:
         b = TimestampedSeries([5.0, 6.0], [0.0, 1.0])
         with pytest.raises(DataError):
             Recording(a, b)
+
+    @pytest.mark.parametrize("short", ["emg", "grip", "both"])
+    def test_one_sample_stream_rejected_emg_first(self, short):
+        a = TimestampedSeries([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        one = TimestampedSeries([1.0], [1.0])
+        emg = one if short in ("emg", "both") else a
+        grip = one if short in ("grip", "both") else a
+        name = "grip" if short == "grip" else "EMG"
+        with pytest.raises(DataError, match=f"^{name} stream needs at least 2 samples, got 1$"):
+            Recording(emg, grip)
+
+    def test_one_sample_emg_file_named(self, tmp_path):
+        a = write_series(tmp_path / "a_emg.csv", TimestampedSeries([0.5], [0.0]))
+        b = write_series(tmp_path / "a_grip.csv", TimestampedSeries([0.0, 1.0], [0.0, 1.0]))
+        with pytest.raises(DataError, match=re.escape(f"{a} and {b}: EMG stream needs at least 2 samples")):
+            read_recording(a, b)
 
     def test_non_overlapping_files_name_both(self, tmp_path):
         a = write_series(tmp_path / "a_emg.csv", TimestampedSeries([0.0, 1.0], [0.0, 1.0]))
@@ -178,6 +198,107 @@ class TestModelFile:
         match = "refit with `fit`" if name == "old_square_k" else "malformed model file"
         with pytest.raises(DataError, match=match):
             read_model(tmp_path / "bad.txt")
+
+
+_S1 = np.array([0.1, -1 / 3])
+_ST = np.array([2 / 3, 1e-17])
+_S1_CI = np.array([[0.05, 0.25], [-0.5, 0.0]])
+_ST_CI = np.array([[0.5, 1.0], [-2.5e-3, 0.125]])
+
+# the bytes `emgrip sa` has written for each column layout
+_INDICES = {
+    "rbdfast": ({}, "variable\tS1\nmask\t0.1\nwindow_size\t-0.3333333333333333\n"),
+    "rbdfast_boot": (
+        {"first_ci": _S1_CI},
+        "variable\tS1\tS1_lo\tS1_hi\nmask\t0.1\t0.05\t0.25\n"
+        "window_size\t-0.3333333333333333\t-0.5\t0.0\n",
+    ),
+    "sobol": (
+        {"total_order": _ST},
+        "variable\tS1\tST\nmask\t0.1\t0.6666666666666666\n"
+        "window_size\t-0.3333333333333333\t1e-17\n",
+    ),
+    "sobol_boot": (
+        {"first_ci": _S1_CI, "total_order": _ST, "total_ci": _ST_CI},
+        "variable\tS1\tS1_lo\tS1_hi\tST\tST_lo\tST_hi\n"
+        "mask\t0.1\t0.05\t0.25\t0.6666666666666666\t0.5\t1.0\n"
+        "window_size\t-0.3333333333333333\t-0.5\t0.0\t1e-17\t-0.0025\t0.125\n",
+    ),
+}
+
+_NARROWING = (
+    "== step 0\nmask_2hz\t0.0\t5.0\tmask\nwindow_size\t2.0\t495.0\twindow_size\n"
+    "decay\t0.0\t0.05\tdecay\n"
+    "== step 1\nmask_2hz\t0.0\t5.0\tmask\nwindow_size\t2.0\t400.0\twindow_size\n"
+    "decay\t0.0\t0.01\tdecay\ntop: window_size=0.7123, decay=0.3333333333333333\n"
+    "== step 2 (no-op)\nmask_2hz\t0.0\t5.0\tmask\nwindow_size\t2.0\t400.0\twindow_size\n"
+    "decay\t0.0\t0.01\tdecay\n"
+)
+
+
+class TestSensitivityFiles:
+    @pytest.mark.parametrize("layout", sorted(_INDICES))
+    def test_indices_table_bytes(self, tmp_path, layout):
+        extra, text = _INDICES[layout]
+        result = SensitivityResult(("mask", "window_size"), _S1, **extra)
+        assert write_indices(tmp_path / "sa.tsv", result).read_text() == text
+
+    def test_narrowing_record_bytes(self, tmp_path):
+        names = ("mask_2hz", "window_size", "decay")
+        lower = np.array([0.0, 2.0, 0.0])
+        groups = ("mask", "window_size", "decay")
+        record = NarrowingRecord(Bounds(lower, np.array([5.0, 495.0, 0.05]), names, groups))
+        narrowed = Bounds(lower, np.array([5.0, 400.0, 0.01]), names)
+        record.append(narrowed, [("window_size", 0.7123), ("decay", 1 / 3)])
+        record.append(narrowed)
+        assert write_narrowing(tmp_path / "r.txt", record).read_text() == _NARROWING
+
+    def test_narrowing_record_replayed(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text(_NARROWING)
+        record = read_narrowing(path)
+        assert [(s.step, s.no_op) for s in record.steps] == [(0, False), (1, False), (2, True)]
+        assert record.steps[1].top == (("window_size", 0.7123), ("decay", 1 / 3))
+        assert record.current.groups == ("mask", "window_size", "decay")
+        assert write_narrowing(tmp_path / "again.txt", record).read_text() == _NARROWING
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty narrowing record"),
+            ("== step 0\na\t0.0\t1.0\n== step 1\na\t0.0\t2.0\n", "new bounds must be nested"),
+            ("== step 0\na\t1.0\t0.0\n", "lower bound exceeds upper bound"),
+        ],
+        ids=["empty", "widened", "lower_above_upper"],
+    )
+    def test_narrowing_errors_start_with_the_path(self, tmp_path, text, message):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            read_narrowing(path)
+
+
+class TestCorpus:
+    def test_reads_what_write_recording_wrote(self, tmp_path):
+        prof = SynthProfile(plateau_s=0.5, ramp_s=0.3, lead_s=0.2)
+        recs = [synth_recording(prof, seed=s, position=p) for s, p in ((3, 2), (4, 1))]
+        for rec in recs:
+            write_recording(tmp_path, rec)
+        (tmp_path / "notes.txt").write_text("not a recording\n")
+        corpus = read_corpus(tmp_path)
+        assert [r.stem for r in corpus] == ["s01_p1_r1", "s01_p2_r1"]
+        assert np.array_equal(corpus[0].emg.values, recs[1].emg.values)
+
+    def test_no_recordings(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(f"no *_emg.csv recordings under {tmp_path}")):
+            read_corpus(tmp_path)
+
+    def test_missing_grip_file(self, tmp_path):
+        prof = SynthProfile(plateau_s=0.5, ramp_s=0.3, lead_s=0.2)
+        emg_path, grip_path = write_recording(tmp_path, synth_recording(prof, seed=3))
+        grip_path.unlink()
+        with pytest.raises(DataError, match=re.escape(f"missing grip stream for {emg_path}")):
+            read_corpus(tmp_path)
 
 
 def _series_times(path):

@@ -96,6 +96,13 @@ class TestBlockEffects:
         assert eff.effects[0] == pytest.approx(0.2, abs=0.05)
         assert eff.effects[1] == pytest.approx(-0.2, abs=0.05)
 
+    def test_eleven_positions_in_numeric_order(self):
+        recs = [RunRecord(s, p, 1, float(p)) for s in ("s10", "s2") for p in range(1, 12)]
+        eff = block_effects(recs, "position")
+        assert eff.blocks == tuple(range(1, 12))
+        assert np.array_equal(eff.means, np.arange(1.0, 12.0))
+        assert block_effects(recs, "subject").blocks == ("s10", "s2")
+
     def test_balanced_effects_sum_to_zero(self):
         eff = block_effects(estimation_records(), "subject")
         assert abs(eff.effects.sum()) < 1e-12

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 import emgrip.sensitivity
 from emgrip.errors import ConfigError, DataError, NumericError
-from emgrip.io import Recording
+from emgrip.io import Recording, read_narrowing, write_narrowing
 from emgrip.processing import (
     DEFAULT_MAX_LAG_S,
     TimestampedSeries,
@@ -755,6 +756,8 @@ class TestProjectionSummary:
 
 
 class TestNarrowingRecord:
+    """The record's nesting rules, and its file through ``io``."""
+
     def _bounds(self, lo, hi):
         return Bounds(np.array(lo, dtype=float), np.array(hi, dtype=float), ("a", "b"))
 
@@ -768,16 +771,16 @@ class TestNarrowingRecord:
         with pytest.raises(DataError):
             rec.append(self._bounds([0, 0], [5, 6]))
 
-    def test_21_step_round_trip(self):
+    def test_21_step_round_trip(self, tmp_path):
         base = default_decision_bounds()
         rec = NarrowingRecord(base)
         lo, hi = base.lower.copy(), base.upper.copy()
         for step in range(1, 22):
             hi = hi * 0.97 + lo * 0.03
             rec.append(Bounds(lo, hi, base.names), [("mask_2hz", 0.8 / step)])
-        text = rec.to_text()
-        again = NarrowingRecord.from_text(text)
-        assert again.to_text() == text
+        text = write_narrowing(tmp_path / "a.txt", rec).read_text()
+        again = read_narrowing(tmp_path / "a.txt")
+        assert write_narrowing(tmp_path / "b.txt", again).read_text() == text
         assert len(again.steps) == 22
         assert all(s.bounds.groups == base.groups for s in again.steps)
 
@@ -787,10 +790,10 @@ class TestNarrowingRecord:
         renamed = Bounds(np.zeros(2), np.full(2, 3.0), ("c", "d"))
         assert rec.append(renamed).bounds.groups is None
 
-    def test_three_column_record_loads_without_groups(self):
-        text = NarrowingRecord(self._bounds([0, 0], [5, 5])).to_text()
-        assert text.splitlines()[1] == "a\t0.0\t5.0"
-        again = NarrowingRecord.from_text(text)
+    def test_three_column_record_loads_without_groups(self, tmp_path):
+        path = write_narrowing(tmp_path / "r.txt", NarrowingRecord(self._bounds([0, 0], [5, 5])))
+        assert path.read_text().splitlines()[1] == "a\t0.0\t5.0"
+        again = read_narrowing(path)
         assert again.current.groups is None
         assert again.current.names == ("a", "b")
 
@@ -806,10 +809,14 @@ class TestNarrowingRecord:
         ],
         ids=["step_not_int", "space_separated", "five_fields", "uncastable", "row_before_step", "bad_top"],
     )
-    def test_malformed_line_named(self, text, line):
-        with pytest.raises(DataError, match=f"^line {line}: "):
-            NarrowingRecord.from_text(text)
+    def test_malformed_line_named(self, tmp_path, text, line):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line {line}: "):
+            read_narrowing(path)
 
-    def test_top_line_in_step_0_rejected(self):
-        with pytest.raises(DataError, match="^line 3: 'top:' line in step 0"):
-            NarrowingRecord.from_text("== step 0\na\t0.0\t1.0\ntop: a=0.5\n")
+    def test_top_line_in_step_0_rejected(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("== step 0\na\t0.0\t1.0\ntop: a=0.5\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: 'top:' line in step 0"):
+            read_narrowing(path)
