@@ -74,6 +74,9 @@ class IndicatorGrid:
     def __post_init__(self):
         if self.divisions < 1:
             raise ConfigError("divisions must be >= 1")
+        if (self.divisions + 2) ** 3 > np.iinfo(np.intp).max:
+            # the cell lookup indexes (divisions + 2)**3 padded cells
+            raise ConfigError(f"divisions {self.divisions} is too large to index the cells")
         if not self.exponent > 0:
             raise ConfigError("exponent must be positive")
         if not (1 <= self.tau1 < self.tau2):
@@ -85,6 +88,20 @@ class IndicatorGrid:
     def edges(self) -> np.ndarray:
         # worked out once per grid and shared by every lookup, so read-only
         edges = power_grid_bounds(self.divisions, self.exponent)
+        edges.flags.writeable = False
+        return edges
+
+    @cached_property
+    def search_edges(self) -> np.ndarray:
+        """``edges`` with the first moved to the largest float below 0.
+
+        A left bisection into them puts a coordinate in (edges[c],
+        edges[c + 1]] at c + 1, and 0 and -0.0 at 1 with the rest of cell 0;
+        negatives and -inf go to 0, values above 1, +inf and NaN to
+        divisions + 1.
+        """
+        edges = self.edges.copy()
+        edges[0] = np.nextafter(0.0, -1.0)
         edges.flags.writeable = False
         return edges
 
@@ -120,45 +137,57 @@ def power_grid_bounds(divisions: int, exponent: float) -> np.ndarray:
     return (np.arange(divisions + 1) / divisions) ** exponent
 
 
-def _flat_cells(hankel: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
-    """Flattened cell index per Hankel column; -1 when any of its three
-    delay coordinates lies outside [0, 1] or is not finite."""
+def _padded_cells(hankel: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
+    """Cell index (i * n + j) * n + k per Hankel column, n = divisions + 2.
+
+    i, j and k bisect the (base, tau1, tau2) coordinates into
+    ``grid.search_edges``: 1..divisions are the grid's cells, 0 and n - 1
+    pad it below 0 and above 1 (NaN included), so a column with any
+    coordinate outside [0, 1] or not finite lies in a padding cell.  Cell c
+    holds (edges[c], edges[c + 1]], and cell 0 also edges[0]: a point on a
+    shared edge belongs to the lower-index cell, keeping the cells disjoint.
+    """
     if hankel.shape[0] <= grid.tau2:
         raise ConfigError(
             f"grid taus ({grid.tau1}, {grid.tau2}) need at least {grid.tau2 + 1} Hankel rows"
         )
-    edges = grid.edges
-    div = grid.divisions
-    coords = hankel[[0, grid.tau1, grid.tau2]]
-    # cell c holds (edges[c], edges[c + 1]], and cell 0 also edges[0]: a
-    # point on a shared edge belongs to the lower-index cell, keeping the
-    # cells disjoint
-    i, j, k = np.searchsorted(edges[1:], coords)
-    valid = ((coords >= edges[0]) & (coords <= edges[-1])).all(axis=0)
-    return np.where(valid, (i * div + j) * div + k, -1)
+    n = grid.divisions + 2
+    ijk = grid.search_edges.searchsorted(hankel[[0, grid.tau1, grid.tau2]])
+    return [n * n, n, 1] @ ijk
 
 
-def _dense_cells(flat: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
-    """Cells holding at least ``min_density`` of the columns, ascending."""
-    counts = np.bincount(flat[flat >= 0], minlength=grid.divisions**3)
-    return np.flatnonzero(counts >= grid.min_density * flat.size)
+def _dense_cells(padded: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
+    """Grid cells holding at least ``min_density`` of the columns, as
+    ascending flat indices (i * divisions + j) * divisions + k."""
+    n = grid.divisions + 2
+    counts = np.bincount(padded, minlength=n**3).reshape(n, n, n)[1:-1, 1:-1, 1:-1]
+    return np.flatnonzero(counts >= grid.min_density * padded.size)
 
 
-def _cell_positions(flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Position in the ascending ``kept`` of each column's cell ``flat[n]``;
+def _cell_table(kept: np.ndarray, divisions: int) -> np.ndarray:
+    """The ascending flat ``kept`` cells in ``_padded_cells``' encoding,
+    followed by (divisions + 2)**3, which is above every cell."""
+    n = divisions + 2
+    ijk = np.unravel_index(np.asarray(kept, dtype=np.intp), (divisions,) * 3)
+    table = np.append(np.ravel_multi_index(np.add(ijk, 1), (n, n, n)), n**3)
+    table.flags.writeable = False
+    return table
+
+
+def _kept_positions(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Position in ``table`` of each column's cell, found by one bisection;
     -1 for a column outside every kept cell."""
-    if not kept.size:
-        return np.full(flat.size, -1)
-    pos = np.searchsorted(kept, flat)
-    return np.where(kept.take(pos, mode="clip") == flat, pos, -1)
+    pos = table.searchsorted(padded)
+    pos[table[pos] != padded] = -1
+    return pos
 
 
-def _mark_cells(rows: np.ndarray, flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Set the zeroed ``rows[r, n]`` to 1 where column n lies in cell kept[r]."""
-    cells = _cell_positions(flat, kept)
-    hit = np.flatnonzero(cells >= 0)
-    rows[cells[hit], hit] = 1.0
-    return rows
+def _mark_cells(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Set ``rows[cells[n], n]`` to 1 in a zeroed block with one row more
+    than there are kept cells: the columns outside them (-1) mark the spare
+    last row.  Returns the block without that row."""
+    rows[cells, np.arange(cells.size)] = 1.0
+    return rows[:-1]
 
 
 def indicator_observables(
@@ -171,20 +200,27 @@ def indicator_observables(
     of the columns are dropped.  Returns (rows, kept_flat_indices); flat
     indices run over divisions**3 candidate cells.
     """
-    flat = _flat_cells(hankel, grid)
-    kept = _dense_cells(flat, grid)
-    return _mark_cells(np.zeros((kept.size, flat.size)), flat, kept), kept
+    padded = _padded_cells(hankel, grid)
+    kept = _dense_cells(padded, grid)
+    cells = _kept_positions(padded, _cell_table(kept, grid.divisions))
+    return _mark_cells(np.zeros((kept.size + 1, padded.size)), cells), kept
 
 
-def indicator_rows_for(hankel: np.ndarray, grid: IndicatorGrid, kept: np.ndarray) -> np.ndarray:
-    """Indicator rows for a frozen set of kept cells (inference path).
+def indicator_rows_for(
+    hankel: np.ndarray, model: EstimatorModel, rows: np.ndarray
+) -> np.ndarray:
+    """Write the indicator rows of ``model``'s kept cells into ``rows``, a
+    (kept.size + 1) x columns block whose last row is spare, and return
+    the kept.size x columns 0/1 block above it (inference path).
 
-    Columns landing in cells outside ``kept`` (or outside [0, 1]^3) get
-    all-zero observables.
+    Each column's cell comes from one bisection of its three delay
+    coordinates into ``grid.search_edges`` and one of that cell into
+    ``model.cell_table``.  Columns landing in cells outside ``kept`` (or
+    outside [0, 1]^3) get all-zero observables.
     """
-    kept = np.asarray(kept)
-    flat = _flat_cells(hankel, grid)
-    return _mark_cells(np.zeros((kept.size, flat.size)), flat, kept)
+    cells = _kept_positions(_padded_cells(hankel, model.grid), model.cell_table)
+    rows.fill(0.0)
+    return _mark_cells(rows, cells)
 
 
 @dataclass(frozen=True)
@@ -214,10 +250,11 @@ class LiftedMatrix:
 
     def toarray(self) -> np.ndarray:
         """E as one dense array: the Hankel block over its indicator rows."""
-        e = np.zeros(self.shape)
-        e[: self.dense.shape[0]] = self.dense
-        _mark_cells(e[self.dense.shape[0] :], self.cells, np.arange(self.n_cells))
-        return e
+        m = self.dense.shape[0]
+        e = np.zeros((self.shape[0] + 1, self.shape[1]))
+        e[:m] = self.dense
+        _mark_cells(e[m:], self.cells)
+        return e[:-1]
 
 
 def build_lifted_matrices(
@@ -241,9 +278,9 @@ def build_lifted_matrices(
     if emg_ds.size != grip_ds.size:
         raise DataError("EMG and grip series must have equal length")
     he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
-    flat = _flat_cells(he, grid)
-    kept = _dense_cells(flat, grid)
-    cells = _cell_positions(flat, kept)
+    padded = _padded_cells(he, grid)
+    kept = _dense_cells(padded, grid)
+    cells = _kept_positions(padded, _cell_table(kept, grid.divisions))
     hg = _hankel_view(grip_scaler.apply(grip_ds), params.delays)
     return LiftedMatrix(he, cells, kept.size), hg, kept
 
@@ -347,6 +384,12 @@ class EstimatorModel:
         ):
             raise DataError(f"kept cells must be strictly increasing within [0, {n_cells})")
 
+    @cached_property
+    def cell_table(self) -> np.ndarray:
+        """``kept`` as the bisection table of ``indicator_rows_for``, built
+        once per model: kept.size + 1 entries, whatever ``divisions`` is."""
+        return _cell_table(self.kept, self.grid.divisions)
+
     @property
     def lifted_dim(self) -> int:
         return self.hankel.delays + 1 + self.kept.size
@@ -397,7 +440,9 @@ def estimate_window_scaled(model: EstimatorModel, window: np.ndarray) -> np.ndar
     The window is decimated, scaled, and lifted with the frozen grid; the
     estimate series comes from the base-state readout row and is floored
     at ``GRIP_FLOOR``.  Estimate i aligns with decimated window
-    position i.
+    position i.  ``indicator_rows_for`` writes the 0/1 rows straight into
+    the lifted block, each column's cell found by bisection into the grid
+    edges and then into ``model.cell_table``, which is built once per model.
     """
     window = np.asarray(window, dtype=float)
     if window.size < model.min_window():
@@ -406,10 +451,11 @@ def estimate_window_scaled(model: EstimatorModel, window: np.ndarray) -> np.ndar
         )
     ds = model.emg_scaler.apply(window[:: model.hankel.downsample])
     he = hankel_lift(ds, model.hankel.delays)
-    lifted = np.empty((model.lifted_dim, he.shape[1]))
+    # the lifted columns over one spare row for indicator_rows_for
+    lifted = np.empty((model.lifted_dim + 1, he.shape[1]))
     lifted[: he.shape[0]] = he
-    lifted[he.shape[0] :] = indicator_rows_for(he, model.grid, model.kept)
-    est = model.k[0] @ lifted
+    indicator_rows_for(he, model, lifted[he.shape[0] :])
+    est = model.k[0] @ lifted[:-1]
     return np.maximum(est, GRIP_FLOOR)
 
 

@@ -211,9 +211,12 @@ def fit_dmd(snapshots: np.ndarray, n_modes: int) -> DmdModel:
     # every factor below is real, so .T is the conjugate transpose
     x, y = c[:, :-1], c[:, 1:]
     u, sv, vh = np.linalg.svd(x, full_matrices=False)
-    tol = sv[0] * 1e-12 if sv.size and sv[0] > 0 else 0.0
-    rank = max(1, int(np.count_nonzero(sv > tol)))
-    u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
+    # a handful of values: Python floats cut the rank cheaper than NumPy calls
+    values = sv.tolist()
+    tol = values[0] * 1e-12 if values and values[0] > 0 else 0.0
+    rank = max(1, sum(v > tol for v in values))
+    if rank < len(values):
+        u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
     b = (y @ vh.T) / sv
     eigvals = np.linalg.eigvals(u.T @ b)
 
@@ -275,8 +278,10 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
     Solves min_a sum_i ||s_i - Z diag(lambda^(i-1)) a||^2 through the
     Hadamard-structured normal equations; when those are ill-conditioned
     the dense system gets an SVD-based minimum-norm least-squares solve
-    (``np.linalg.lstsq``).  ``model`` is only read; the amplitudes are
-    returned for ``forecast``.
+    (``np.linalg.lstsq``).  The conditioning test is the one
+    ``np.linalg.cond(gram) < 1e12`` makes, taken on the singular values
+    ``cond`` itself computes, without its per-call overhead.  ``model`` is
+    only read; the amplitudes are returned for ``forecast``.
     """
     s = np.asarray(snapshots, dtype=float)
     m = s.shape[1]
@@ -293,8 +298,10 @@ def fit_amplitudes(model: DmdModel, snapshots: np.ndarray) -> np.ndarray:
     rhs = z_h @ s
     rhs *= vand_h
     rhs = rhs.sum(axis=1)
-    # NaN and inf compare False, so a singular gram takes the fallback
-    if np.linalg.cond(gram) < _CONDITION_LIMIT:
+    # np.linalg.cond(gram) < limit, from the singular values cond takes: a
+    # zero smallest value or a NaN ratio takes the fallback
+    sv = np.linalg.svd(gram, compute_uv=False).tolist()
+    if sv[-1] > 0 and sv[0] / sv[-1] < _CONDITION_LIMIT:
         alpha = np.linalg.solve(gram, rhs)
     else:
         dense = np.vstack([z * vand[i][None, :] for i in range(m)])
@@ -344,6 +351,7 @@ def predict_batch(
     est = np.asarray(estimates_scaled, dtype=float)
     n_pred = round(hyper.window_modifier * batch_samples)
     n_smooth = round(hyper.smooth_modifier * batch_samples)
+    n_ahead = math.ceil(batch_samples / hyper.thin_step)
     if est.size < n_pred:
         return None
 
@@ -359,9 +367,8 @@ def predict_batch(
 
     model = fit_dmd(lifted, hyper.n_modes)
     alpha = fit_amplitudes(model, lifted)
-    n_ahead = math.ceil(batch_samples / hyper.thin_step)
-    readout = lifted.shape[0] - 1  # newest-sample delay row
-    return forecast(model, alpha, n_ahead, readout, scaler=scaler, clamp=(0.0, 1.0))
+    # the readout is the last delay row, the one holding the newest sample
+    return forecast(model, alpha, n_ahead, lifted.shape[0] - 1, scaler=scaler, clamp=(0.0, 1.0))
 
 
 def grid_search(

@@ -393,9 +393,12 @@ def write_narrowing(path, record: NarrowingRecord) -> Path:
 def read_narrowing(path) -> NarrowingRecord:
     """Replays a ``write_narrowing`` file, whose group column may be left out.
     A malformed line ('line N: ...'), a box ``Bounds`` or the nesting rule
-    rejects, or no step at all, is a ``DataError`` that starts with the path."""
+    rejects, or no step at all, is a ``DataError`` that starts with the path.
+    So is a '== step <n>' header whose n is not the next step's index, or
+    whose ' (no-op)' marker disagrees with ``NarrowingRecord.append``."""
     text = _read_text(Path(path))
     record = step_no = None
+    header_no = marked = None
     names, lows, highs, groups, tops = [], [], [], [], []
 
     def flush():
@@ -407,6 +410,10 @@ def read_narrowing(path) -> NarrowingRecord:
             record = NarrowingRecord(bounds)
         else:
             record.append(bounds, tops)
+        if record.steps[-1].no_op != marked:
+            if marked:
+                raise DataError(f"line {header_no}: step {step_no} is marked (no-op) but changes the box")
+            raise DataError(f"line {header_no}: step {step_no} repeats the previous box but is not marked (no-op)")
 
     try:
         for no, line in enumerate(text.splitlines(), 1):
@@ -416,7 +423,14 @@ def read_narrowing(path) -> NarrowingRecord:
             try:
                 if line.startswith("== step"):
                     flush()
-                    step_no = int(line.split()[2])
+                    fields = line.split()
+                    step_no = int(fields[2])
+                    expected = 0 if record is None else len(record.steps)
+                    if step_no != expected:
+                        raise ValueError(f"step {step_no} where step {expected} comes next")
+                    if fields[3:] not in ([], ["(no-op)"]):
+                        raise ValueError("expected '== step <n>' or '== step <n> (no-op)'")
+                    header_no, marked = no, len(fields) == 4
                     names, lows, highs, groups, tops = [], [], [], [], []
                 elif step_no is None:
                     raise ValueError("row before the first '== step' line")

@@ -203,7 +203,7 @@ class _EmaPlan:
     span: int  # restart spacing L
     leaving: float  # r**window_size, the weight a sample leaves the window with
     weights: np.ndarray  # lag weights, oldest sample first
-    up: np.ndarray  # r**-t for t < span
+    up: np.ndarray | None  # r**-t for t < span; None at decay 0, where it is all ones
     scale: np.ndarray  # r**t / weights.sum() for t < span
 
     @classmethod
@@ -218,7 +218,7 @@ class _EmaPlan:
         up, scale = r**-t, r**t / w.sum()
         for a in (weights, up, scale):
             a.flags.writeable = False  # shared by every call
-        return cls(span, r**params.window_size, weights, up, scale)
+        return cls(span, r**params.window_size, weights, up if r < 1.0 else None, scale)
 
 
 def _smooth_stack(ext: np.ndarray, start: int, q: np.ndarray, plan: _EmaPlan):
@@ -241,7 +241,8 @@ def _smooth_stack(ext: np.ndarray, start: int, q: np.ndarray, plan: _EmaPlan):
         padded = np.zeros((k, blocks * span))
         padded[:, :m] = q
     rows = padded.reshape(k * blocks, span)
-    rows *= plan.up
+    if plan.up is not None:
+        rows *= plan.up
     # the direct sums at the restarts.  np.dot of a 3-d stack takes each
     # window's dot product in a call of its own, so a window's bits do not
     # depend on how many windows one call computes.  A 2-d stack would go

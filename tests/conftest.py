@@ -56,6 +56,8 @@ _BAD_HEADER = {
     "window_size_1": ("window_size", "1"),
     "fs_nan": ("fs", "nan"),
     "fs_inf": ("fs", "inf"),
+    # (divisions + 2)**3 padded cells overflow the cell lookup's int64 index
+    "divisions_huge": ("divisions", "3000000"),
 }
 
 

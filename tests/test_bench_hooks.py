@@ -7,6 +7,7 @@ layer as zero time.  These tests pin the lookups and argument shapes.
 """
 import numpy as np
 
+import cell_oracle
 import emgrip.estimation
 import emgrip.forecasting
 import emgrip.processing
@@ -124,3 +125,30 @@ def test_stream_calls_layer_hooks_once_per_estimate_and_forecast(
     assert {name: len(c) for name, c in per_estimate.items()} == {
         name: len(estimates) for name in per_estimate
     }
+
+
+def test_indicator_block_is_what_the_bench_observer_reads(
+    monkeypatch, test_recording, model, mask, smoothing
+):
+    # the estimation.columns and out_of_grid counters read the returned
+    # block: one 0/1 row per kept cell, at most one 1 per column, each
+    # column's 1 in the row of its cell, 0 out of every kept cell
+    blocks = []
+    original = emgrip.estimation.indicator_rows_for
+
+    def observed(hankel, *args):
+        rows = original(hankel, *args)
+        blocks.append((hankel, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(emgrip.estimation, "indicator_rows_for", observed)
+    stream_simulate(test_recording, model, mask, smoothing)
+    assert blocks
+    out_of_grid = 0
+    for hankel, rows in blocks:
+        assert rows.shape == (model.kept.size, hankel.shape[1])
+        assert np.isin(rows, (0.0, 1.0)).all() and (rows.sum(axis=0) <= 1).all()
+        assert np.array_equal(rows, cell_oracle.indicator_rows(hankel, model.grid, model.kept))
+        out_of_grid += int((rows.sum(axis=0) == 0).sum())
+    # a seed-43 stream has columns both inside and outside the kept cells
+    assert 0 < out_of_grid < sum(h.shape[1] for h, _ in blocks)

@@ -13,10 +13,7 @@ from emgrip.estimation import (
     HankelParams,
     IndicatorGrid,
     LiftedMatrix,
-    _dense_cells,
-    _flat_cells,
     _hankel_view,
-    _mark_cells,
     _RCOND,
     build_lifted_matrices,
     estimate_batch,
@@ -25,7 +22,6 @@ from emgrip.estimation import (
     fit_static_koopman,
     hankel_lift,
     indicator_observables,
-    indicator_rows_for,
     power_grid_bounds,
 )
 from emgrip.metrics import wmape
@@ -37,6 +33,8 @@ from emgrip.processing import (
     resample_linear,
 )
 from emgrip.synth import synth_recording
+
+import cell_oracle
 
 
 class TestHankelLift:
@@ -152,7 +150,8 @@ class TestIndicatorObservables:
     def test_out_of_range_hits_no_cell(self):
         grid = IndicatorGrid(divisions=3, exponent=1.0, tau1=1, tau2=2, min_density=0.0)
         h = np.array([[1.2], [0.5], [0.5]])
-        rows = indicator_rows_for(h, grid, np.arange(27))
+        rows, kept = indicator_observables(h, grid)
+        assert np.array_equal(kept, np.arange(27))
         assert np.all(rows == 0.0)
 
     def test_tau_out_of_range_rejected(self):
@@ -422,11 +421,8 @@ def _oracle_build_lifted_matrices(emg_ds, grip_ds, emg_scaler, grip_scaler, para
     if emg_ds.size != grip_ds.size:
         raise DataError("EMG and grip series must have equal length")
     he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
-    flat = _flat_cells(he, grid)
-    kept = _dense_cells(flat, grid)
-    e = np.zeros((he.shape[0] + kept.size, flat.size))
-    e[: he.shape[0]] = he
-    _mark_cells(e[he.shape[0] :], flat, kept)
+    kept = cell_oracle.dense_cells(cell_oracle.flat_cells(he, grid), grid)
+    e = np.vstack([he, cell_oracle.indicator_rows(he, grid, kept)])
     hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
     return e, hg, kept
 
@@ -636,6 +632,6 @@ class TestFitEstimator:
         got = estimate_window_scaled(model, window)
         ds = model.emg_scaler.apply(window[:: model.hankel.downsample])
         he = hankel_lift(ds, model.hankel.delays)
-        lifted = np.vstack([he, indicator_rows_for(he, model.grid, model.kept)])
+        lifted = np.vstack([he, cell_oracle.indicator_rows(he, model.grid, model.kept)])
         want = np.maximum(model.k[0] @ lifted, GRIP_FLOOR)
         assert np.array_equal(got, want)

@@ -491,6 +491,41 @@ class TestFitAmplitudes:
         res_ref = np.linalg.norm(snaps - recon_ref)
         assert res <= res_ref + 1e-6
 
+    @pytest.mark.parametrize("gap", [None, 1e-9, 1e-3, 0.1], ids=["zero_mode", "near", "mild", "well"])
+    def test_branch_is_the_cond_test(self, gap):
+        # the solve runs exactly where np.linalg.cond(gram) < 1e12 held, and
+        # a gram whose smallest singular value is 0 falls back with no warning
+        import warnings
+
+        from emgrip.forecasting import _CONDITION_LIMIT, DmdModel
+
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((5, 1)).astype(complex)
+        if gap is None:
+            z = np.hstack([z, np.zeros_like(z)])  # gram's second row and column are 0
+            lam = np.array([0.9, 0.5], dtype=complex)
+        else:
+            z = np.hstack([z, z + gap * rng.standard_normal((5, 1))])
+            lam = np.array([0.9, 0.9 + gap], dtype=complex)
+        m = 12
+        snaps = rng.standard_normal((5, m))
+        model = DmdModel(lam, z, np.zeros(2), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = fit_amplitudes(model, snaps)
+        vand = lam[None, :] ** np.arange(m)[:, None]
+        gram = (z.conj().T @ z) * (vand.conj().T @ vand)
+        with np.errstate(all="ignore"):
+            solved = np.linalg.cond(gram) < _CONDITION_LIMIT
+        if solved:
+            rhs = ((z.conj().T @ snaps) * vand.conj().T).sum(axis=1)
+            want = np.linalg.solve(gram, rhs)
+        else:
+            dense = np.vstack([z * vand[i][None, :] for i in range(m)])
+            want = np.linalg.lstsq(dense, snaps.T.reshape(-1), rcond=None)[0]
+        assert solved == (gap is not None and gap >= 1e-3)
+        assert np.array_equal(alpha, want)
+
 
 class TestForecast:
     def test_geometric_decay(self):

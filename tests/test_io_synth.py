@@ -263,6 +263,34 @@ class TestSensitivityFiles:
         assert write_narrowing(tmp_path / "again.txt", record).read_text() == _NARROWING
 
     @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("== step 0\na\t0.0\t2.0\n== step 7 (no-op)\na\t0.0\t1.0\n", 3, "step 7 where step 1 comes next"),
+            ("== step 1\na\t0.0\t1.0\n", 1, "step 1 where step 0 comes next"),
+            ("== step 0\na\t0.0\t2.0\n== step 1 (no-op)\na\t0.0\t1.0\n", 3, "step 1 is marked"),
+            ("== step 0 (no-op)\na\t0.0\t1.0\n", 1, "step 0 is marked"),
+            ("== step 0\na\t0.0\t1.0\n== step 1\na\t0.0\t1.0\n", 3, "step 1 repeats"),
+            ("== step 0 no-op\na\t0.0\t1.0\n", 1, "expected '== step <n>'"),
+        ],
+        ids=["found_file", "first_not_0", "false_no_op", "step_0_no_op", "unmarked_no_op", "bad_marker"],
+    )
+    def test_step_header_checked(self, tmp_path, text, line, message):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line {line}: {re.escape(message)}"):
+            read_narrowing(path)
+
+    def test_three_steps_with_a_no_op_round_trip(self, tmp_path):
+        names = ("a", "b")
+        record = NarrowingRecord(Bounds(np.zeros(2), np.array([5.0, 3.0]), names))
+        record.append(Bounds(np.zeros(2), np.array([4.0, 3.0]), names), [("a", 0.25)])
+        record.append(Bounds(np.zeros(2), np.array([4.0, 3.0]), names))
+        text = write_narrowing(tmp_path / "r.txt", record).read_bytes()
+        assert text.count(b" (no-op)") == 1
+        again = read_narrowing(tmp_path / "r.txt")
+        assert write_narrowing(tmp_path / "again.txt", again).read_bytes() == text
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("", "empty narrowing record"),
