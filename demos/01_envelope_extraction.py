@@ -10,7 +10,7 @@ import numpy as np
 from emgrip import (
     SmoothingParams,
     default_optimal_mask,
-    peak_cross_correlation,
+    envelope_grip_xcorr,
     process_recording,
     resample_linear,
     synth_recording,
@@ -25,13 +25,12 @@ smoothing = SmoothingParams(window_size=300, decay=0.0)
 envelope = process_recording(rec.emg, mask, smoothing)
 print(f"envelope: {envelope.size} samples, all non-negative: {bool(np.all(envelope >= 0))}")
 
-grip_on_emg = resample_linear(rec.grip, rec.emg.times[: envelope.size])
-max_lag = int(round(0.160 * rec.emg.rate))
-peak, lag = peak_cross_correlation(envelope, grip_on_emg, max_lag)
+peak, lag = envelope_grip_xcorr(envelope, rec.emg, rec.grip)
 print(f"peak cross-correlation vs grip force: {peak:.3f} at lag {lag} samples "
       f"({1e3 * lag / rec.emg.rate:.1f} ms)")
 
 print("\nenvelope vs grip on the five force plateaus:")
+grip_on_emg = resample_linear(rec.grip, rec.emg.times[: envelope.size])
 for level in (1.0, 0.75, 0.5, 0.25, 0.0):
     sel = np.isclose(grip_on_emg, level * 120.0, atol=0.5)
     if sel.any():

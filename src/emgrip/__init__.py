@@ -20,7 +20,6 @@ from .estimation import (
     fit_static_koopman,
     hankel_lift,
     indicator_observables,
-    power_grid_bounds,
 )
 from .forecasting import (
     DmdModel,

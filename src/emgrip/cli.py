@@ -101,7 +101,7 @@ def _count(text: str) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="emgrip", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--out", type=str, default=".", help="output directory (default: .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     signal = argparse.ArgumentParser(add_help=False)
@@ -164,7 +164,7 @@ def _build_parser() -> _Parser:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else eio.default_out_dir()
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -87,7 +87,7 @@ class IndicatorGrid:
     @cached_property
     def edges(self) -> np.ndarray:
         # worked out once per grid and shared by every lookup, so read-only
-        edges = power_grid_bounds(self.divisions, self.exponent)
+        edges = (np.arange(self.divisions + 1) / self.divisions) ** self.exponent
         edges.flags.writeable = False
         return edges
 
@@ -106,16 +106,19 @@ class IndicatorGrid:
         return edges
 
 
+def _grid_fits(hankel: HankelParams, grid: IndicatorGrid) -> bool:
+    """Whether the grid's delay coordinates fit the embedding: tau2 <= delays - 1."""
+    return grid.tau2 <= hankel.delays - 1
+
+
 def hankel_lift(series: np.ndarray, delays: int) -> np.ndarray:
     """(delays+1) x (N-delays) matrix whose row r is the series shifted by r.
 
     Column n therefore holds the contiguous window series[n : n+delays+1].
+    The result is a read-only view whose rows overlap in memory: it aliases
+    ``series`` when that is a contiguous float array, and a copy of it
+    otherwise.
     """
-    return _hankel_view(series, delays).copy()
-
-
-def _hankel_view(series: np.ndarray, delays: int) -> np.ndarray:
-    """``hankel_lift`` as a read-only view whose rows overlap in memory."""
     x = np.ascontiguousarray(series, dtype=float)
     if x.ndim != 1:
         raise DataError("series must be 1-d")
@@ -128,13 +131,6 @@ def _hankel_view(series: np.ndarray, delays: int) -> np.ndarray:
     view = np.ndarray((delays + 1, n_cols), float, x, strides=(step, step))
     view.flags.writeable = False
     return view
-
-
-def power_grid_bounds(divisions: int, exponent: float) -> np.ndarray:
-    """Grid edges b_i = (i / divisions) ** exponent for i = 0..divisions."""
-    if divisions < 1 or not exponent > 0:
-        raise ConfigError("divisions >= 1 and exponent > 0 required")
-    return (np.arange(divisions + 1) / divisions) ** exponent
 
 
 def _padded_cells(hankel: np.ndarray, grid: IndicatorGrid) -> np.ndarray:
@@ -182,6 +178,14 @@ def _kept_positions(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _kept_cells(hankel: np.ndarray, grid: IndicatorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid cells dense enough to keep, as ascending flat indices, and
+    each Hankel column's position among them, -1 outside every kept cell."""
+    padded = _padded_cells(hankel, grid)
+    kept = _dense_cells(padded, grid)
+    return kept, _kept_positions(padded, _cell_table(kept, grid.divisions))
+
+
 def _mark_cells(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Set ``rows[cells[n], n]`` to 1 in a zeroed block with one row more
     than there are kept cells: the columns outside them (-1) mark the spare
@@ -200,10 +204,8 @@ def indicator_observables(
     of the columns are dropped.  Returns (rows, kept_flat_indices); flat
     indices run over divisions**3 candidate cells.
     """
-    padded = _padded_cells(hankel, grid)
-    kept = _dense_cells(padded, grid)
-    cells = _kept_positions(padded, _cell_table(kept, grid.divisions))
-    return _mark_cells(np.zeros((kept.size + 1, padded.size)), cells), kept
+    kept, cells = _kept_cells(hankel, grid)
+    return _mark_cells(np.zeros((kept.size + 1, cells.size)), cells), kept
 
 
 def indicator_rows_for(
@@ -277,20 +279,17 @@ def build_lifted_matrices(
     grip_ds = np.asarray(grip_ds, dtype=float)
     if emg_ds.size != grip_ds.size:
         raise DataError("EMG and grip series must have equal length")
-    he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
-    padded = _padded_cells(he, grid)
-    kept = _dense_cells(padded, grid)
-    cells = _kept_positions(padded, _cell_table(kept, grid.divisions))
-    hg = _hankel_view(grip_scaler.apply(grip_ds), params.delays)
+    he = hankel_lift(emg_scaler.apply(emg_ds), params.delays)
+    kept, cells = _kept_cells(he, grid)
+    hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)
     return LiftedMatrix(he, cells, kept.size), hg, kept
 
 
-def fit_static_koopman(e: LiftedMatrix | np.ndarray, g: np.ndarray) -> np.ndarray:
+def fit_static_koopman(e: LiftedMatrix, g: np.ndarray) -> np.ndarray:
     """Frobenius-optimal linear map K with G ~= K E, the minimum-norm least
     squares solution with singular values <= 1e-10 * s_max dropped.
 
-    A plain array E goes through one solve.  For a ``LiftedMatrix`` the
-    indicator rows are eliminated exactly, as in the first block of a
+    E's indicator rows are eliminated exactly, as in the first block of a
     Householder QR: they are orthogonal, so for any K_dense the best weight
     of a cell is the cell's mean of G - K_dense E_dense.  Subtracting
     per-cell means from the dense rows of E and from G leaves a
@@ -300,19 +299,17 @@ def fit_static_koopman(e: LiftedMatrix | np.ndarray, g: np.ndarray) -> np.ndarra
     K_dense @ mean_E, and a cell with no columns gets exactly 0.  When the
     reduced block has rank below its row count, ``e.toarray()`` goes through
     one solve instead, so a rank-deficient fit keeps its minimum-norm
-    solution.
+    solution.  A plain E with no indicator rows is ``LiftedMatrix(e,
+    np.full(e.shape[1], -1), 0)``, whose reduced block is E itself.
     """
-    lifted = e if isinstance(e, LiftedMatrix) else None
-    dense = lifted.dense if lifted is not None else np.asarray(e, dtype=float)
     g = np.asarray(g, dtype=float)
-    if dense.size == 0 or g.size == 0 or dense.shape[1] != g.shape[1]:
+    if e.dense.size == 0 or g.size == 0 or e.dense.shape[1] != g.shape[1]:
         raise DataError("E and G must be non-empty with equal column counts")
-    if not (np.isfinite(dense).all() and np.isfinite(g).all()):
+    if not (np.isfinite(e.dense).all() and np.isfinite(g).all()):
         raise NumericError("E and G must be finite")
-    k = _fit_eliminating_cells(lifted, g) if lifted is not None else None
+    k = _fit_eliminating_cells(e, g)
     if k is None:
-        full = lifted.toarray() if lifted is not None else dense
-        k = np.linalg.lstsq(full.T, g.T, rcond=_RCOND)[0].T
+        k = np.linalg.lstsq(e.toarray().T, g.T, rcond=_RCOND)[0].T
     # row-major like a model read from file, so both give bit-equal estimates
     return np.ascontiguousarray(k)
 
@@ -372,6 +369,10 @@ class EstimatorModel:
         # the stream checks a recording's rate against fs, a check NaN or inf would pass
         if not (np.isfinite(self.fs) and self.fs > 0):
             raise DataError(f"fs must be finite and positive, got {self.fs!r}")
+        if not _grid_fits(self.hankel, self.grid):
+            raise DataError(
+                f"grid tau2 {self.grid.tau2} must be at most delays - 1 = {self.hankel.delays - 1}"
+            )
         want = (self.hankel.delays + 1, self.lifted_dim)
         if np.shape(self.k) != want:
             raise DataError(f"K is {np.shape(self.k)}, expected {want}; refit with `fit`")
@@ -414,7 +415,7 @@ def fit_estimator(
     scaled on this recording, and the lifted matrices are solved in one
     shot.
     """
-    if grid.tau2 > hankel.delays - 1:
+    if not _grid_fits(hankel, grid):
         raise ConfigError("tau2 must be at most delays - 1")
     processed = process_recording(emg, mask, smoothing)
     grip_on_emg = resample_linear(grip, emg.times[: processed.size])

@@ -338,9 +338,10 @@ def predict_batch(
     estimates_scaled: np.ndarray,
     hyper: ForecastHyperparams,
     scaler: MinMaxScaler,
-    batch_samples: int = 62,
+    batch_samples: int,
 ) -> np.ndarray | None:
-    """Forecasts (newtons) covering the next batch, or None while warming up.
+    """Forecasts (newtons) covering the next batch of ``batch_samples``
+    estimates, or None while warming up.
 
     The tail of the scaled estimate stream is smoothed (the LOWESS window
     reaches into the previous batches), the training window's delay block

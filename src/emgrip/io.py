@@ -6,7 +6,6 @@ the file exactly.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -21,8 +20,6 @@ from .estimation import EstimatorModel, HankelParams, IndicatorGrid
 from .processing import DEFAULT_BATCH_SIZE, SmoothingParams, SpectralMask, TimestampedSeries
 from .sensitivity import Bounds, NarrowingRecord, SensitivityResult, recording_sides
 
-ENV_OUT_DIR = "EMGRIP_OUT_DIR"
-
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -33,10 +30,6 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def default_out_dir() -> Path:
-    return Path(os.environ.get(ENV_OUT_DIR, "."))
 
 
 @dataclass(frozen=True)

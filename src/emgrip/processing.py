@@ -509,7 +509,8 @@ def _window_sums(v: np.ndarray, max_lag: int) -> np.ndarray:
 @dataclass(frozen=True)
 class XcorrSide:
     """The second series' half of ``peak_cross_correlation``, built by
-    ``xcorr_side`` for a length ``n`` and a ``max_lag``.
+    ``xcorr_side`` for a series of length ``n = centred.size`` and a
+    ``max_lag``.
 
     ``centred`` is the mean-centred series.  With K, B and L = B + 2 *
     max_lag from ``_blocks(n, max_lag)``, ``spectra`` is the ``(K, L // 2 +
@@ -522,7 +523,6 @@ class XcorrSide:
     series.  All six arrays are read-only.
     """
 
-    n: int
     max_lag: int
     centred: np.ndarray
     spectra: np.ndarray
@@ -568,7 +568,7 @@ def xcorr_side(x: np.ndarray, max_lag_samples: int) -> XcorrSide:
     sums = _window_sums(c, max_lag)
     for arr in (padded, c, spectra, sums):
         arr.flags.writeable = False  # a side may be shared by many calls
-    return XcorrSide(n, max_lag, c, spectra, *sums)
+    return XcorrSide(max_lag, c, spectra, *sums)
 
 
 # r within this of the peak may be a tie that the FFT's round-off (at worst
@@ -627,7 +627,7 @@ def peak_cross_correlation(
     if not prepared:
         b = np.asarray(b, dtype=float)
     n = a.size
-    if (b.n if prepared else b.size) != n or n < 2:
+    if (b.centred if prepared else b).size != n or n < 2:
         raise DataError("series must have equal length >= 2")
     max_lag = int(max_lag_samples)
     if max_lag < 0 or max_lag >= n:

@@ -39,6 +39,11 @@ from .processing import (
 N_MASK_VARS = DEFAULT_BATCH_SIZE // 2  # non-DC bins: 248
 
 
+def _default_names(dim: int) -> tuple[str, ...]:
+    """Names of ``dim`` unnamed variables: x0, x1, ..."""
+    return tuple(f"x{i}" for i in range(dim))
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Per-variable (lower, upper) box, with optional names and group labels."""
@@ -89,7 +94,7 @@ class Bounds:
     def variable_names(self) -> tuple[str, ...]:
         if self.names is not None:
             return self.names
-        return tuple(f"x{i}" for i in range(self.dim))
+        return _default_names(self.dim)
 
 
 def default_decision_bounds() -> Bounds:
@@ -163,7 +168,7 @@ def _group_table(dim: int, groups) -> tuple[tuple[str, ...], list[np.ndarray]]:
     ``dim`` labels; group order follows first appearance.
     """
     if groups is None:
-        return tuple(f"x{i}" for i in range(dim)), [np.array([i]) for i in range(dim)]
+        return _default_names(dim), [np.array([i]) for i in range(dim)]
     if len(groups) != dim:
         raise ConfigError("group labels must cover every variable")
     names: list[str] = []
@@ -379,14 +384,14 @@ def rbdfast_indices(
         )
 
     return SensitivityResult(
-        names or tuple(f"x{i}" for i in range(d)), s1, None, first_ci, None
+        names or _default_names(d), s1, None, first_ci, None
     )
 
 
-def _grip_side(emg, grip, n: int) -> tuple[XcorrSide, int]:
-    """``grip`` on the first ``n`` EMG timestamps as an ``xcorr_side``, and
-    the max lag it was built for: ``DEFAULT_MAX_LAG_S`` in EMG samples.  An
-    ``n`` that leaves no lag window is a ``DataError`` stating the minimum."""
+def _grip_side(emg, grip, n: int) -> XcorrSide:
+    """``grip`` on the first ``n`` EMG timestamps as an ``xcorr_side`` for a
+    max lag of ``DEFAULT_MAX_LAG_S`` in EMG samples.  An ``n`` that leaves
+    no lag window is a ``DataError`` stating the minimum."""
     max_lag = int(round(DEFAULT_MAX_LAG_S * emg.rate))
     if n <= max_lag:
         raise DataError(
@@ -394,7 +399,7 @@ def _grip_side(emg, grip, n: int) -> tuple[XcorrSide, int]:
             f"+-{DEFAULT_MAX_LAG_S} s lag window needs"
         )
     grip_on_emg = resample_linear(grip, emg.times[:n])
-    return xcorr_side(grip_on_emg, max_lag), max_lag
+    return xcorr_side(grip_on_emg, max_lag)
 
 
 def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
@@ -405,16 +410,16 @@ def envelope_grip_xcorr(envelope: np.ndarray, emg, grip) -> tuple[float, int]:
     lag in EMG samples) as ``peak_cross_correlation`` does.  Nothing is
     kept between calls; ``objective`` reuses each ``Recording``'s cached side.
     """
-    side, max_lag = _grip_side(emg, grip, envelope.size)
-    return peak_cross_correlation(envelope, side, max_lag)
+    side = _grip_side(emg, grip, envelope.size)
+    return peak_cross_correlation(envelope, side, side.max_lag)
 
 
-def recording_sides(emg, grip) -> tuple[BatchSpectra, XcorrSide, int]:
+def recording_sides(emg, grip) -> tuple[BatchSpectra, XcorrSide]:
     """What ``objective`` needs of one recording whatever the candidate: the
-    ``batch_spectra`` of ``emg``, the ``_grip_side`` of ``grip`` and the max
-    lag.  ``Recording.sa_sides`` keeps the result with the recording."""
+    ``batch_spectra`` of ``emg`` and the ``_grip_side`` of ``grip``.
+    ``Recording.sa_sides`` keeps the pair with the recording."""
     spectra = batch_spectra(emg)
-    return (spectra, *_grip_side(emg, grip, spectra.size))
+    return spectra, _grip_side(emg, grip, spectra.size)
 
 
 def objective(dataset, dv: DecisionVector) -> float:
@@ -438,10 +443,10 @@ def objective(dataset, dv: DecisionVector) -> float:
     smoothing = dv.smoothing()
     peaks = []
     for rec in dataset:
-        spectra, side, max_lag = rec.sa_sides
+        spectra, side = rec.sa_sides
         mask = dv.to_mask(spectra.rate / DEFAULT_BATCH_SIZE)
         envelope = process_recording(spectra, mask, smoothing)
-        peaks.append(peak_cross_correlation(envelope, side, max_lag)[0])
+        peaks.append(peak_cross_correlation(envelope, side, side.max_lag)[0])
     if not peaks:
         raise DataError("empty dataset")
     return 1.0 - float(np.mean(peaks))

@@ -58,6 +58,8 @@ _BAD_HEADER = {
     "fs_inf": ("fs", "inf"),
     # (divisions + 2)**3 padded cells overflow the cell lookup's int64 index
     "divisions_huge": ("divisions", "3000000"),
+    # the fit's rule is tau2 <= delays - 1, and the file's delays are 60
+    "tau2_past_delays": ("tau2", "61"),
 }
 
 

@@ -444,12 +444,6 @@ class TestMaskCommand:
         assert main(["mask", "show", "--file", str(tmp_path / "mask.tsv")]) == 0
         assert capsys.readouterr().out == written
 
-    def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv("EMGRIP_OUT_DIR", str(target))
-        assert main(["mask", "default"]) == 0
-        assert (target / "mask.tsv").exists()
-
 
 class TestSynthCommand:
     def test_writes_corpus(self, tmp_path):

@@ -13,7 +13,6 @@ from emgrip.estimation import (
     HankelParams,
     IndicatorGrid,
     LiftedMatrix,
-    _hankel_view,
     _RCOND,
     build_lifted_matrices,
     estimate_batch,
@@ -22,7 +21,6 @@ from emgrip.estimation import (
     fit_static_koopman,
     hankel_lift,
     indicator_observables,
-    power_grid_bounds,
 )
 from emgrip.metrics import wmape
 from emgrip.processing import (
@@ -60,19 +58,25 @@ class TestHankelLift:
         with pytest.raises(DataError):
             hankel_lift(np.zeros(5), 5)
 
+    def test_read_only_view_of_its_input(self):
+        x = np.random.default_rng(1).standard_normal(40)
+        h = hankel_lift(x, 6)
+        assert np.shares_memory(h, x) and not h.flags.writeable
+        assert np.array_equal(h, np.lib.stride_tricks.sliding_window_view(x, 7).T)
+
 
 class TestPowerGridBounds:
     def test_uniform_when_exponent_one(self):
-        assert np.allclose(power_grid_bounds(2, 1.0), [0.0, 0.5, 1.0])
+        assert np.allclose(IndicatorGrid(2, 1.0).edges, [0.0, 0.5, 1.0])
 
     def test_first_edge_value(self):
-        edges = power_grid_bounds(22, 1.8)
+        edges = IndicatorGrid(22, 1.8).edges
         assert edges[1] == pytest.approx((1 / 22) ** 1.8)
         assert edges[1] == pytest.approx(0.00388, abs=5e-5)
 
     def test_strictly_increasing_endpoint_exact(self):
         for div, expo in [(2, 1.0), (5, 0.7), (22, 1.8), (40, 3.0)]:
-            edges = power_grid_bounds(div, expo)
+            edges = IndicatorGrid(div, expo).edges
             assert edges[0] == 0.0 and edges[-1] == 1.0
             assert np.all(np.diff(edges) > 0)
 
@@ -223,18 +227,23 @@ class TestBuildLiftedMatrices:
             )
 
 
+def _plain(e):
+    """``e`` as a ``LiftedMatrix`` without indicator rows."""
+    return LiftedMatrix(e, np.full(e.shape[1], -1), 0)
+
+
 class TestFitStaticKoopman:
     def test_scalar_map(self):
         rng = np.random.default_rng(3)
         e = rng.standard_normal((6, 60))
-        k = fit_static_koopman(e, 2.0 * e)
+        k = fit_static_koopman(_plain(e), 2.0 * e)
         assert np.abs(k - 2.0 * np.eye(6)).max() < 1e-8
 
     def test_recovers_random_map(self):
         rng = np.random.default_rng(4)
         e = rng.standard_normal((20, 300))
         a = rng.standard_normal((20, 20))
-        k = fit_static_koopman(e, a @ e)
+        k = fit_static_koopman(_plain(e), a @ e)
         assert np.linalg.norm(k - a) / np.linalg.norm(a) < 1e-8
 
     def test_rank_deficient_matches_lstsq_residual(self):
@@ -242,7 +251,7 @@ class TestFitStaticKoopman:
         base = rng.standard_normal((3, 40))
         e = np.vstack([base, base[0] + base[1]])  # rank 3 with 4 rows
         g = rng.standard_normal((4, 40))
-        k = fit_static_koopman(e, g)
+        k = fit_static_koopman(_plain(e), g)
         res = np.linalg.norm(g - k @ e)
         kt, *_ = np.linalg.lstsq(e.T, g.T, rcond=None)
         res_ref = np.linalg.norm(g - kt.T @ e)
@@ -252,7 +261,7 @@ class TestFitStaticKoopman:
         rng = np.random.default_rng(6)
         e = rng.standard_normal((8, 50))
         g = rng.standard_normal((8, 50))
-        k = fit_static_koopman(e, g)
+        k = fit_static_koopman(_plain(e), g)
         res0 = np.linalg.norm(g - k @ e)
         for _ in range(25):
             dk = rng.standard_normal(k.shape)
@@ -261,7 +270,7 @@ class TestFitStaticKoopman:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            fit_static_koopman(np.zeros((0, 0)), np.zeros((0, 0)))
+            fit_static_koopman(_plain(np.zeros((0, 0))), np.zeros((0, 0)))
 
     @pytest.mark.parametrize("side", ["e", "g", "lifted"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -269,7 +278,7 @@ class TestFitStaticKoopman:
         rng = np.random.default_rng(7)
         mats = {"e": rng.standard_normal((5, 40)), "g": rng.standard_normal((3, 40))}
         mats["g" if side == "g" else "e"][1, 7] = bad
-        e = LiftedMatrix(mats["e"], np.zeros(40, dtype=int), 1) if side == "lifted" else mats["e"]
+        e = LiftedMatrix(mats["e"], np.zeros(40, dtype=int), 1) if side == "lifted" else _plain(mats["e"])
         with pytest.raises(NumericError):
             fit_static_koopman(e, mats["g"])
 
@@ -306,7 +315,7 @@ class TestFitMatchesSvdOracle:
     @staticmethod
     def _check(e, g):
         k = fit_static_koopman(e, g)
-        ref = _svd_oracle(e.toarray() if isinstance(e, LiftedMatrix) else e, g)
+        ref = _svd_oracle(e.toarray(), g)
         assert k.shape == (g.shape[0], e.shape[0])
         assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
         zero = ~g.any(axis=1)
@@ -315,19 +324,19 @@ class TestFitMatchesSvdOracle:
 
     def test_full_rank(self):
         rng = np.random.default_rng(11)
-        self._check(rng.standard_normal((12, 200)), rng.standard_normal((5, 200)))
+        self._check(_plain(rng.standard_normal((12, 200))), rng.standard_normal((5, 200)))
 
     def test_rank_deficient(self):
         rng = np.random.default_rng(12)
         e = rng.standard_normal((10, 150))
         e[9] = e[2] + e[5]
-        self._check(e, rng.standard_normal((4, 150)))
+        self._check(_plain(e), rng.standard_normal((4, 150)))
 
     def test_zero_row_in_e(self):
         rng = np.random.default_rng(13)
         e = rng.standard_normal((10, 150))
         e[4] = 0.0
-        k = self._check(e, rng.standard_normal((6, 150)))
+        k = self._check(_plain(e), rng.standard_normal((6, 150)))
         # a dead observable gets no weight, up to round-off
         assert np.abs(k[:, 4]).max() <= 1e-12 * np.abs(k).max()
 
@@ -336,7 +345,7 @@ class TestFitMatchesSvdOracle:
         e = rng.standard_normal((10, 150))
         g = np.vstack([rng.standard_normal((4, 150)), np.zeros((6, 150))])
         g[1] = 0.0
-        k = self._check(e, g)
+        k = self._check(_plain(e), g)
         assert np.count_nonzero(k.any(axis=1)) == 3
 
     def test_partition_block_with_empty_cells(self, monkeypatch):
@@ -360,13 +369,20 @@ class TestFitMatchesSvdOracle:
         self._check(e, rng.standard_normal((4, 300)))
         assert shapes == [(300, 6), (300, 14)]
 
-    def test_array_with_partition_block_takes_one_full_solve(self, monkeypatch):
-        # only a LiftedMatrix says which rows are cells; an array is solved whole
+    @pytest.mark.parametrize("rows", ["dense", "with_partition_block"])
+    def test_plain_block_fits_as_one_lstsq(self, rows):
+        # without cells the reduced block is all of E, so the fit, or its
+        # rank-deficient fallback, is bit for bit one solve of E; a 0/1
+        # block in E is solved whole, since only cells mark indicator rows
         rng = np.random.default_rng(15)
-        e = np.vstack([rng.standard_normal((6, 300)), _partition_rows(rng.integers(-1, 7, 300), 8)])
-        shapes = _spy_lstsq(monkeypatch)
-        self._check(e, rng.standard_normal((4, 300)))
-        assert shapes == [(300, 14)]
+        e = rng.standard_normal((6, 300))
+        if rows == "with_partition_block":
+            # cell 7 stays empty: a zero row, so the reduced solve falls back
+            e = np.vstack([e, _partition_rows(rng.integers(-1, 7, 300), 8)])
+        g = rng.standard_normal((4, 300))
+        k = fit_static_koopman(_plain(e), g)
+        assert np.array_equal(k, np.linalg.lstsq(e.T, g.T, rcond=_RCOND)[0].T)
+        assert k.flags.c_contiguous
 
     def test_lifted_matrix_without_cells(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -389,7 +405,7 @@ class TestFitMatchesSvdOracle:
         assert (binary.sum(axis=0) > 1).any()
         e = np.vstack([rng.standard_normal((6, 300)), binary])
         shapes = _spy_lstsq(monkeypatch)
-        self._check(e, rng.standard_normal((4, 300)))
+        self._check(_plain(e), rng.standard_normal((4, 300)))
         assert shapes == [(300, 14)]
 
     def test_seed42_fit_solves_only_the_dense_rows(self, monkeypatch, calib_recording, mask, smoothing):
@@ -420,7 +436,7 @@ def _oracle_build_lifted_matrices(emg_ds, grip_ds, emg_scaler, grip_scaler, para
     grip_ds = np.asarray(grip_ds, dtype=float)
     if emg_ds.size != grip_ds.size:
         raise DataError("EMG and grip series must have equal length")
-    he = _hankel_view(emg_scaler.apply(emg_ds), params.delays)
+    he = hankel_lift(emg_scaler.apply(emg_ds), params.delays)
     kept = cell_oracle.dense_cells(cell_oracle.flat_cells(he, grid), grid)
     e = np.vstack([he, cell_oracle.indicator_rows(he, grid, kept)])
     hg = hankel_lift(grip_scaler.apply(grip_ds), params.delays)

@@ -6,7 +6,7 @@ import pytest
 import emgrip.forecasting
 from emgrip.calibration import MinMaxScaler
 from emgrip.errors import ConfigError, DataError
-from emgrip.estimation import hankel_lift
+from emgrip.estimation import HankelParams, hankel_lift
 from emgrip.forecasting import (
     ForecastHyperparams,
     _conjugate_units,
@@ -20,6 +20,10 @@ from emgrip.forecasting import (
     predict_batch,
     thin,
 )
+from emgrip.processing import DEFAULT_BATCH_SIZE
+
+# decimated estimates per stream batch, as stream_simulate passes them
+BATCH_DS = DEFAULT_BATCH_SIZE // HankelParams().downsample
 
 LAM_TRUE = np.array(
     [
@@ -557,7 +561,7 @@ class TestForecast:
 class TestPredictBatch:
     def test_warm_up_returns_none(self):
         scaler = MinMaxScaler(0.0, 100.0)
-        assert predict_batch(np.zeros(10), ForecastHyperparams(), scaler) is None
+        assert predict_batch(np.zeros(10), ForecastHyperparams(), scaler, BATCH_DS) is None
 
     def test_default_hyperparameters(self):
         h = ForecastHyperparams()
@@ -568,7 +572,7 @@ class TestPredictBatch:
     def test_constant_plateau_forecast(self):
         scaler = MinMaxScaler(0.0, 100.0)
         est = np.full(300, 0.6)
-        out = predict_batch(est, ForecastHyperparams(), scaler)
+        out = predict_batch(est, ForecastHyperparams(), scaler, BATCH_DS)
         assert out is not None
         actual = np.full(out.size, 60.0)
         from emgrip.metrics import wmape
@@ -579,7 +583,7 @@ class TestPredictBatch:
         rng = np.random.default_rng(7)
         scaler = MinMaxScaler(5.0, 80.0)
         est = np.clip(0.5 + 0.3 * np.sin(np.arange(400) * 0.05) + 0.2 * rng.standard_normal(400), -1, 2)
-        out = predict_batch(est, ForecastHyperparams(), scaler)
+        out = predict_batch(est, ForecastHyperparams(), scaler, BATCH_DS)
         assert out.min() >= 5.0 - 1e-9
         assert out.max() <= 80.0 + 1e-9
 
@@ -588,13 +592,13 @@ class TestPredictBatch:
         # in delay column 0, which thinning drops before the log lift
         monkeypatch.setattr(emgrip.forecasting, "lowess_smooth", lambda v, w: np.array(v))
         hyper = ForecastHyperparams()
-        n_pred = round(hyper.window_modifier * 62)
+        n_pred = round(hyper.window_modifier * BATCH_DS)
         est = np.full(400, 0.5)
         est[-n_pred] = -10.0
         window = est[-n_pred:]
         assert thin(hankel_lift(window, hyper.delays), hyper.thin_step).min() > -10.0
         with pytest.raises(DataError, match="log shift"):
-            predict_batch(est, hyper, MinMaxScaler(0.0, 100.0))
+            predict_batch(est, hyper, MinMaxScaler(0.0, 100.0), BATCH_DS)
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ConfigError):

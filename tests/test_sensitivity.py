@@ -633,7 +633,7 @@ class TestObjectiveGripMemo:
         rec = _small_recording(34)
         objective([rec], DecisionVector(np.ones(248), 120, 0.0))
         # both cached halves: the EMG batch spectra and the grip side
-        spectra, side, _ = rec.__dict__["sa_sides"]
+        spectra, side = rec.__dict__["sa_sides"]
         assert rec.sa_sides[0] is spectra and rec.sa_sides[1] is side
         kept = [weakref.ref(spectra), weakref.ref(side)]
         del rec, spectra, side
