@@ -35,8 +35,7 @@ def ishigami(x, a=7.0, b=0.1):
 print("== stage 1: estimator check on Ishigami (true S1 = 0.314, 0.442, 0.000)")
 box = Bounds(np.full(3, -np.pi), np.full(3, np.pi), ("x1", "x2", "x3"))
 samples = saltelli_sample(box, 2**12, seed=1)
-sob = sobol_indices(samples, ishigami(samples), n_boot=200, seed=1,
-                    names=box.variable_names())
+sob = sobol_indices(samples, ishigami(samples), groups=box.variable_names(), n_boot=200, seed=1)
 for i, name in enumerate(sob.names):
     lo, hi = sob.first_ci[i]
     print(f"  Sobol   {name}: S1 = {sob.first_order[i]:+.3f} [{lo:+.3f}, {hi:+.3f}]  "

@@ -9,8 +9,10 @@ Exit codes: 0 ok, 1 usage, 2 input/format error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from . import io as eio
 from .calibration import prepare_grip
 from .errors import ConfigError, DataError, EmgripError, NumericError
 from .estimation import HankelParams, IndicatorGrid, fit_estimator
-from .forecasting import grid_search
+from .forecasting import ForecastHyperparams, grid_search
 from .metrics import anova_rbd, block_effects, summary_stats
 from .processing import (
     SmoothingParams,
@@ -319,24 +321,18 @@ def _cmd_tune(args):
             for rec in corpus
         ]
 
-    rows = grid_search(
-        evaluate,
-        window_modifiers=args.window_mods,
-        smooth_modifiers=args.smooth_mods,
-        thin_steps=args.thin_steps,
-        delay_counts=args.delay_counts,
-        mode_counts=args.mode_counts,
-    )
-    table = [
-        (h.window_modifier, h.smooth_modifier, h.thin_step, h.delays, h.n_modes,
-         mean, median, score)
-        for h, mean, median, score in rows
+    grid = [
+        ForecastHyperparams(*values)
+        for values in itertools.product(
+            args.window_mods, args.smooth_mods, args.thin_steps, args.delay_counts, args.mode_counts
+        )
     ]
+    rows = grid_search(evaluate, grid)
     out = eio.write_table(
         _out_dir(args) / "tuning.tsv",
         ["window_mod", "smooth_mod", "thin_step", "delays", "modes",
          "mean_wmape", "median_wmape", "score"],
-        table,
+        [(*astuple(h), mean, median, score) for h, mean, median, score in rows],
     )
     best = rows[0][0]
     print(f"wrote {out}")

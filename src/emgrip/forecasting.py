@@ -15,7 +15,7 @@ both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -313,7 +313,7 @@ def forecast(
     model: DmdModel,
     amplitudes: np.ndarray,
     n_ahead: int,
-    readout_row: int = 0,
+    readout_row: int,
     scaler: MinMaxScaler | None = None,
     clamp: tuple[float, float] | None = None,
 ) -> np.ndarray:
@@ -372,52 +372,27 @@ def predict_batch(
     return forecast(model, alpha, n_ahead, lifted.shape[0] - 1, scaler=scaler, clamp=(0.0, 1.0))
 
 
-def grid_search(
-    evaluate,
-    *,
-    window_modifiers,
-    smooth_modifiers,
-    thin_steps,
-    delay_counts,
-    mode_counts,
-):
-    """Rank hyperparameter combinations by mean + median wMAPE on a corpus.
+def grid_search(evaluate, grid):
+    """Rank a list of ``ForecastHyperparams`` by mean + median wMAPE on a corpus.
 
     ``evaluate(hyper) -> per-recording wMAPE array`` is injected by the
-    caller (the streaming simulator provides one); every grid axis is a
-    required keyword, which ``emgrip tune`` fills from its flags.  Ties in
-    the score break lexicographically on the hyperparameter tuple, so the
-    ranking is total and deterministic.  Returns rows of
-    (hyper, mean_wmape, median_wmape, score) sorted best first.  A NaN or
-    infinite wMAPE (say, a recording too short to forecast) has no rank: it
-    is a ``DataError`` naming the first combination that returned one.
+    caller (the streaming simulator provides one); ``emgrip tune`` builds
+    ``grid`` from its flags.  Ties in the score break lexicographically on
+    the hyperparameters' field values, so the ranking is total and
+    deterministic.  Returns rows of (hyper, mean_wmape, median_wmape,
+    score) sorted best first.  A NaN or infinite wMAPE (say, a recording
+    too short to forecast) has no rank: it is a ``DataError`` naming the
+    first combination that returned one.
     """
-    combos = [
-        ForecastHyperparams(wm, sm, ts, d, nm)
-        for wm in window_modifiers
-        for sm in smooth_modifiers
-        for ts in thin_steps
-        for d in delay_counts
-        for nm in mode_counts
-    ]
-    if not combos:
+    if not grid:
         raise DataError("empty hyperparameter grid")
     rows = []
-    for hyper in combos:
+    for hyper in grid:
         wmapes = np.asarray(evaluate(hyper), dtype=float)
         if not np.isfinite(wmapes).all():
             raise DataError(f"non-finite wMAPE for {hyper}")
         mean = float(wmapes.mean())
         median = float(np.median(wmapes))
         rows.append((hyper, mean, median, mean + median))
-    rows.sort(
-        key=lambda r: (
-            r[3],
-            r[0].window_modifier,
-            r[0].smooth_modifier,
-            r[0].thin_step,
-            r[0].delays,
-            r[0].n_modes,
-        )
-    )
+    rows.sort(key=lambda r: (r[3], astuple(r[0])))
     return rows

@@ -161,7 +161,7 @@ def apply_spectral_mask(
     ``x`` is one batch or a ``(..., n)`` stack of batches, each transformed
     along the last axis; every row comes out bit-identical to masking it
     alone.  Returns the real signal obtained by inverse FFT, shaped like
-    ``x``.
+    ``x``.  An ``n`` given with real batches must be their length.
 
     ``x`` may also be the ``rfft`` of such batches, a complex array as
     ``BatchSpectra`` holds, with ``n`` the batch length (``2 * (bins - 1)``
@@ -177,6 +177,8 @@ def apply_spectral_mask(
         spectrum = x
     else:
         x = np.atleast_1d(x.astype(float, copy=False))
+        if n is not None and n != x.shape[-1]:
+            raise ConfigError(f"n = {n} does not match the {x.shape[-1]}-sample batch")
         n = x.shape[-1]
         spectrum = None
     n_bins = n // 2 + 1

@@ -152,6 +152,7 @@ class SensitivityResult:
 
     Estimator noise can push indices slightly outside [0, 1]; values are
     reported as computed, never clipped; ``io.write_indices`` writes them.
+    There is one name per index: any other count is a ``ConfigError``.
     """
 
     names: tuple[str, ...]
@@ -159,6 +160,10 @@ class SensitivityResult:
     total_order: np.ndarray | None = None
     first_ci: np.ndarray | None = None  # (G, 2) percentile bounds
     total_ci: np.ndarray | None = None
+
+    def __post_init__(self):
+        if len(self.names) != np.size(self.first_order):
+            raise ConfigError(f"{len(self.names)} names for {np.size(self.first_order)} indices")
 
 
 def _group_table(dim: int, groups) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -258,9 +263,12 @@ def sobol_indices(
     groups=None,
     n_boot: int = 0,
     seed=None,
-    names: tuple[str, ...] | None = None,
 ) -> SensitivityResult:
     """Grouped Sobol indices from outputs laid out as saltelli_sample rows.
+
+    Results are named by ``groups``, in order of first appearance (x0,
+    x1, ... when None); pass unique names, say ``bounds.variable_names()``,
+    to analyse and name every variable separately.
 
     Bootstrap (when ``n_boot`` > 0) resamples base-sample indices, keeping
     each (A, B, AB_*) row triple paired, and reports percentile 95% CIs:
@@ -290,9 +298,7 @@ def sobol_indices(
             np.array([s1, st]), n, n_boot, seed,
         )
 
-    return SensitivityResult(
-        names or group_names, s1, st, first_ci, total_ci
-    )
+    return SensitivityResult(group_names, s1, st, first_ci, total_ci)
 
 
 def rbdfast_sample(bounds: Bounds, n: int, seed=None) -> np.ndarray:

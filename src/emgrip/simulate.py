@@ -242,7 +242,7 @@ def prediction_wmape(grip: TimestampedSeries, result: StreamResult) -> float:
     times = np.concatenate([b.times for b in result.forecasts])
     values = np.concatenate([b.values for b in result.forecasts])
     kept = times <= grip.times[-1]
-    actual = np.interp(times[kept], grip.times, grip.values)
+    actual = resample_linear(grip, times[kept])
     if not actual.any():
         return float("nan")
     return wmape(actual, values[kept])

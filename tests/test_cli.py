@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from emgrip.cli import main
+from emgrip.forecasting import ForecastHyperparams
 from emgrip.io import (
     Recording,
+    read_corpus,
     read_forecasts,
     read_mask,
     read_model,
@@ -22,7 +26,7 @@ from emgrip.processing import (
     process_recording,
 )
 from emgrip.sensitivity import envelope_grip_xcorr
-from emgrip.simulate import evaluate_run
+from emgrip.simulate import evaluate_run, prediction_wmape, stream_simulate
 from emgrip.synth import SynthProfile, synth_recording
 
 
@@ -481,6 +485,16 @@ class TestPipelineCommands:
         assert meta["stream"] == "processed_emg"
         assert series.values.min() >= 0.0
 
+    def test_process_with_mask_file_matches_built_in(self, workspace, tmp_path):
+        _, data = workspace
+        assert main(["--out", str(tmp_path), "mask", "default"]) == 0
+        emg = data / "s01_p1_r1_emg.csv"
+        mask_file = ["--mask", str(tmp_path / "mask.tsv")]
+        for out, extra in ((tmp_path / "file", mask_file), (tmp_path / "built_in", [])):
+            assert main(["--out", str(out), "process", "--emg", str(emg), *extra]) == 0
+        name = "s01_p1_r1_emg_processed.csv"
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "built_in" / name).read_bytes()
+
     def test_simulate_report_rows(self, workspace, tmp_path, capsys):
         root, data = workspace
         stem = data / "s01_p1_r1"
@@ -662,6 +676,18 @@ class TestPipelineCommands:
             assert code == 0
         assert (a / "sa_rbdfast.tsv").read_bytes() == (b / "sa_rbdfast.tsv").read_bytes()
 
+    def test_unseeded_sobol_reproducible_with_ci_columns(self, workspace, tmp_path):
+        _, data = workspace
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            code = main([
+                "--out", str(out), "sa", "sobol", "--data", str(data), "--samples", "4", "--boot", "8",
+            ])
+            assert code == 0
+        lines = (a / "sa_sobol.tsv").read_text().splitlines()
+        assert lines[0] == "variable\tS1\tS1_lo\tS1_hi\tST\tST_lo\tST_hi" and len(lines) == 4
+        assert (a / "sa_sobol.tsv").read_bytes() == (b / "sa_sobol.tsv").read_bytes()
+
     def test_sa_sobol_ungrouped_over_narrowed_bounds(self, workspace, tmp_path):
         # a 3-variable bounds file keeps the ungrouped radial design small
         from emgrip.sensitivity import Bounds, NarrowingRecord
@@ -747,6 +773,45 @@ class TestPipelineCommands:
         assert code == 0
         lines = (tmp_path / "tuning.tsv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_tune_default_grid(self, workspace, tmp_path):
+        root, data = workspace
+        assert main(["--out", str(tmp_path), "tune", "--data", str(data), "--model", str(root / "model.txt")]) == 0
+        rows = [line.split("\t")[:5] for line in (tmp_path / "tuning.tsv").read_text().splitlines()[1:]]
+        assert sorted(rows) == [[w, "1.1", "7", "8", "4"] for w in ("1.2", "1.3", "1.4")]
+
+    def test_tune_grid_table(self, workspace, tmp_path):
+        # each axis given out of order; thin steps and delay counts share a
+        # value, so swapping those two axes changes the grid
+        root, data = workspace
+        code = main([
+            "--out", str(tmp_path), "tune",
+            "--data", str(data), "--model", str(root / "model.txt"),
+            "--window-mods", "1.3,1.2", "--thin-steps", "8,7",
+        ])
+        assert code == 0
+        header, *lines = (tmp_path / "tuning.tsv").read_text().splitlines()
+        assert header.split("\t") == [
+            "window_mod", "smooth_mod", "thin_step", "delays", "modes",
+            "mean_wmape", "median_wmape", "score",
+        ]
+        rows = [line.split("\t") for line in lines]
+        grid = [ForecastHyperparams(float(w), float(s), int(t), int(d), int(m)) for w, s, t, d, m, *_ in rows]
+        assert {dataclasses.astuple(h) for h in grid} == {
+            (w, 1.1, t, 8, 4) for w in (1.2, 1.3) for t in (7, 8)
+        }
+        # each row's scores are those of the hyperparameters its columns name
+        corpus, model = read_corpus(data), read_model(root / "model.txt")
+        for h, (*_, mean, median, score) in zip(grid, rows):
+            wmapes = [
+                prediction_wmape(rec.grip, stream_simulate(rec, model, model.mask, model.smoothing, h))
+                for rec in corpus
+            ]
+            assert float(mean) == float(np.mean(wmapes))
+            assert float(median) == float(np.median(wmapes))
+            assert float(score) == float(mean) + float(median)
+        keys = [(float(r[7]), dataclasses.astuple(h)) for r, h in zip(rows, grid)]
+        assert keys == sorted(keys)
 
 
 class TestEvaluateCommand:

@@ -614,27 +614,15 @@ class TestPredictBatch:
 
 class TestGridSearch:
     def test_single_point_grid(self):
-        rows = grid_search(
-            window_modifiers=(1.3,),
-            smooth_modifiers=(1.1,),
-            thin_steps=(7,),
-            delay_counts=(8,),
-            mode_counts=(4,),
-            evaluate=lambda h: [12.0, 14.0],
-        )
+        rows = grid_search(lambda h: [12.0, 14.0], [ForecastHyperparams(1.3, 1.1, 7, 8, 4)])
         assert len(rows) == 1
         assert rows[0][1] == pytest.approx(13.0)
         assert rows[0][2] == pytest.approx(13.0)
 
     def test_deterministic_total_order_with_ties(self):
-        rows = grid_search(
-            window_modifiers=(1.2, 1.3),
-            smooth_modifiers=(1.1,),
-            thin_steps=(7, 8),
-            delay_counts=(8,),
-            mode_counts=(4,),
-            evaluate=lambda h: [10.0],
-        )
+        # given in reverse, so only the tie-break can put them in order
+        grid = [ForecastHyperparams(wm, thin_step=ts) for wm in (1.3, 1.2) for ts in (8, 7)]
+        rows = grid_search(lambda h: [10.0], grid)
         combos = [(r[0].window_modifier, r[0].thin_step) for r in rows]
         assert combos == [(1.2, 7), (1.2, 8), (1.3, 7), (1.3, 8)]
 
@@ -642,14 +630,8 @@ class TestGridSearch:
         def evaluate(h):
             return [10.0 + h.thin_step + h.window_modifier]
 
-        rows = grid_search(
-            window_modifiers=(1.2, 1.3, 1.4),
-            smooth_modifiers=(1.1,),
-            thin_steps=(7, 8),
-            delay_counts=(8,),
-            mode_counts=(4,),
-            evaluate=evaluate,
-        )
+        grid = [ForecastHyperparams(wm, thin_step=ts) for wm in (1.2, 1.3, 1.4) for ts in (7, 8)]
+        rows = grid_search(evaluate, grid)
         scores = [r[3] for r in rows]
         assert scores[0] <= np.median(scores)
 
@@ -658,12 +640,10 @@ class TestGridSearch:
         def evaluate(h):
             return [20.0, bad if h.window_modifier == 1.3 else 21.0]
 
+        grid = [ForecastHyperparams(wm) for wm in (1.2, 1.3, 1.4)]
         with pytest.raises(DataError, match=r"non-finite wMAPE for .*window_modifier=1\.3,"):
-            grid_search(
-                evaluate,
-                window_modifiers=(1.2, 1.3, 1.4),
-                smooth_modifiers=(1.1,),
-                thin_steps=(7,),
-                delay_counts=(8,),
-                mode_counts=(4,),
-            )
+            grid_search(evaluate, grid)
+
+    def test_empty_grid_is_data_error(self):
+        with pytest.raises(DataError, match="empty hyperparameter grid"):
+            grid_search(lambda h: [10.0], [])

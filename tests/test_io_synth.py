@@ -243,6 +243,13 @@ class TestSensitivityFiles:
         result = SensitivityResult(("mask", "window_size"), _S1, **extra)
         assert write_indices(tmp_path / "sa.tsv", result).read_text() == text
 
+    @pytest.mark.parametrize("names", [("mask",), ("mask", "window_size", "decay")])
+    def test_indices_need_one_name_each(self, names):
+        # write_indices zips names with indices, so a short list would
+        # silently drop rows
+        with pytest.raises(ConfigError, match=f"{len(names)} names for 2 indices"):
+            SensitivityResult(names, _S1)
+
     def test_narrowing_record_bytes(self, tmp_path):
         names = ("mask_2hz", "window_size", "decay")
         lower = np.array([0.0, 2.0, 0.0])

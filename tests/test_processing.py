@@ -105,6 +105,13 @@ class TestSpectralMask:
         with pytest.raises(ConfigError):
             apply_spectral_mask(np.fft.rfft(x), m, n + 2)
 
+    def test_real_batch_rejects_another_length(self):
+        x = np.arange(10.0)
+        mask = SpectralMask(np.ones(6))
+        assert np.array_equal(apply_spectral_mask(x, mask, 10), apply_spectral_mask(x, mask))
+        with pytest.raises(ConfigError, match="n = 20 does not match the 10-sample batch"):
+            apply_spectral_mask(x, mask, n=20)
+
     def test_stacked_length_mismatch_names_last_axis(self):
         with pytest.raises(ConfigError, match="10 bins but a 496-sample batch needs 249"):
             apply_spectral_mask(np.zeros((3, N)), SpectralMask(np.ones(10)))

@@ -190,6 +190,15 @@ class TestSobolIndices:
         assert res.first_order[0] == pytest.approx(1.0, abs=0.03)
         assert res.first_order[1] == pytest.approx(0.0, abs=0.03)
 
+    def test_unique_names_as_groups_name_the_ungrouped_indices(self):
+        names = ("a", "b", "c")
+        s = saltelli_sample(pi_bounds(), 2**8, seed=5)
+        want = sobol_indices(s, ishigami(s))
+        res = sobol_indices(s, ishigami(s), groups=names)
+        assert res.names == names and want.names == ("x0", "x1", "x2")
+        assert np.array_equal(res.first_order, want.first_order)
+        assert np.array_equal(res.total_order, want.total_order)
+
     def test_layout_mismatch_rejected(self):
         s = saltelli_sample(unit_bounds(3), 8, seed=0)
         with pytest.raises(DataError):
@@ -449,6 +458,11 @@ class TestRbdFast:
         want_s1, want_ci = _per_replica_rbdfast_oracle(x, y, harmonics, n_boot, seed=46)
         assert np.array_equal(res.first_order, want_s1)
         assert np.array_equal(res.first_ci, want_ci)
+
+    def test_name_count_must_match_columns(self):
+        x = rbdfast_sample(pi_bounds(), 64, seed=3)
+        with pytest.raises(ConfigError, match="1 names for 3 indices"):
+            rbdfast_indices(x, ishigami(x), names=("a",))
 
     def test_bootstrap_peak_memory(self):
         x, y = _bench_design()
