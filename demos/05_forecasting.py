@@ -4,7 +4,11 @@ Every 0.5 s batch is processed, estimated, and handed to a freshly trained
 spectral model (LOWESS smoothing, log-interaction lifting, thinning, DMD,
 amplitude refit), which extrapolates its modes over the next batch.  The
 latency report shows the whole chain runs far faster than the batch cadence.
+The finished run keeps its scaled estimates, so other forecaster settings
+replay over the same stream without processing or estimating again.
 """
+from dataclasses import replace
+
 import numpy as np
 
 from emgrip import (
@@ -14,7 +18,7 @@ from emgrip import (
     fit_estimator,
     synth_recording,
 )
-from emgrip.simulate import evaluate_run, stream_simulate
+from emgrip.simulate import evaluate_run, forecast_blocks, prediction_wmape, stream_simulate
 
 calibration = synth_recording(seed=42)
 test = synth_recording(seed=43)
@@ -40,6 +44,17 @@ ev = evaluate_run(test, model, mask, smoothing, hyper, result=result)
 print(f"\npeak cross-correlation: {ev.peak_xcorr:.3f}")
 print(f"estimation wMAPE:       {ev.estimation_wmape:.2f}%")
 print(f"0.5 s-ahead forecast wMAPE: {ev.prediction_wmape:.2f}%")
+
+# each replay gives the blocks a stream with that setting would emit
+print("\nforecast wMAPE, other settings replayed over the same stream:")
+for label, other in (
+    ("default", hyper),
+    ("thin step 5", replace(hyper, thin_step=5)),
+    ("window 1.4x", replace(hyper, window_modifier=1.4)),
+):
+    blocks = forecast_blocks(test, model, result, other)
+    score = prediction_wmape(test.grip, replace(result, forecasts=blocks))
+    print(f"  {label:12s} {score:6.2f}%")
 
 block = result.forecasts[len(result.forecasts) // 2]
 actual = np.interp(block.times, test.grip.times, test.grip.values)

@@ -12,7 +12,7 @@ import argparse
 import itertools
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-from .simulate import evaluate_run, prediction_wmape, stream_simulate
+from .simulate import evaluate_run, forecast_blocks, prediction_wmape, stream_simulate
 from .synth import synth_corpus
 
 USAGE_EXIT, INPUT_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -312,21 +312,31 @@ def _cmd_fit(args):
 def _cmd_tune(args):
     corpus = eio.read_corpus(args.data)
     model = eio.read_model(args.model)
-
-    def evaluate(hyper):
-        return [
-            prediction_wmape(
-                rec.grip, stream_simulate(rec, model, model.mask, model.smoothing, hyper)
-            )
-            for rec in corpus
-        ]
-
     grid = [
         ForecastHyperparams(*values)
         for values in itertools.product(
             args.window_mods, args.smooth_mods, args.thin_steps, args.delay_counts, args.mode_counts
         )
     ]
+    # each recording streams once, with the first combination; the others
+    # replay the forecaster over that run
+    runs = []
+    for rec in corpus:
+        try:
+            runs.append(stream_simulate(rec, model, model.mask, model.smoothing, grid[0]))
+        except (EmgripError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{rec.stem}: {exc}") from exc
+
+    def evaluate(hyper):
+        wmapes = []
+        for rec, run in zip(corpus, runs):
+            if hyper != grid[0]:
+                run = replace(run, forecasts=forecast_blocks(rec, model, run, hyper))
+            wmapes.append(prediction_wmape(rec.grip, run))
+            if not np.isfinite(wmapes[-1]):
+                raise DataError(f"non-finite wMAPE for {hyper} on {rec.stem}")
+        return wmapes
+
     rows = grid_search(evaluate, grid)
     out = eio.write_table(
         _out_dir(args) / "tuning.tsv",

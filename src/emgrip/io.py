@@ -388,7 +388,12 @@ def read_narrowing(path) -> NarrowingRecord:
     A malformed line ('line N: ...'), a box ``Bounds`` or the nesting rule
     rejects, or no step at all, is a ``DataError`` that starts with the path.
     So is a '== step <n>' header whose n is not the next step's index, or
-    whose ' (no-op)' marker disagrees with ``NarrowingRecord.append``."""
+    whose ' (no-op)' marker disagrees with ``NarrowingRecord.append``.
+
+    Write -> read -> write is byte-stable.  A file spelled otherwise reads
+    as the same record but rewrites normalised: blank lines and surrounding
+    whitespace go, and each bound takes its shortest round-trip form, so
+    'a<TAB>0<TAB>1' rewrites as 'a<TAB>0.0<TAB>1.0'."""
     text = _read_text(Path(path))
     record = step_no = None
     header_no = marked = None

@@ -152,7 +152,8 @@ class SensitivityResult:
 
     Estimator noise can push indices slightly outside [0, 1]; values are
     reported as computed, never clipped; ``io.write_indices`` writes them.
-    There is one name per index: any other count is a ``ConfigError``.
+    There is one name per index and per CI row: any other count is a
+    ``ConfigError``.
     """
 
     names: tuple[str, ...]
@@ -162,8 +163,14 @@ class SensitivityResult:
     total_ci: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.names) != np.size(self.first_order):
-            raise ConfigError(f"{len(self.names)} names for {np.size(self.first_order)} indices")
+        rows = {
+            "indices": self.first_order, "total_order indices": self.total_order,
+            "first_ci rows": self.first_ci, "total_ci rows": self.total_ci,
+        }
+        for what, values in rows.items():
+            count = None if values is None else len(np.atleast_1d(values))
+            if count not in (None, len(self.names)):
+                raise ConfigError(f"{len(self.names)} names for {count} {what}")
 
 
 def _group_table(dim: int, groups) -> tuple[tuple[str, ...], list[np.ndarray]]:

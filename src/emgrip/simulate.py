@@ -69,6 +69,8 @@ class StreamResult:
     forecasts: list[ForecastBlock]
     latency: LatencyReport
     processed: np.ndarray
+    estimates_scaled: np.ndarray   # what the forecaster read: a view, no copy
+    marks: np.ndarray              # per batch: (samples seen, estimates made)
 
     def forecast_rows(self):
         for block in self.forecasts:
@@ -106,6 +108,8 @@ def stream_simulate(
     windows only: the estimator reads the envelope from the oldest sample
     its next estimate needs, and the forecaster reads the newest estimates.
     So a batch costs the same late in a long session as early in a short one.
+    The result keeps the scaled estimate history and each batch's marks,
+    so ``forecast_blocks`` can replay any other ``hyper`` over it.
     """
     _check_chain(model, mask, smoothing)
     emg = recording.emg
@@ -116,7 +120,6 @@ def stream_simulate(
         )
     step = model.hankel.downsample
     delays = model.hankel.delays
-    batch_ds = DEFAULT_BATCH_SIZE // step
 
     # histories filled in place: ``seen`` envelope samples, ``n_est`` estimates
     n_total = emg.values.size
@@ -125,6 +128,7 @@ def stream_simulate(
     seen = 0
     n_est = 0  # decimated positions already estimated
     forecasts: list[ForecastBlock] = []
+    marks: list[tuple[int, int]] = []
     lat_process: list[float] = []
     lat_estimate: list[float] = []
     lat_predict: list[float] = []
@@ -148,17 +152,12 @@ def stream_simulate(
             est_scaled[n_est:n_avail] = estimate_window_scaled(model, window)
             n_est = n_avail
         lat_estimate.append((time.perf_counter() - tic) * 1e3)
+        marks.append((seen, n_est))
 
         tic = time.perf_counter()
-        # forecast timestamps extrapolate from the rate of the data seen so
-        # far, so a truncated rerun reproduces them bit for bit (causality)
-        dt_seen = (emg.times[seen - 1] - emg.times[0]) / (seen - 1)
-        preds = predict_batch(est_scaled[:n_est], hyper, model.grip_scaler, batch_samples=batch_ds)
-        if preds is not None:
-            tau = np.arange(1, preds.size + 1)
-            t_last = emg.times[(n_est - 1) * step]
-            times = t_last + tau * hyper.thin_step * step * dt_seen
-            forecasts.append(ForecastBlock(b, times, preds))
+        block = _forecast_block(b, seen, est_scaled[:n_est], emg.times, model, hyper)
+        if block is not None:
+            forecasts.append(block)
         lat_predict.append((time.perf_counter() - tic) * 1e3)
 
         if real_time:
@@ -174,7 +173,38 @@ def stream_simulate(
         forecasts,
         LatencyReport(np.array(lat_process), np.array(lat_estimate), np.array(lat_predict)),
         processed[:seen],
+        est_scaled[:n_est],
+        np.array(marks, dtype=int).reshape(-1, 2),
     )
+
+
+def _forecast_block(b, seen, history, times, model, hyper) -> ForecastBlock | None:
+    """Batch ``b``'s forecast from the scaled estimate ``history`` made once
+    ``seen`` EMG samples (of ``times``) had arrived; None while warming up."""
+    step = model.hankel.downsample
+    preds = predict_batch(history, hyper, model.grip_scaler, batch_samples=DEFAULT_BATCH_SIZE // step)
+    if preds is None:
+        return None
+    # forecast timestamps extrapolate from the rate of the data seen so
+    # far, so a truncated rerun reproduces them bit for bit (causality)
+    dt_seen = (times[seen - 1] - times[0]) / (seen - 1)
+    tau = np.arange(1, preds.size + 1)
+    t_last = times[(history.size - 1) * step]
+    return ForecastBlock(b, t_last + tau * hyper.thin_step * step * dt_seen, preds)
+
+
+def forecast_blocks(
+    recording: Recording, model: EstimatorModel, result: StreamResult, hyper: ForecastHyperparams
+) -> list[ForecastBlock]:
+    """The forecast blocks a stream of ``recording`` with ``hyper`` emits,
+    replayed over the finished run ``result`` of the same recording and
+    model: bit for bit those of ``stream_simulate(..., hyper)``, without
+    running the envelope or the estimator again."""
+    blocks = (
+        _forecast_block(b, seen, result.estimates_scaled[:n_est], recording.emg.times, model, hyper)
+        for b, (seen, n_est) in enumerate(result.marks.tolist())
+    )
+    return [block for block in blocks if block is not None]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import emgrip.simulate
 from emgrip.cli import main
-from emgrip.forecasting import ForecastHyperparams
+from emgrip.forecasting import ForecastHyperparams, grid_search
 from emgrip.io import (
     Recording,
     read_corpus,
@@ -17,6 +18,7 @@ from emgrip.io import (
     write_recording,
     write_runs,
     write_series,
+    write_table,
 )
 from emgrip.metrics import summary_stats
 from emgrip.processing import (
@@ -259,6 +261,22 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: non-finite wMAPE for ForecastHyperparams(window_modifier=1.2,")
+        assert err.rstrip().endswith(" on s01_p2_r1")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "tuning.tsv").exists()
+
+    def test_tune_on_recording_at_another_rate_names_it(self, workspace, tmp_path, capsys):
+        root, data = workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        slow = SynthProfile(plateau_s=1.0, ramp_s=0.5, lead_s=0.5, emg_fs=900.0)
+        write_recording(corpus, synth_recording(slow, seed=53, subject="s01", position=3, replication=1))
+        code = main([
+            "--out", str(tmp_path), "tune", "--data", str(corpus), "--model", str(root / "model.txt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: s01_p3_r1: recording rate 900.00 Hz does not match model rate ")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "tuning.tsv").exists()
 
@@ -812,6 +830,65 @@ class TestPipelineCommands:
             assert float(score) == float(mean) + float(median)
         keys = [(float(r[7]), dataclasses.astuple(h)) for r, h in zip(rows, grid)]
         assert keys == sorted(keys)
+
+    def test_tune_table_equals_streaming_every_combination(self, workspace, tmp_path):
+        # the reference streams each recording once per combination and
+        # ranks with grid_search; tune streams once and replays the rest
+        root, data = workspace
+        corpus, model = read_corpus(data), read_model(root / "model.txt")
+
+        def evaluate(hyper):
+            return [
+                prediction_wmape(rec.grip, stream_simulate(rec, model, model.mask, model.smoothing, hyper))
+                for rec in corpus
+            ]
+
+        grid = [ForecastHyperparams(w, 1.1, t, 8, 4) for w in (1.3, 1.2) for t in (8, 7)]
+        want = write_table(
+            tmp_path / "want.tsv",
+            ["window_mod", "smooth_mod", "thin_step", "delays", "modes",
+             "mean_wmape", "median_wmape", "score"],
+            [(*dataclasses.astuple(h), *scores) for h, *scores in grid_search(evaluate, grid)],
+        )
+        code = main([
+            "--out", str(tmp_path / "out"), "tune",
+            "--data", str(data), "--model", str(root / "model.txt"),
+            "--window-mods", "1.3,1.2", "--thin-steps", "8,7",
+        ])
+        assert code == 0
+        assert (tmp_path / "out" / "tuning.tsv").read_bytes() == want.read_bytes()
+
+    def test_tune_streams_each_recording_once(self, workspace, tmp_path, monkeypatch):
+        root, data = workspace
+        corpus, model = read_corpus(data), read_model(root / "model.txt")
+        calls = {}
+
+        def count(name):
+            real = getattr(emgrip.simulate, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(emgrip.simulate, name, counted)
+
+        count("estimate_window_scaled")
+        count("predict_batch")
+        for rec in corpus:
+            stream_simulate(rec, model, model.mask, model.smoothing)
+        one_stream = dict(calls)
+        assert min(one_stream.values()) > 0
+        calls.update(dict.fromkeys(calls, 0))
+        code = main([
+            "--out", str(tmp_path), "tune", "--data", str(data), "--model", str(root / "model.txt"),
+        ])
+        assert code == 0
+        assert len((tmp_path / "tuning.tsv").read_text().splitlines()) == 1 + 3
+        assert calls == {
+            "estimate_window_scaled": one_stream["estimate_window_scaled"],
+            "predict_batch": 3 * one_stream["predict_batch"],
+        }
 
 
 class TestEvaluateCommand:

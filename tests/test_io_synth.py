@@ -250,6 +250,21 @@ class TestSensitivityFiles:
         with pytest.raises(ConfigError, match=f"{len(names)} names for 2 indices"):
             SensitivityResult(names, _S1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("total_order", np.zeros(3), "2 names for 3 total_order indices"),
+            ("total_order", np.zeros(1), "2 names for 1 total_order indices"),
+            ("first_ci", np.zeros((5, 2)), "2 names for 5 first_ci rows"),
+            ("total_ci", np.zeros((1, 2)), "2 names for 1 total_ci rows"),
+        ],
+        ids=["long_st", "short_st", "long_s1_ci", "short_st_ci"],
+    )
+    def test_every_array_needs_one_row_per_name(self, field, value, message):
+        # write_indices would write 2 rows and silently drop the rest
+        with pytest.raises(ConfigError, match=message):
+            SensitivityResult(("mask", "window_size"), _S1, **{field: value})
+
     def test_narrowing_record_bytes(self, tmp_path):
         names = ("mask_2hz", "window_size", "decay")
         lower = np.array([0.0, 2.0, 0.0])
@@ -296,6 +311,17 @@ class TestSensitivityFiles:
         assert text.count(b" (no-op)") == 1
         again = read_narrowing(tmp_path / "r.txt")
         assert write_narrowing(tmp_path / "again.txt", again).read_bytes() == text
+
+    def test_hand_spelled_record_rewrites_normalised(self, tmp_path):
+        # only write_narrowing's own spelling is byte-stable; any other
+        # reads as the same record and rewrites in that spelling
+        path = tmp_path / "hand.txt"
+        path.write_text("\n== step 0\n\na\t0\t1\n  b\t-2\t3e0  \n\n== step 1\na\t0\t.5\nb\t-2\t3\n")
+        again = write_narrowing(tmp_path / "again.txt", read_narrowing(path))
+        assert again.read_text() == (
+            "== step 0\na\t0.0\t1.0\nb\t-2.0\t3.0\n== step 1\na\t0.0\t0.5\nb\t-2.0\t3.0\n"
+        )
+        assert write_narrowing(tmp_path / "third.txt", read_narrowing(again)).read_bytes() == again.read_bytes()
 
     @pytest.mark.parametrize(
         "text, message",

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from emgrip.errors import ConfigError, NumericError
+from emgrip.forecasting import ForecastHyperparams
 from emgrip.io import Recording
 from emgrip.processing import SmoothingParams, SpectralMask, TimestampedSeries, process_recording
-from emgrip.simulate import estimation_wmape, evaluate_run, prediction_wmape, stream_simulate
+from emgrip.simulate import (
+    estimation_wmape,
+    evaluate_run,
+    forecast_blocks,
+    prediction_wmape,
+    stream_simulate,
+)
 from emgrip.synth import SynthProfile, synth_recording
 
 
@@ -137,6 +144,50 @@ class TestStreamSimulate:
         stream_simulate(two_batches, model, mask, smoothing, real_time=True)
         elapsed = time.perf_counter() - start
         assert elapsed >= 0.9  # two 0.5 s batches
+
+
+class TestForecastReplay:
+    def test_result_keeps_the_history_and_marks(self, test_recording, stream_result, model):
+        scaled = stream_result.estimates_scaled
+        assert scaled.base is not None  # a view of the stream's own history
+        assert np.array_equal(model.grip_scaler.invert(scaled), stream_result.estimates)
+        marks = stream_result.marks
+        assert marks.shape == (stream_result.latency.process_ms.size, 2)
+        assert (np.diff(marks, axis=0) >= 0).all()
+        assert marks[-1].tolist() == [stream_result.processed.size, scaled.size]
+
+    # each differs from the default and from the others in every field
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            ForecastHyperparams(),
+            ForecastHyperparams(1.2, 1.0, 5, 6, 3),
+            ForecastHyperparams(1.4, 1.2, 8, 10, 5),
+            ForecastHyperparams(1.5, 1.3, 6, 7, 2),
+        ],
+        ids=["default", "short", "long", "wide"],
+    )
+    def test_replay_equals_streaming_with_that_setting(
+        self, test_recording, stream_result, model, mask, smoothing, hyper
+    ):
+        streamed = stream_simulate(test_recording, model, mask, smoothing, hyper).forecasts
+        replayed = forecast_blocks(test_recording, model, stream_result, hyper)
+        assert len(replayed) == len(streamed) > 0
+        for got, want in zip(replayed, streamed):
+            assert got.batch_index == want.batch_index
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.values, want.values)
+
+    def test_replay_of_a_truncated_run_is_its_prefix(self, test_recording, stream_result, model, mask, smoothing):
+        hyper = ForecastHyperparams(1.2, 1.0, 5, 6, 3)
+        short = _truncate(test_recording, model.batch_size * 9)
+        cut = stream_simulate(short, model, mask, smoothing)
+        full = {b.batch_index: b for b in forecast_blocks(test_recording, model, stream_result, hyper)}
+        prefix = forecast_blocks(short, model, cut, hyper)
+        assert prefix
+        for block in prefix:
+            assert np.array_equal(block.values, full[block.batch_index].values)
+            assert np.array_equal(block.times, full[block.batch_index].times)
 
 
 class TestEvaluateRun:
